@@ -4,7 +4,7 @@ p = 2 packs rows into uint64 words (64 columns per word, column j in bit
 j % 64 of word j // 64, tail bits zero); odd p stores one byte per
 residue.  Values are immutable after construction; every operation
 returns a fresh matrix.  Row reduction and products go through the
-selectable kernels in :mod:`coclass.kernels`.
+kernels in :mod:`coclass.kernels`.
 
 The on-disk format (shared with the resolution cache) is:
 
@@ -142,16 +142,9 @@ class FpMatrix:
         diff = (self._d.astype(np.int16) - other._d.astype(np.int16)) % self.p
         return FpMatrix(self.p, self.rows, self.cols, diff.astype(np.uint8))
 
-    def transpose(self):
-        return FpMatrix.from_dense(self.p, self.to_dense().T)
-
     def row_select(self, indices):
         idx = np.asarray(indices, dtype=np.int64)
         return FpMatrix(self.p, len(idx), self.cols, np.ascontiguousarray(self._d[idx]))
-
-    def col_select(self, indices):
-        idx = list(indices)
-        return FpMatrix.from_dense(self.p, self.to_dense()[:, idx])
 
     @staticmethod
     def hstack(mats):
@@ -183,17 +176,15 @@ class FpMatrix:
         """Right kernel: columns form the standard F_p-basis of
         {x : self @ x = 0} read off the reduced echelon form."""
         red, piv = self.rref()
-        free = [c for c in range(self.cols) if c not in set(piv)]
-        k = FpMatrix.zeros(self.p, self.cols, len(free)).to_dense()
+        pivset = set(piv)
+        free = [c for c in range(self.cols) if c not in pivset]
+        k = np.zeros((self.cols, len(free)), dtype=np.uint8)
         if free:
             vals = self._pivot_rows_at(red, len(piv), free)
-            for j, fcol in enumerate(free):
-                k[fcol, j] = 1
-                for r, pcol in enumerate(piv):
-                    v = int(vals[r, j])
-                    if v:
-                        k[pcol, j] = self.p - v
-        return FpMatrix.from_dense(self.p, k)
+            k[free, np.arange(len(free))] = 1
+            k[list(piv), :] = (self.p - vals) % self.p
+        data = _pack_bits(k) if self.p == 2 else k
+        return FpMatrix(self.p, self.cols, len(free), data)
 
     @staticmethod
     def _pivot_rows_at(red, npiv, cols):

@@ -1,77 +1,79 @@
 """Hot linear-algebra kernels over small prime fields.
 
-The inner loops that dominate every resolution computation (row reduction
-and matrix products mod p, plus bit-packed GF(2) variants) exist twice:
-as numba-jitted loops and as vectorized pure-numpy code.  The jitted path
-is the default; setting COCLASS_NO_NUMBA=1 in the environment (or numba
-being unimportable) selects the numpy path.  Both paths compute reduced
-row echelon forms, which are unique, so results are identical either way.
+The inner loops that dominate every resolution computation: row
+reduction and matrix products mod p, plus bit-packed GF(2) variants.
+Odd-p row reduction is a blocked Gauss–Jordan elimination whose trailing
+updates are float64 matrix products, so the bulk of its work runs in
+BLAS; the GF(2) kernels are vectorized numpy loops over packed words.
 
 Conventions shared by all kernels:
   * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
   * GF(2) matrices are uint64 word arrays, column j living in bit j % 64
     of word j // 64, with unused tail bits always zero;
   * rref_* operate in place and return the pivot column indices;
-  * pivot choice is the first nonzero entry scanning down, a pure
-    function of the matrix contents (no threading, no randomness).
+  * results are reduced row echelon forms, which are unique, so they do
+    not depend on pivot-row choice, block size or BLAS threading.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("COCLASS_NO_NUMBA", "").strip().lower()
-USE_NUMBA = _flag not in ("1", "true", "yes", "on")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+# Recorded by the benchmark harness; there is no jitted path.
+USE_NUMBA = False
+
+# Columns per panel of the blocked elimination in rref_u8; 64 was the
+# fastest of 32, 64, 128 and 256 on the resolution matrices of B(3,r).
+_PANEL = 64
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations (always available)
+def _mod(x, p):
+    """x mod p for an integer-valued float64 array with |x| < 2^53.
 
-def _inverse_table(p):
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    return inv
-
-
-def rref_u8_numpy(a, p):
-    """In-place RREF of a uint8 matrix mod p; returns pivot columns.
-
-    Reduction is delayed: only the pivot row and pivot column are brought
-    into [0, p) per step, so each entry grows by at most (p-1)^2 per
-    pivot — bounded by pivots * p^2 < 2^63 for any matrix this package
-    can reach — and the full matrix is reduced once at the end.
+    The rounding error of x / p is below |x / p| 2^-53 < 1/p, and a
+    non-multiple of p lies at least 1/p from the nearest integer, so the
+    floor is exact.  Several times faster than np.mod on floats.
     """
-    rows, cols = a.shape
-    inv = _inverse_table(p)
-    work = a.astype(np.int64)
+    q = x / p
+    np.floor(q, out=q)
+    q *= -p
+    q += x
+    return q
+
+
+def _rref_small(work, p):
+    """Unblocked in-place RREF of a narrow int64 matrix of residues mod p.
+
+    Returns (pivot columns, row order): after the call, row r of ``work``
+    is the reduced row built on original row ``order[r]``, so for r below
+    the rank, ``order[r]`` is the row that supplied pivot r.  Reduction is
+    delayed: only the pivot row and pivot column are brought into [0, p)
+    per step, so entries grow by at most (p-1)^2 per pivot, far from
+    2^63 at the panel sizes used here.
+    """
+    rows = work.shape[0]
+    order = np.arange(rows)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(work.any(axis=0)).tolist():
         if r == rows:
             break
         work[:, c] %= p
-        nz = np.flatnonzero(work[r:, c])
+        nz = work[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
+            order[[r, pr]] = order[[pr, r]]
         work[r] %= p
-        f = int(inv[work[r, c]])
+        f = pow(int(work[r, c]), p - 2, p)
         if f != 1:
             work[r] *= f
             work[r] %= p
         col = work[:, c].copy()
         col[r] = 0
-        hit = np.flatnonzero(col)
+        hit = col.nonzero()[0]
         if hit.size > rows // 2:
             work -= col[:, None] * work[r]
         elif hit.size:
@@ -79,21 +81,77 @@ def rref_u8_numpy(a, p):
         pivots.append(c)
         r += 1
     work %= p
-    a[:] = work.astype(np.uint8)
-    return np.asarray(pivots, dtype=np.int64)
+    return pivots, order
 
 
-def matmul_u8_numpy(a, b, p):
+def rref_u8(a, p):
+    """In-place RREF of a uint8 matrix mod p; returns pivot columns.
+
+    Blocked Gauss–Jordan on one float64 copy of ``a``.  Columns are taken
+    in panels of ``_PANEL``.  In each panel the unblocked loop finds the k
+    new pivots on the not-yet-pivot rows; with M the k x k block of those
+    rows and pivot columns, X = M^-1 A[pivot rows, c0:] mod p replaces the
+    pivot rows, and every other row gets A[:, c0:] -= A[:, pivot cols] @ X
+    as one GEMM (over the rows with a nonzero multiplier only, when those
+    are at most half).  Rows are never swapped: the pivot rows are
+    gathered in pivot order at the end, ``_PANEL`` rows at a time so the
+    final reduction needs no full-size temporary, and every other row has
+    reduced to zero.
+
+    Reduction is delayed: only the panel, the pivot columns and X are
+    reduced mod p.  Each update subtracts at most k (p-1)^2 from an entry,
+    so trailing entries stay below rank (p-1)^2 + p in absolute value —
+    under 2^53, where float64 arithmetic is exact, for any rank below
+    1.4e11 at p <= 251 — and the result is reduced once at the end.
+    """
+    rows, cols = a.shape
+    work = a.astype(np.float64)
+    is_pivot_row = np.zeros(rows, dtype=bool)
+    pivot_rows, pivot_cols = [], []
+    for c0 in range(0, cols, _PANEL):
+        if len(pivot_rows) == rows:
+            break
+        free = np.flatnonzero(~is_pivot_row)
+        panel = _mod(work[free, c0:c0 + _PANEL], p).astype(np.int64)
+        local, order = _rref_small(panel, p)
+        k = len(local)
+        if k == 0:
+            continue
+        prow = free[order[:k]]
+        pcol = c0 + np.asarray(local, dtype=np.int64)
+        m = _mod(work[np.ix_(prow, pcol)], p).astype(np.int64)
+        aug = np.concatenate([m, np.eye(k, dtype=np.int64)], axis=1)
+        _rref_small(aug, p)
+        x = _mod(aug[:, k:].astype(np.float64) @ _mod(work[prow, c0:], p), p)
+        lhs = _mod(work[:, pcol], p)
+        hit = np.flatnonzero(lhs.any(axis=1))
+        if hit.size > rows // 2:
+            work[:, c0:] -= lhs @ x
+        else:
+            work[hit, c0:] -= lhs[hit] @ x
+        work[prow, c0:] = x
+        is_pivot_row[prow] = True
+        pivot_rows.extend(prow.tolist())
+        pivot_cols.extend(pcol.tolist())
+    rank = len(pivot_rows)
+    for r0 in range(0, rank, _PANEL):
+        chunk = pivot_rows[r0:r0 + _PANEL]
+        a[r0:r0 + len(chunk)] = _mod(work[chunk], p)
+    a[rank:] = 0
+    return np.asarray(pivot_cols, dtype=np.int64)
+
+
+def matmul_u8(a, b, p):
     """(a @ b) mod p for uint8 operands.
 
     Goes through float64 matmul (BLAS) — exact as long as inner products
     stay under 2^53, i.e. for inner dimensions up to ~1.4e11 at p <= 251.
     """
     prod = a.astype(np.float64) @ b.astype(np.float64)
-    return np.mod(prod, p).astype(np.uint8)
+    return _mod(prod, p).astype(np.uint8)
 
 
-def rref_b2_numpy(w, ncols):
+def rref_b2(w, ncols):
     """In-place RREF of a bit-packed GF(2) matrix; returns pivot columns."""
     rows = w.shape[0]
     pivots = []
@@ -118,7 +176,7 @@ def rref_b2_numpy(w, ncols):
     return np.asarray(pivots, dtype=np.int64)
 
 
-def matmul_b2_numpy(aw, bw, a_cols):
+def matmul_b2(aw, bw, a_cols):
     """GF(2) product of packed matrices: row i of result is the XOR of the
     rows of ``bw`` selected by the set bits of row i of ``aw``."""
     out = np.zeros((aw.shape[0], bw.shape[1]), dtype=np.uint64)
@@ -129,123 +187,3 @@ def matmul_b2_numpy(aw, bw, a_cols):
         if mask.any():
             out[mask] ^= bw[j]
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same pivot rule, loop form)
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _rref_u8_jit(a, p):
-        rows, cols = a.shape
-        inv = np.zeros(p, dtype=np.int64)
-        for x in range(1, p):
-            y = 1
-            for _ in range(p - 2):
-                y = (y * x) % p
-            inv[x] = y
-        pivots = np.empty(min(rows, cols), dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            piv = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for k in range(cols):
-                    t = a[r, k]
-                    a[r, k] = a[piv, k]
-                    a[piv, k] = t
-            f = inv[a[r, c]]
-            if f != 1:
-                for k in range(c, cols):
-                    a[r, k] = (np.int64(a[r, k]) * f) % p
-            for i in range(rows):
-                if i == r:
-                    continue
-                g = np.int64(a[i, c])
-                if g != 0:
-                    gg = p - g
-                    for k in range(c, cols):
-                        a[i, k] = (np.int64(a[i, k]) + gg * np.int64(a[r, k])) % p
-            pivots[r] = c
-            r += 1
-        return pivots[:r]
-
-    @njit(cache=True)
-    def _matmul_u8_jit(a, b, p):
-        n, k = a.shape
-        m = b.shape[1]
-        out = np.empty((n, m), dtype=np.uint8)
-        acc = np.empty(m, dtype=np.int64)
-        for i in range(n):
-            for j in range(m):
-                acc[j] = 0
-            for t in range(k):
-                v = np.int64(a[i, t])
-                if v != 0:
-                    for j in range(m):
-                        acc[j] += v * np.int64(b[t, j])
-            for j in range(m):
-                out[i, j] = acc[j] % p
-        return out
-
-    @njit(cache=True)
-    def _rref_b2_jit(w, ncols):
-        rows, nwords = w.shape
-        pivots = np.empty(min(rows, ncols), dtype=np.int64)
-        r = 0
-        for c in range(ncols):
-            if r == rows:
-                break
-            wi = c >> 6
-            bit = np.uint64(1) << np.uint64(c & 63)
-            piv = -1
-            for i in range(r, rows):
-                if w[i, wi] & bit:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for k in range(nwords):
-                    t = w[r, k]
-                    w[r, k] = w[piv, k]
-                    w[piv, k] = t
-            for i in range(rows):
-                if i != r and (w[i, wi] & bit):
-                    for k in range(wi, nwords):
-                        w[i, k] ^= w[r, k]
-            pivots[r] = c
-            r += 1
-        return pivots[:r]
-
-    @njit(cache=True)
-    def _matmul_b2_jit(aw, bw, a_cols):
-        rows = aw.shape[0]
-        owords = bw.shape[1]
-        out = np.zeros((rows, owords), dtype=np.uint64)
-        for i in range(rows):
-            for j in range(a_cols):
-                wi = j >> 6
-                bit = np.uint64(1) << np.uint64(j & 63)
-                if aw[i, wi] & bit:
-                    for k in range(owords):
-                        out[i, k] ^= bw[j, k]
-        return out
-
-    rref_u8 = _rref_u8_jit
-    matmul_u8 = _matmul_u8_jit
-    rref_b2 = _rref_b2_jit
-    matmul_b2 = _matmul_b2_jit
-else:
-    rref_u8 = rref_u8_numpy
-    matmul_u8 = matmul_u8_numpy
-    rref_b2 = rref_b2_numpy
-    matmul_b2 = matmul_b2_numpy

@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from coclass import kernels
 from coclass.fpmat import FpMatrix, fp_kernel, fp_rank, fp_solve
 
 from _oracles import naive_kernel, naive_rank
@@ -166,38 +162,3 @@ def test_prime_validation():
         FpMatrix.from_dense(4, [[1]])
     with pytest.raises(ValueError):
         FpMatrix.from_dense(257, [[1]])
-
-
-def test_numba_and_numpy_paths_agree():
-    rng = random.Random(33)
-    for p in (3, 5):
-        dense = np.array(rand_dense(rng, p, 40, 55), dtype=np.uint8)
-        w1 = dense.copy()
-        piv1 = kernels.rref_u8(w1, p)
-        w2 = dense.copy()
-        piv2 = kernels.rref_u8_numpy(w2, p)
-        assert np.array_equal(w1, w2)
-        assert list(piv1) == list(piv2)
-    bits = np.array(rand_dense(rng, 2, 30, 130), dtype=np.uint8)
-    a = FpMatrix.from_dense(2, bits)
-    w1 = a._d.copy()
-    piv1 = kernels.rref_b2(w1, 130)
-    w2 = a._d.copy()
-    piv2 = kernels.rref_b2_numpy(w2, 130)
-    assert np.array_equal(w1, w2)
-    assert list(piv1) == list(piv2)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, COCLASS_NO_NUMBA="1")
-    code = (
-        "from coclass import kernels\n"
-        "assert kernels.USE_NUMBA is False\n"
-        "assert kernels.rref_u8 is kernels.rref_u8_numpy\n"
-        "from coclass.fpmat import FpMatrix\n"
-        "a = FpMatrix.from_dense(3, [[1,1],[0,1]])\n"
-        "assert a.rank() == 2\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr

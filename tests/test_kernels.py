@@ -1,0 +1,109 @@
+"""The blocked odd-p row reduction and the kernel basis against the
+plain-Python oracles, over shapes that cross the elimination's panel
+edges."""
+
+import random
+
+import numpy as np
+
+from coclass import kernels
+from coclass.fpmat import FpMatrix
+
+from _oracles import naive_kernel, naive_rref
+
+PRIMES = (3, 5, 7, 251)
+PANEL_EDGE_WIDTHS = (63, 64, 65, 128, 129)
+
+
+def rand_matrix(rng, p, rows, cols, density=1.0):
+    return np.array([[rng.randrange(1, p) if rng.random() < density else 0
+                      for _ in range(cols)] for _ in range(rows)],
+                    dtype=np.uint8).reshape(rows, cols)
+
+
+def low_rank(rng, p, rows, cols, rank):
+    """A rows x cols product of random rows x rank and rank x cols factors."""
+    left = rand_matrix(rng, p, rows, rank).astype(np.int64)
+    right = rand_matrix(rng, p, rank, cols).astype(np.int64)
+    return ((left @ right) % p).astype(np.uint8)
+
+
+def assert_rref_matches_oracle(a, p):
+    work = a.copy()
+    piv = kernels.rref_u8(work, p)
+    red, oracle_piv = naive_rref(a.tolist(), p)
+    assert piv.dtype == np.int64
+    assert piv.tolist() == oracle_piv
+    assert work.dtype == np.uint8 and work.shape == a.shape
+    assert work.tolist() == red
+
+
+def test_rref_u8_degenerate_shapes():
+    rng = random.Random(1)
+    for p in PRIMES:
+        for shape in ((0, 5), (4, 0), (3, 7)):
+            assert_rref_matches_oracle(np.zeros(shape, dtype=np.uint8), p)
+        assert_rref_matches_oracle(np.zeros((1, 1), dtype=np.uint8), p)
+        assert_rref_matches_oracle(np.array([[p - 1]], dtype=np.uint8), p)
+        for cols in (1, 64, 130):
+            assert_rref_matches_oracle(rand_matrix(rng, p, 1, cols), p)
+        row = rand_matrix(rng, p, 1, 90)
+        row[0, :70] = 0  # first pivot in the second panel
+        assert_rref_matches_oracle(row, p)
+
+
+def test_rref_u8_panel_edge_widths():
+    rng = random.Random(2)
+    for p in PRIMES:
+        for width in PANEL_EDGE_WIDTHS:
+            # rows > cols: full column rank with surplus rows left zero
+            assert_rref_matches_oracle(rand_matrix(rng, p, width + 5, width), p)
+            # rank below rows and columns, pivots spread over every panel
+            rank = 20 if width < 100 else 70
+            assert_rref_matches_oracle(low_rank(rng, p, 90, width, rank), p)
+
+
+def test_rref_u8_sparse_and_repeated_columns():
+    rng = random.Random(3)
+    for p in (3, 5):
+        sparse = rand_matrix(rng, p, 80, 200, density=0.03)
+        assert_rref_matches_oracle(sparse, p)
+        base = rand_matrix(rng, p, 60, 40)
+        repeated = np.concatenate([base, base, (2 * base) % p, base[:, :9]], axis=1)
+        assert_rref_matches_oracle(np.ascontiguousarray(repeated), p)
+
+
+def test_rref_u8_worst_case_growth_p251():
+    # Entries of p - 1 maximise each update; the rank (100) spans two
+    # panels, so the delayed reduction carries growth across a block update.
+    rng = random.Random(4)
+    p = 251
+    a = np.full((100, 150), p - 1, dtype=np.uint8)
+    for i in range(100):
+        for j in rng.sample(range(150), 15):
+            a[i, j] = rng.randrange(p - 1)
+    assert_rref_matches_oracle(a, p)
+    stacked = np.concatenate([a, a[:30]], axis=0)  # rows > rank
+    assert_rref_matches_oracle(stacked, p)
+
+
+def test_float_mod_exact_up_to_2_pow_53():
+    rng = np.random.default_rng(6)
+    lim = 2**53 - 1024  # leaves room for the neighbours of multiples below
+    ints = rng.integers(-lim, lim, size=4000)
+    for p in PRIMES:
+        near = (ints[:1000] // p) * p  # multiples of p and their neighbours
+        x = np.concatenate([ints, near - 1, near, near + 1])
+        got = kernels._mod(x.astype(np.float64), p)
+        assert np.array_equal(got, x % p)
+
+
+def test_kernel_matches_naive_kernel_many_free_columns():
+    rng = random.Random(5)
+    for p in (2, 3, 7):
+        for rows, cols, rank in ((20, 90, 8), (70, 140, 66), (5, 3, 2)):
+            dense = low_rank(rng, p, rows, cols, rank)
+            got = FpMatrix.from_dense(p, dense).kernel()
+            oracle = naive_kernel(dense.tolist(), p)
+            assert got.rows == cols and got.cols == len(oracle)
+            assert got.to_dense().T.tolist() == oracle
