@@ -79,6 +79,8 @@ class FpMatrix:
             arr = np.array([[int(x) % p for x in row] for row in data], dtype=np.uint8)
             if arr.ndim == 1:
                 arr = arr.reshape(0, 0)
+        elif arr.dtype == np.uint8:
+            arr = arr % np.uint8(p)
         else:
             arr = (arr.astype(np.int64) % p).astype(np.uint8)
         if arr.ndim != 2:
@@ -150,6 +152,9 @@ class FpMatrix:
     def hstack(mats):
         mats = list(mats)
         p = mats[0].p
+        if p != 2:
+            data = np.concatenate([m._d for m in mats], axis=1)
+            return FpMatrix(p, data.shape[0], data.shape[1], data)
         dense = np.concatenate([m.to_dense() for m in mats], axis=1)
         return FpMatrix.from_dense(p, dense)
 

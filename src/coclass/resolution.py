@@ -19,11 +19,12 @@ never have to be trusted on the resolution path alone.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
 import shutil
-import time
 
 import numpy as np
 
@@ -57,26 +58,69 @@ class GroupAlgebraContext:
             raise ValueError(f"order {group.order} is not a power of p={p}")
         if table is None:
             table = enumerate_group(group, budget)
-        m = len(table)
-        elements = table.elements
-        index = table.index
-        mul = np.empty((m, m), dtype=np.int32)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mul[i, j] = index[group.mul(a, b)]
-        inv = np.empty(m, dtype=np.int32)
-        for i, a in enumerate(elements):
-            inv[i] = index[group.inv(a)]
+        mul, inv = _group_tables(group, table)
         self.group = group
         self.table = table
         self.p = p
-        self.m = m
+        self.m = len(table)
         self.mul = mul
         self.inv = inv
-        self.gen_idx = tuple(index[g] for g in table.generators)
+        self.gen_idx = tuple(table.index[g] for g in table.generators)
         # gather[r, g] = index of g^-1 * r: left translation by g sends the
         # coefficient at g^-1*r to position r
         self.gather = np.ascontiguousarray(mul[inv].T)
+
+
+def _group_tables(group, table):
+    """Certified ``(mul, inv)`` index tables of ``group`` in ``table``'s
+    element order: mul[a, b] = index of a*b, inv[a] = index of a^-1.
+
+    Only right multiplication by the generators goes through the group
+    law: right[k][a] = index of a*g_k, m*|gens| calls.  Walking the
+    elements breadth-first from the identity over those columns, each
+    newly reached b = a*g_k gets its whole column in one gather,
+    mul[:, b] = right[k][mul[:, a]], because x*(a*g) = (x*a)*g.
+
+    The certificate raises AssertionError unless every element was
+    reached, every row is a permutation, a*(b*g) = (a*b)*g holds for all
+    a, b and every generator g (so the table does not depend on the path
+    the walk took and is the group the columns generate), and a*a^-1 is
+    the identity for the law's inverses.
+    """
+    elements, index = table.elements, table.index
+    m = len(elements)
+    right = np.array([[index[group.mul(a, g)] for a in elements]
+                      for g in table.generators], dtype=np.int32)
+    inv = np.array([index[group.inv(a)] for a in elements], dtype=np.int32)
+    e = index[group.identity]
+    # mul_t[b, a] = a*b: the table is built and checked transposed, so
+    # that each column of mul is a contiguous row
+    mul_t = np.empty((m, m), dtype=np.int32)
+    mul_t[e] = np.arange(m, dtype=np.int32)
+    reached = np.zeros(m, dtype=bool)
+    reached[e] = True
+    queue = [e]
+    for a in queue:
+        for col in right:
+            b = col[a]
+            if not reached[b]:
+                reached[b] = True
+                mul_t[b] = col[mul_t[a]]
+                queue.append(b)
+    if len(queue) != m:
+        raise AssertionError("generators do not reach every element")
+    rows = np.arange(m)
+    hit = np.zeros((m, m), dtype=bool)
+    hit[mul_t, rows] = True
+    if not hit.all():
+        raise AssertionError("a row of the multiplication table is not a permutation")
+    for col in right:
+        if not np.array_equal(mul_t[col], col[mul_t]):
+            raise AssertionError("a*(b*g) != (a*b)*g for a generator g")
+    if (mul_t[inv, rows] != e).any():
+        raise AssertionError("a*inv(a) is not the identity")
+    mul = np.ascontiguousarray(mul_t.T)
+    return mul, inv
 
 
 class Resolution:
@@ -173,69 +217,78 @@ def _cache_paths(cache_dir, key):
 def _read_manifest(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
+    return manifest if isinstance(manifest, dict) else None
 
 
-def _acquire_lock(path, timeout=120.0, stale=300.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            return True
-        except FileExistsError:
-            try:
-                if time.time() - os.path.getmtime(path) > stale:
-                    os.unlink(path)
-                    continue
-            except OSError:
-                continue
-            if time.monotonic() > deadline:
-                return False
-            time.sleep(0.05)
-
-
-def _release_lock(path):
+@contextlib.contextmanager
+def _cache_lock(path):
+    """Hold an exclusive ``flock`` on ``path`` (created if absent), waiting
+    for as long as another process holds it.  The kernel drops the lock
+    when its holder's process exits, however it exits, so a lock is never
+    stale and never needs stealing."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
     try:
-        os.unlink(path)
-    except OSError:
-        pass
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
+def _write_atomic(path, data):
+    """Write to a temporary file beside ``path``, then rename it over
+    ``path``: readers see the old file or the new one, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def save_resolution(res, cache_dir):
+    """Write the boundaries, then the manifest, each atomically: a reader
+    that finds a manifest finds every boundary it names."""
     base, manifest_path, _ = _cache_paths(cache_dir, res.key)
     os.makedirs(base, exist_ok=True)
     for n, mat in enumerate(res.boundaries, start=1):
-        with open(os.path.join(base, f"{n}.fpmx"), "wb") as fh:
-            fh.write(mat.to_bytes())
+        _write_atomic(os.path.join(base, f"{n}.fpmx"), mat.to_bytes())
     manifest = {"betti": res.betti, "maxDegree": res.max_degree,
                 "version": CACHE_VERSION}
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(manifest_path,
+                  (json.dumps(manifest, sort_keys=True) + "\n").encode())
     return base
 
 
 def load_resolution(descriptor, cache_dir):
-    """Reload a cached resolution, or None if absent/corrupt."""
+    """Reload a cached resolution, or None if absent, corrupt or
+    inconsistent: the manifest must list beta_0..beta_maxDegree and
+    boundary n must have shape (beta_{n-1}*|G|, beta_n*|G|)."""
     key = resolution_cache_key(descriptor)
     base, manifest_path, _ = _cache_paths(cache_dir, key)
-    manifest = _read_manifest(manifest_path)
-    if manifest is None or manifest.get("version") != CACHE_VERSION:
+    manifest = _read_manifest(manifest_path) or {}
+    betti, max_degree = manifest.get("betti"), manifest.get("maxDegree")
+    if (manifest.get("version") != CACHE_VERSION or not isinstance(betti, list)
+            or not isinstance(max_degree, int) or len(betti) != max_degree + 1):
         return None
-    max_degree = manifest["maxDegree"]
+    p, order = descriptor["p"], descriptor["order"]
     boundaries = []
     try:
         for n in range(1, max_degree + 1):
             with open(os.path.join(base, f"{n}.fpmx"), "rb") as fh:
-                boundaries.append(FpMatrix.from_bytes(fh.read()))
+                mat = FpMatrix.from_bytes(fh.read())
+            if (mat.p, mat.rows, mat.cols) != (p, betti[n - 1] * order,
+                                               betti[n] * order):
+                return None
+            boundaries.append(mat)
     except (OSError, ValueError):
         return None
-    p = descriptor["p"]
-    return Resolution(descriptor, key, p, max_degree, manifest["betti"], boundaries)
+    return Resolution(descriptor, key, p, max_degree, betti, boundaries)
 
 
 def list_cache(cache_dir):
@@ -260,7 +313,8 @@ def clear_cache(cache_dir):
             shutil.rmtree(path, ignore_errors=True)
             removed += 1
         elif name.endswith(".lock"):
-            _release_lock(path)
+            with contextlib.suppress(OSError):
+                os.unlink(path)
     return removed
 
 
@@ -275,25 +329,28 @@ def betti_numbers(group, max_degree, *, cache_dir=None, table=None,
         return minimal_resolution(
             group, max_degree, table=table, budget_order=budget_order,
             budget_matrix=budget_matrix, validate=validate).betti
-    key = resolution_cache_key(group.descriptor)
-    _base, manifest_path, lock_path = _cache_paths(cache_dir, key)
-    manifest = _read_manifest(manifest_path)
-    if manifest is not None and manifest.get("maxDegree", -1) >= max_degree:
-        return manifest["betti"][:max_degree + 1]
+    _base, _manifest, lock_path = _cache_paths(
+        cache_dir, resolution_cache_key(group.descriptor))
+    cached = _cached_betti(group.descriptor, cache_dir, max_degree)
+    if cached is not None:
+        return cached
     os.makedirs(cache_dir, exist_ok=True)
-    locked = _acquire_lock(lock_path)
-    try:
-        manifest = _read_manifest(manifest_path)
-        if manifest is not None and manifest.get("maxDegree", -1) >= max_degree:
-            return manifest["betti"][:max_degree + 1]
+    with _cache_lock(lock_path):
+        cached = _cached_betti(group.descriptor, cache_dir, max_degree)
+        if cached is not None:
+            return cached
         res = minimal_resolution(
             group, max_degree, budget_order=budget_order,
             budget_matrix=budget_matrix, validate=validate)
         save_resolution(res, cache_dir)
         return res.betti
-    finally:
-        if locked:
-            _release_lock(lock_path)
+
+
+def _cached_betti(descriptor, cache_dir, max_degree):
+    res = load_resolution(descriptor, cache_dir)
+    if res is None or res.max_degree < max_degree:
+        return None
+    return res.betti[:max_degree + 1]
 
 
 # ---------------------------------------------------------------------------

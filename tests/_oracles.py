@@ -56,6 +56,17 @@ def naive_rank(rows, p):
     return len(naive_rref(rows, p)[1])
 
 
+def naive_mul_table(group, table, rows=None):
+    """Index tables (mul, inv) of a group in a table's element order: one
+    group-law call per product, |G|^2 in all (reference only).  ``rows``
+    restricts mul to those left factors."""
+    elements, index = table.elements, table.index
+    picks = range(len(elements)) if rows is None else rows
+    mul = [[index[group.mul(elements[a], b)] for b in elements] for a in picks]
+    inv = [index[group.inv(a)] for a in elements]
+    return mul, inv
+
+
 def rational_solve_integral(a_rows, b_cols):
     """Is A^-1 B integral?  A square nonsingular over the rationals."""
     n = len(a_rows)

@@ -128,6 +128,32 @@ def test_subtraction_and_row_select():
         assert np.array_equal(fa.row_select(perm).to_dense(), fa.to_dense()[perm])
 
 
+def test_from_dense_reduces_every_dtype():
+    rng = np.random.default_rng(3)
+    raw = rng.integers(0, 256, size=(5, 70))
+    raw[0, :4] = [255, 254, 253, 0]
+    for p in (2, 3, 5, 251):
+        want = raw % p
+        for dtype in (np.uint8, np.int16, np.int64):
+            got = FpMatrix.from_dense(p, raw.astype(dtype)).to_dense()
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+    assert np.array_equal(
+        FpMatrix.from_dense(3, np.array([[-1, -5, 7]])).to_dense(), [[2, 1, 1]])
+
+
+def test_hstack_matches_dense_concatenation():
+    rng = random.Random(12)
+    for p in (2, 3, 251):
+        parts = [rand_dense(rng, p, 6, cols) for cols in (0, 1, 63, 70)]
+        mats = [FpMatrix.from_dense(p, np.array(d, dtype=np.int64).reshape(6, -1))
+                for d in parts]
+        got = FpMatrix.hstack(mats)
+        want = np.concatenate([m.to_dense() for m in mats], axis=1)
+        assert (got.rows, got.cols) == want.shape
+        assert got == FpMatrix.from_dense(p, want)
+
+
 def test_fpmx_round_trip():
     rng = random.Random(21)
     for p, rows, cols in [(2, 5, 70), (2, 3, 64), (2, 4, 1), (3, 6, 10), (251, 2, 2)]:

@@ -1,13 +1,21 @@
+import fcntl
 import json
 import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+from _oracles import naive_mul_table
+from coclass import resolution
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
 from coclass.groups import abelian_group, enumerate_group, frattini_rank
 from coclass.resolution import (
+    GroupAlgebraContext,
+    _cache_lock,
     bar_cohomology_dim,
     betti_numbers,
     clear_cache,
@@ -18,7 +26,13 @@ from coclass.resolution import (
     save_resolution,
     verify_theorem,
 )
-from coclass.spacegroup import SpaceGroupParams, b3r, quotient_group
+from coclass.spacegroup import (
+    FiniteGroup,
+    SpaceGroupParams,
+    b3r,
+    quotient_group,
+    wreath_group,
+)
 
 
 def test_cyclic_groups_all_ones():
@@ -107,6 +121,87 @@ def test_matrix_budget():
         minimal_resolution(b3r(5), 6, budget_matrix=300)
 
 
+# --- group algebra tables ---------------------------------------------------
+
+def _table_groups():
+    for x, i_max in ((1, 3), (2, 2)):
+        for i in range(i_max + 1):
+            yield quotient_group(SpaceGroupParams(2, x), i)
+    for i in range(3):
+        yield quotient_group(SpaceGroupParams(3, 1), i)
+    for r in (3, 4, 5):
+        yield b3r(r)
+    yield wreath_group(SpaceGroupParams(3, 2))
+    yield abelian_group([4, 2, 8])
+
+
+def _group_id(group):
+    d = group.descriptor
+    x = f"-x{d['x']}" if "x" in d else ""
+    return f"{d['model']}-p{d['p']}{x}-order{d['order']}"
+
+
+@pytest.mark.parametrize("group", list(_table_groups()), ids=_group_id)
+def test_context_tables_match_naive_products(group):
+    table = enumerate_group(group)
+    ctx = GroupAlgebraContext(group, table=table, budget=None)
+    mul, inv = naive_mul_table(group, table)
+    assert ctx.mul.tolist() == mul
+    assert ctx.inv.tolist() == inv
+    # gather[r, g] = index of g^-1 * r
+    assert ctx.gather.tolist() == [[mul[inv[g]][r] for g in range(ctx.m)]
+                                   for r in range(ctx.m)]
+
+
+def test_context_tables_match_naive_products_permuted_order():
+    rng = random.Random(7)
+    for group in (quotient_group(SpaceGroupParams(2, 2), 1), b3r(4)):
+        perm = list(range(1, group.order))
+        rng.shuffle(perm)
+        table = enumerate_group(group).permuted(perm)
+        ctx = GroupAlgebraContext(group, table=table)
+        mul, inv = naive_mul_table(group, table)
+        assert ctx.mul.tolist() == mul
+        assert ctx.inv.tolist() == inv
+
+
+def test_context_tables_match_naive_products_order_3125():
+    # p=5, x=1, i=0: 3125^2 law calls would take minutes, so the reference
+    # covers 40 random rows (every column) and every inverse
+    group = quotient_group(SpaceGroupParams(5, 1), 0, budget=None)
+    table = enumerate_group(group, budget=None)
+    ctx = GroupAlgebraContext(group, table=table, budget=None)
+    rows = sorted(random.Random(5).sample(range(group.order), 40))
+    mul, inv = naive_mul_table(group, table, rows=rows)
+    assert ctx.mul[rows].tolist() == mul
+    assert ctx.inv.tolist() == inv
+
+
+def _tampered(group, mul=None, inv=None):
+    return FiniteGroup(group.descriptor, group.order, group.p, group.identity,
+                       group.generators, mul or group.mul, inv or group.inv)
+
+
+def test_context_certificate_rejects_a_corrupted_law():
+    group = b3r(3)
+    table = enumerate_group(group)
+    a, g = table.elements[5], table.generators[1]
+    wrong = table.elements[9]
+    assert wrong != group.mul(a, g)
+
+    def bad_mul(x, y):
+        return wrong if (x, y) == (a, g) else group.mul(x, y)
+
+    with pytest.raises(AssertionError):
+        GroupAlgebraContext(_tampered(group, mul=bad_mul), table=table)
+
+    def bad_inv(x):
+        return wrong if x == a else group.inv(x)
+
+    with pytest.raises(AssertionError):
+        GroupAlgebraContext(_tampered(group, inv=bad_inv), table=table)
+
+
 # --- cache ------------------------------------------------------------------
 
 def test_cache_round_trip_bit_identical(tmp_path):
@@ -121,19 +216,96 @@ def test_cache_round_trip_bit_identical(tmp_path):
         assert a.to_bytes() == b.to_bytes()
 
 
-def test_betti_numbers_uses_cache(tmp_path):
+def test_betti_numbers_uses_cache_and_checks_it(tmp_path, monkeypatch):
     g = b3r(3)
     first = betti_numbers(g, 4, cache_dir=str(tmp_path))
     key = resolution_cache_key(g.descriptor)
-    manifest = json.loads((tmp_path / key / "manifest.json").read_text())
+    manifest_path = tmp_path / key / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
     assert manifest["betti"] == first
     assert manifest["maxDegree"] == 4
-    # shallower request served from the same manifest
+
+    # shallower and equal requests are served from the cache
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit was recomputed")
+
+    monkeypatch.setattr(resolution, "minimal_resolution", refuse)
     assert betti_numbers(g, 2, cache_dir=str(tmp_path)) == first[:3]
-    # poison the manifest betti; the cached value must be what comes back
+    assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == first
+    monkeypatch.undo()
+    # a poisoned betti no longer matches the stored boundary shapes, so
+    # the entry is recomputed and rewritten instead of trusted
     manifest["betti"][-1] = 999
-    (tmp_path / key / "manifest.json").write_text(json.dumps(manifest))
-    assert betti_numbers(g, 4, cache_dir=str(tmp_path))[-1] == 999
+    manifest_path.write_text(json.dumps(manifest))
+    assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == first
+    assert json.loads(manifest_path.read_text())["betti"] == first
+
+
+def _count_computes(monkeypatch):
+    calls = []
+    real = resolution.minimal_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolution, "minimal_resolution", counted)
+    return calls
+
+
+def test_cache_wrong_shape_boundary_is_recomputed(tmp_path, monkeypatch):
+    g = b3r(3)
+    first = betti_numbers(g, 4, cache_dir=str(tmp_path))
+    assert first == [1, 2, 4, 6, 7]
+    base = tmp_path / resolution_cache_key(g.descriptor)
+    good = (base / "3.fpmx").read_bytes()
+    (base / "3.fpmx").write_bytes(FpMatrix.zeros(3, 4 * 27, 5 * 27).to_bytes())
+    assert load_resolution(g.descriptor, str(tmp_path)) is None
+    calls = _count_computes(monkeypatch)
+    assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == first
+    assert calls == [4]
+    assert (base / "3.fpmx").read_bytes() == good
+    assert load_resolution(g.descriptor, str(tmp_path)).betti == first
+
+
+def test_load_rejects_betti_length_mismatch(tmp_path):
+    g = abelian_group([3])
+    save_resolution(minimal_resolution(g, 3), str(tmp_path))
+    manifest_path = tmp_path / resolution_cache_key(g.descriptor) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert load_resolution(g.descriptor, str(tmp_path)) is not None
+    for bad in ({**manifest, "betti": manifest["betti"][:-1]},
+                {**manifest, "maxDegree": "3"}, [manifest]):
+        manifest_path.write_text(json.dumps(bad))
+        assert load_resolution(g.descriptor, str(tmp_path)) is None
+
+
+def test_save_writes_atomically_manifest_last(tmp_path, monkeypatch):
+    g = abelian_group([3])
+    save_resolution(minimal_resolution(g, 2), str(tmp_path))
+    base = tmp_path / resolution_cache_key(g.descriptor)
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((src, dst))
+        if dst.endswith("manifest.json"):
+            raise OSError("simulated crash before the manifest")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    with pytest.raises(OSError, match="simulated"):
+        save_resolution(minimal_resolution(g, 4), str(tmp_path))
+    monkeypatch.undo()
+    assert [os.path.basename(dst) for _, dst in replaced] == \
+        ["1.fpmx", "2.fpmx", "3.fpmx", "4.fpmx", "manifest.json"]
+    assert all(os.path.dirname(src) == os.path.dirname(dst) != ""
+               and src != dst for src, dst in replaced)
+    # no temporary is left behind, and the old entry is still whole
+    assert sorted(os.listdir(base)) == \
+        ["1.fpmx", "2.fpmx", "3.fpmx", "4.fpmx", "manifest.json"]
+    back = load_resolution(g.descriptor, str(tmp_path))
+    assert back.max_degree == 2 and back.betti == [1, 1, 1]
 
 
 def test_cache_list_and_clear(tmp_path):
@@ -165,20 +337,108 @@ def test_cache_key_stability():
     assert resolution_cache_key(b3r(4).descriptor) != resolution_cache_key(g1.descriptor)
 
 
-def test_cache_lock_lifecycle(tmp_path):
-    from coclass.resolution import _acquire_lock, _release_lock
+def test_cache_lock_excludes_other_holders(tmp_path):
     lock = str(tmp_path / "k.lock")
-    assert _acquire_lock(lock)
-    assert os.path.exists(lock)
-    # second acquisition times out while the first holder is alive
-    assert _acquire_lock(lock, timeout=0.2, stale=60.0) is False
-    _release_lock(lock)
-    assert not os.path.exists(lock)
-    # stale locks are stolen
-    assert _acquire_lock(lock)
-    os.utime(lock, (0, 0))
-    assert _acquire_lock(lock, timeout=1.0, stale=5.0)
-    _release_lock(lock)
+    with _cache_lock(lock):
+        fd = os.open(lock, os.O_RDWR)
+        try:
+            with pytest.raises(BlockingIOError):
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
+    with _cache_lock(lock):
+        pass
+
+
+_SLOW_BETTI = """
+import json, sys, time
+from coclass import resolution
+from coclass.spacegroup import b3r
+
+log, cache_dir, name, mode = sys.argv[1:5]
+
+
+def note(line):
+    with open(log, "a") as fh:
+        fh.write(line + "\\n")
+
+
+def lines():
+    with open(log) as fh:
+        return fh.read().split()
+
+
+real = resolution.minimal_resolution
+
+
+def slowed(*args, **kwargs):
+    note("compute-" + name)
+    if mode == "hang":
+        time.sleep(600)
+    # hold the lock until the other process has asked for the same entry
+    deadline = time.monotonic() + 60
+    while "call-b" not in lines() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    time.sleep(0.5)
+    return real(*args, **kwargs)
+
+
+resolution.minimal_resolution = slowed
+note("call-" + name)
+print(json.dumps(resolution.betti_numbers(b3r(3), 4, cache_dir=cache_dir)))
+note("done-" + name)
+"""
+
+
+def _start_betti(tmp_path, name, mode):
+    src = os.path.dirname(os.path.dirname(resolution.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen(
+        [sys.executable, "-c", _SLOW_BETTI, str(tmp_path / "log"),
+         str(tmp_path / "cache"), name, mode],
+        stdout=subprocess.PIPE, env=env, text=True)
+
+
+def _wait_for_line(tmp_path, line, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        log = tmp_path / "log"
+        if log.exists() and line in log.read_text().split():
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"{line!r} never logged")
+
+
+def test_cache_second_process_waits_then_hits(tmp_path):
+    procs = [_start_betti(tmp_path, "a", "slow")]
+    try:
+        _wait_for_line(tmp_path, "compute-a")
+        procs.append(_start_betti(tmp_path, "b", "slow"))
+        outs = [proc.communicate(timeout=120)[0] for proc in procs[::-1]]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert [json.loads(out) for out in outs] == [[1, 2, 4, 6, 7]] * 2
+    log = (tmp_path / "log").read_text().split()
+    # b asked while a held the lock, and the resolution was computed once
+    assert log.index("call-b") < log.index("done-a")
+    assert [x for x in log if x.startswith("compute")] == ["compute-a"]
+
+
+def test_cache_lock_of_a_killed_process_is_released(tmp_path):
+    first = _start_betti(tmp_path, "a", "hang")
+    try:
+        _wait_for_line(tmp_path, "compute-a")
+    finally:
+        first.kill()
+        first.communicate(timeout=60)
+    second = _start_betti(tmp_path, "b", "slow")
+    out_b, _ = second.communicate(timeout=120)
+    assert second.returncode == 0
+    assert json.loads(out_b) == [1, 2, 4, 6, 7]
+    log = (tmp_path / "log").read_text().split()
+    assert log == ["call-a", "compute-a", "call-b", "compute-b", "done-b"]
 
 
 # --- bar oracle --------------------------------------------------------------
