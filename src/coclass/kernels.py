@@ -4,7 +4,8 @@ The inner loops that dominate every resolution computation: row
 reduction and matrix products mod p, plus bit-packed GF(2) variants.
 Odd-p row reduction is a blocked Gauss–Jordan elimination whose trailing
 updates are float64 matrix products, so the bulk of its work runs in
-BLAS; the GF(2) kernels are vectorized numpy loops over packed words.
+BLAS; the GF(2) kernels are vectorized numpy loops over packed words,
+the product through Four-Russians tables.
 
 Conventions shared by all kernels:
   * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
@@ -177,13 +178,24 @@ def rref_b2(w, ncols):
 
 
 def matmul_b2(aw, bw, a_cols):
-    """GF(2) product of packed matrices: row i of result is the XOR of the
-    rows of ``bw`` selected by the set bits of row i of ``aw``."""
-    out = np.zeros((aw.shape[0], bw.shape[1]), dtype=np.uint64)
-    for j in range(a_cols):
-        wi, bi = divmod(j, 64)
-        bit = np.uint64(1) << np.uint64(bi)
-        mask = (aw[:, wi] & bit) != 0
-        if mask.any():
-            out[mask] ^= bw[j]
+    """GF(2) product of packed matrices, Method of Four Russians.
+
+    Row i of the result is the XOR of the rows of ``bw`` selected by the
+    set bits of row i of ``aw``.  For each run of 8 columns of ``aw`` (one
+    byte of its little-endian rows) the 256 XOR combinations of the
+    matching 8 rows of ``bw`` are tabulated once, and every output row
+    XORs in the entry its byte selects (Albrecht, Bard & Hart, TOMS 2010).
+    Table entries are XORs of rows of ``bw``, so tail bits stay zero.
+    """
+    rows, nw = aw.shape[0], bw.shape[1]
+    out = np.zeros((rows, nw), dtype=np.uint64)
+    if rows == 0 or a_cols == 0:
+        return out
+    a_bytes = np.ascontiguousarray(aw, dtype="<u8").view(np.uint8)
+    table = np.zeros((256, nw), dtype=np.uint64)
+    for c0 in range(0, a_cols, 8):
+        for t in range(min(8, a_cols - c0)):
+            np.bitwise_xor(table[:1 << t], bw[c0 + t], out=table[1 << t:2 << t])
+        # zero tail bits keep a short last run's bytes inside its table
+        out ^= table[a_bytes[:, c0 // 8]]
     return out

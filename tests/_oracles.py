@@ -1,10 +1,13 @@
 """Independent textbook oracles used to cross-check the packed kernels.
 
-Everything here is deliberately plain Python on lists so it shares no
-code path with the package implementations.
+Everything here except ``naive_minimal_resolution`` is deliberately
+plain Python on lists so it shares no code path with the package
+implementations.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def naive_rref(rows, p):
@@ -84,3 +87,47 @@ def rational_solve_integral(a_rows, b_cols):
                 aug[i] = [x - g * y for x, y in zip(aug[i], aug[c])]
     return all(aug[i][n + j].denominator == 1
                for i in range(n) for j in range(width))
+
+
+def naive_minimal_resolution(group, max_degree, table=None):
+    """``(betti, boundaries)`` by the full-height head step (reference only).
+
+    Per degree, [(g-1)K for every table generator g | K] is row-reduced
+    with all beta_n*|G| rows; the pivots in the K block pick the new
+    generators, and with K a submodule the rank of the (g-1)K part is
+    dim rad K.  Uses the package's ``GroupAlgebraContext`` and
+    ``FpMatrix``, so it cross-checks the resolution step, not the
+    elimination kernels.
+    """
+    from coclass.fpmat import FpMatrix
+    from coclass.resolution import GroupAlgebraContext
+
+    ctx = GroupAlgebraContext(group, table=table)
+    p, m = ctx.p, ctx.m
+    betti = [1]
+    boundaries = []
+    cur = FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8))
+    for _ in range(max_degree):
+        beta_n = betti[-1]
+        kern = cur.kernel()
+        offs = np.arange(beta_n, dtype=np.int64)[:, None] * m
+        parts = []
+        for g in ctx.gen_idx:
+            perm = (offs + ctx.gather[:, g][None, :].astype(np.int64)).ravel()
+            parts.append(kern.row_select(perm) - kern)
+        _red, piv = FpMatrix.hstack(parts + [kern]).rref()
+        rad_cols = kern.cols * len(ctx.gen_idx)
+        sel = [c - rad_cols for c in piv if c >= rad_cols]
+        if len(sel) != kern.cols - (len(piv) - len(sel)):
+            raise AssertionError("minimal generator count mismatch")
+        betti.append(len(sel))
+        kd = kern.to_dense()
+        nxt = np.zeros((beta_n * m, len(sel) * m), dtype=np.uint8)
+        for t, scol in enumerate(sel):
+            vec = kd[:, scol]
+            for b in range(beta_n):
+                nxt[b * m:(b + 1) * m, t * m:(t + 1) * m] = \
+                    vec[b * m:(b + 1) * m][ctx.gather]
+        cur = FpMatrix.from_dense(p, nxt)
+        boundaries.append(cur)
+    return betti, boundaries

@@ -107,3 +107,21 @@ def test_kernel_matches_naive_kernel_many_free_columns():
             oracle = naive_kernel(dense.tolist(), p)
             assert got.rows == cols and got.cols == len(oracle)
             assert got.to_dense().T.tolist() == oracle
+
+
+def test_matmul_b2_matches_dense_product():
+    # widths around the 8-column tables and the 64-bit words, with 0 and
+    # 1 rows; the packed result must equal the packed dense product, so
+    # its tail bits are zero
+    from coclass.fpmat import _pack_bits
+
+    rng = np.random.default_rng(11)
+    for a_cols in (0, 1, 7, 8, 9, 64, 65, 130):
+        for rows in (0, 1, 5, 70):
+            for b_cols in (1, 63, 64, 130):
+                a = rng.integers(0, 2, (rows, a_cols), dtype=np.uint8)
+                b = rng.integers(0, 2, (a_cols, b_cols), dtype=np.uint8)
+                out = kernels.matmul_b2(_pack_bits(a), _pack_bits(b), a_cols)
+                dense = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+                assert out.dtype == np.uint64
+                assert np.array_equal(out, _pack_bits(dense.astype(np.uint8)))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from _oracles import naive_mul_table
+from _oracles import naive_minimal_resolution, naive_mul_table
 from coclass import resolution
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
@@ -16,6 +16,7 @@ from coclass.groups import abelian_group, enumerate_group, frattini_rank
 from coclass.resolution import (
     GroupAlgebraContext,
     _cache_lock,
+    _reaching_subset,
     bar_cohomology_dim,
     betti_numbers,
     clear_cache,
@@ -200,6 +201,85 @@ def test_context_certificate_rejects_a_corrupted_law():
 
     with pytest.raises(AssertionError):
         GroupAlgebraContext(_tampered(group, inv=bad_inv), table=table)
+
+
+# --- resolution step --------------------------------------------------------
+
+def _naive_step_cases():
+    for x in (1, 2):
+        for i in range(3):
+            yield quotient_group(SpaceGroupParams(2, x), i), None, 5 - x
+    for i in range(3):
+        yield quotient_group(SpaceGroupParams(3, 1), i), None, 3
+    for r in (3, 4, 5):
+        yield b3r(r), None, 3 if r < 5 else 2
+    yield wreath_group(SpaceGroupParams(3, 2)), None, 3
+    yield abelian_group([4, 2, 8]), None, 3
+    for group in (quotient_group(SpaceGroupParams(2, 2), 1), b3r(4)):
+        perm = list(range(1, group.order))
+        random.Random(3).shuffle(perm)
+        yield group, enumerate_group(group).permuted(perm), 3
+
+
+def _naive_step_id(case):
+    group, table, degree = case
+    return _group_id(group) + ("-permuted" if table is not None else "") + \
+        f"-deg{degree}"
+
+
+@pytest.mark.parametrize("case", list(_naive_step_cases()), ids=_naive_step_id)
+def test_resolution_matches_full_height_head_step(case):
+    group, table, degree = case
+    res = minimal_resolution(group, degree, table=table)
+    betti, boundaries = naive_minimal_resolution(group, degree, table=table)
+    assert res.betti == betti
+    assert [b.to_bytes() for b in res.boundaries] == \
+        [b.to_bytes() for b in boundaries]
+
+
+def test_generating_subset_has_frattini_rank_size():
+    for group in (quotient_group(SpaceGroupParams(2, 2), 2),
+                  quotient_group(SpaceGroupParams(3, 1), 3), b3r(5)):
+        ctx = GroupAlgebraContext(group)
+        assert len(ctx.gen_idx) == 3
+        assert len(_reaching_subset(ctx)) == frattini_rank(group) == 2
+
+
+def _corrupt_boundary(monkeypatch, degree, corrupt):
+    """Make the assembled d_degree pass through ``corrupt`` (in place)."""
+    real = resolution._assemble_boundary
+    built = []
+
+    def assemble(ctx, vecs, beta_n):
+        out = real(ctx, vecs, beta_n)
+        built.append(out)
+        if len(built) == degree:
+            corrupt(out, ctx.m)
+        return out
+
+    monkeypatch.setattr(resolution, "_assemble_boundary", assemble)
+
+
+def test_non_equivariant_boundary_is_not_a_submodule(monkeypatch):
+    # swapping two columns inside one translate block keeps d_1 d_2 = 0
+    # and the augmentation, but d_2 is no longer F_p[G]-linear
+    def swap(out, m):
+        out[:, [3, 5]] = out[:, [5, 3]]
+
+    _corrupt_boundary(monkeypatch, 2, swap)
+    with pytest.raises(AssertionError, match="kernel is not a submodule"):
+        minimal_resolution(b3r(3), 3)
+
+
+def test_zeroed_generator_block_breaks_exactness(monkeypatch):
+    # d_2 with generator 1's block zeroed is still a module map with
+    # d_1 d_2 = 0 and a submodule kernel, but its image misses ker d_1
+    def zero(out, m):
+        out[:, m:2 * m] = 0
+
+    _corrupt_boundary(monkeypatch, 2, zero)
+    with pytest.raises(AssertionError, match="not exact at degree 1"):
+        minimal_resolution(b3r(3), 3)
 
 
 # --- cache ------------------------------------------------------------------
