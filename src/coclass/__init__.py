@@ -13,7 +13,7 @@ from .lattice import (
     lattice_index,
     scale_lattice,
 )
-from .fpmat import FpMatrix, fp_kernel, fp_rank, fp_solve
+from .fpmat import FpMatrix
 from .spacegroup import (
     CyclicAction,
     FiltrationLattice,

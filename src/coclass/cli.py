@@ -73,11 +73,9 @@ def _cmd_group(args):
 
 
 def _cmd_filtration(args):
-    tamper = os.environ.get("COCLASS_TAMPER_LEVEL")
-    tamper_level = int(tamper) if tamper else None
     report = sg.verify_filtration(
         sg.SpaceGroupParams(args.p, args.x), args.i_max,
-        trials=args.trials, seed=args.seed, tamper_level=tamper_level)
+        trials=args.trials, seed=args.seed)
     _emit_json(report)
     if report["failures"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]

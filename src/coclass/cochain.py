@@ -163,8 +163,6 @@ def cross_product_eval(tensor, z):
 def act_on_cochain(params, q, tensor):
     """Wreath action on an elementary tensor: slot j receives factor
     sigma^{-1}(j), with arguments twisted by the inverse block action."""
-    if not isinstance(params, SpaceGroupParams):
-        params = SpaceGroupParams(*params)
     p = params.p
     a, sig = q
     sig_inv = _invert_perm(sig)
@@ -178,8 +176,6 @@ def act_on_cochain(params, q, tensor):
 
 def act_on_point(params, q, point):
     """Wreath action on a product-group point given blockwise by indices."""
-    if not isinstance(params, SpaceGroupParams):
-        params = SpaceGroupParams(*params)
     p = params.p
     a, sig = q
     sig_inv = _invert_perm(sig)
@@ -199,8 +195,6 @@ def check_eta_equivariance(params, degree, trials, seed):
     chain-homotopy-level operation, not a pointwise one, so tensors with
     several active factors genuinely violate the unsigned identity.
     """
-    if not isinstance(params, SpaceGroupParams):
-        params = SpaceGroupParams(*params)
     p = params.p
     slots = p ** (params.x - 1)
     qblock = p ** (p - 1)
@@ -259,8 +253,6 @@ def inflate_eval(f, coords, z):
 
 def point_generator_matrix(params, inverse=False):
     """The point-generator action on T/pT (rows mod p), or its inverse."""
-    if not isinstance(params, SpaceGroupParams):
-        params = SpaceGroupParams(*params)
     cmat = companion_cyclotomic(params).matrix
     e = params.point_order - 1 if inverse else 1
     mat = cmat ** e
@@ -272,8 +264,6 @@ def check_inflation_equivariance(params, level, trials, seed):
     degree-1 cochains and arguments, exact comparison."""
     from .spacegroup import QuotientCoords, _filtration_lattice
 
-    if not isinstance(params, SpaceGroupParams):
-        params = SpaceGroupParams(*params)
     p = params.p
     cmat = companion_cyclotomic(params).matrix
     coords = QuotientCoords(params, level, cmat,
@@ -351,5 +341,5 @@ class ExteriorAlgebra:
 
 def exterior_dims(p):
     """Graded dimensions [binom(p-1, m)] for m = 0..p-1."""
-    SpaceGroupParams(p, 1)  # validates primality
+    SpaceGroupParams(p, 1)  # raises unless p is prime
     return ExteriorAlgebra(p).dims()

@@ -110,9 +110,6 @@ class FpMatrix:
             return _unpack_bits(self._d, self.cols)
         return self._d.copy()
 
-    def column(self, j):
-        return self.to_dense()[:, j].copy()
-
     def __eq__(self, other):
         return (
             isinstance(other, FpMatrix)
@@ -262,16 +259,3 @@ class FpMatrix:
             raise ValueError("residue out of range")
         return cls(p, rows, cols, arr)
 
-
-# free-function aliases for the matrix methods
-
-def fp_kernel(a):
-    return a.kernel()
-
-
-def fp_rank(a):
-    return a.rank()
-
-
-def fp_solve(a, b):
-    return a.solve(b)

@@ -24,6 +24,9 @@ class ElementTable:
         self.generators = tuple(generators)
         if len(self.index) != len(self.elements):
             raise AssertionError("duplicate elements in table")
+        if group.identity in self.generators or \
+                len(set(self.generators)) != len(self.generators):
+            raise AssertionError("generators repeat or include the identity")
         if len(self.elements) != group.order:
             raise AssertionError(
                 f"closure size {len(self.elements)} != declared order {group.order}")
@@ -97,10 +100,9 @@ def element_order(group, g):
     return o
 
 
-def order_census(group, table=None, budget=DEFAULT_ENUM_BUDGET):
+def order_census(group, budget=DEFAULT_ENUM_BUDGET):
     """Map from element order to the number of elements of that order."""
-    if table is None:
-        table = enumerate_group(group, budget)
+    table = enumerate_group(group, budget)
     census = {}
     for g in table.elements:
         o = element_order(group, g)
@@ -112,7 +114,7 @@ def _commutator(group, a, b):
     return group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
 
 
-def frattini_rank(group, table=None, budget=DEFAULT_ENUM_BUDGET):
+def frattini_rank(group, budget=DEFAULT_ENUM_BUDGET):
     """Rank of G/Phi(G) for a p-group G.
 
     Phi(G) = G^p [G,G] is computed as the subgroup generated by all p-th
@@ -120,8 +122,7 @@ def frattini_rank(group, table=None, budget=DEFAULT_ENUM_BUDGET):
     conjugation by generators to a fixpoint.  The rank equals the minimal
     number of generators of G.
     """
-    if table is None:
-        table = enumerate_group(group, budget)
+    table = enumerate_group(group, budget)
     p = group.p
     seeds = set()
     for g in table.elements:

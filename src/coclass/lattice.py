@@ -29,9 +29,6 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(dim={self.dim}, det={self.det})"
 
-    def contains(self, vec):
-        return lattice_contains(self, vec)
-
 
 def lattice_from_columns(a):
     """Lattice spanned over Z by the columns of ``a`` (full rank required)."""

@@ -40,7 +40,7 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
 BAR_DIM_BUDGET = 100_000
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _DENSE_BAR_LIMIT = 2_000_000  # (m-1)^5 cap for materializing the full degree-2 coboundary
 
 
@@ -127,26 +127,15 @@ def _group_tables(group, table):
     return mul, inv
 
 
-def _dedup_gens(ctx):
-    out = []
-    for g in ctx.gen_idx:
-        if g != 0 and g not in out:
-            out.append(g)
-    return out
-
-
 def _reaching_subset(ctx):
-    """A smallest generating subset of the table generators, searched up
-    to 3 elements and falling back to all of them.
+    """The table generators with each one dropped that the others still
+    generate without.
 
-    Shared by the resolution (rad K is the sum of (g-1)K over any
-    generating set) and the transport oracle (one parameter block per
-    generator); it has 2 elements for every quotient and B(3,r) here.
+    The result is an irredundant generating set, so for a p-group it has
+    d(G) = Frattini rank elements (Burnside basis theorem).  Shared by
+    the resolution (rad K is the sum of (g-1)K over any generating set)
+    and the transport oracle (one parameter block per generator).
     """
-    from itertools import combinations
-
-    gens = _dedup_gens(ctx)
-
     def reaches(sub):
         seen = {0}
         queue = [0]
@@ -159,12 +148,11 @@ def _reaching_subset(ctx):
                     queue.append(h)
         return len(seen) == ctx.m
 
-    for size in range(1, min(3, len(gens)) + 1):
-        for sub in combinations(gens, size):
-            if reaches(sub):
-                return list(sub)
-    if not reaches(gens):
-        raise AssertionError("generators do not reach every element")
+    gens = list(ctx.gen_idx)  # they reach every element: the table is certified
+    for g in ctx.gen_idx:
+        rest = [a for a in gens if a != g]
+        if reaches(rest):
+            gens = rest
     return gens
 
 
@@ -188,14 +176,12 @@ class Resolution:
 
 def resolution_cache_key(descriptor):
     blob = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
-    blob += str(descriptor["p"])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def minimal_resolution(group, max_degree, *, table=None,
                        budget_order=RESOLUTION_ORDER_BUDGET,
-                       budget_matrix=RESOLUTION_MATRIX_BUDGET,
-                       validate=True):
+                       budget_matrix=RESOLUTION_MATRIX_BUDGET):
     """Minimal free resolution of F_p over F_p[G] through ``max_degree``.
 
     Per degree n, K = ker d_n is computed as an F_p-space in the standard
@@ -216,7 +202,7 @@ def minimal_resolution(group, max_degree, *, table=None,
       become the free generators of the next term;
     * minimality: every entry of the new boundary has zero augmentation,
       which is what makes beta_n = dim H^n(G; F_p);
-    * with ``validate``, d_n d_{n+1} = 0 is checked as a matrix product.
+    * composite: d_n d_{n+1} = 0 is checked as a matrix product.
 
     The top boundary d_N gets no kernel, so its exactness is not compared
     (that would cost one more elimination); there it follows from the
@@ -271,7 +257,7 @@ def minimal_resolution(group, max_degree, *, table=None,
         sel = [c - rad_cols for c in piv if c >= rad_cols]
         betti.append(len(sel))
         nxt = FpMatrix.from_dense(p, _assemble_boundary(ctx, kd[:, sel], beta_n))
-        if validate and not (cur @ nxt).is_zero():
+        if not (cur @ nxt).is_zero():
             raise AssertionError("composite of consecutive boundaries is nonzero")
         boundaries.append(nxt)
         cur = nxt
@@ -406,17 +392,15 @@ def clear_cache(cache_dir):
     return removed
 
 
-def betti_numbers(group, max_degree, *, cache_dir=None, table=None,
+def betti_numbers(group, max_degree, *, cache_dir=None,
                   budget_order=RESOLUTION_ORDER_BUDGET,
-                  budget_matrix=RESOLUTION_MATRIX_BUDGET,
-                  validate=True):
+                  budget_matrix=RESOLUTION_MATRIX_BUDGET):
     """Betti numbers beta_0..beta_max_degree, consulting the cache when a
-    directory is given.  Explicit tables bypass the cache (they may carry
-    a non-canonical element order)."""
-    if cache_dir is None or table is not None:
+    directory is given."""
+    if cache_dir is None:
         return minimal_resolution(
-            group, max_degree, table=table, budget_order=budget_order,
-            budget_matrix=budget_matrix, validate=validate).betti
+            group, max_degree, budget_order=budget_order,
+            budget_matrix=budget_matrix).betti
     _base, _manifest, lock_path = _cache_paths(
         cache_dir, resolution_cache_key(group.descriptor))
     cached = _cached_betti(group.descriptor, cache_dir, max_degree)
@@ -429,7 +413,7 @@ def betti_numbers(group, max_degree, *, cache_dir=None, table=None,
             return cached
         res = minimal_resolution(
             group, max_degree, budget_order=budget_order,
-            budget_matrix=budget_matrix, validate=validate)
+            budget_matrix=budget_matrix)
         save_resolution(res, cache_dir)
         return res.betti
 
@@ -444,7 +428,7 @@ def _cached_betti(descriptor, cache_dir, max_degree):
 # ---------------------------------------------------------------------------
 # bar-cochain oracle (degrees 0..2, trivial coefficients)
 
-def bar_cohomology_dim(group, n, *, table=None, strategy="auto",
+def bar_cohomology_dim(group, n, *, strategy="auto",
                        budget=BAR_DIM_BUDGET):
     """dim H^n(G; F_p) from normalized inhomogeneous cochains, n <= 2.
 
@@ -470,10 +454,8 @@ def bar_cohomology_dim(group, n, *, table=None, strategy="auto",
         raise BudgetError(
             f"cochain dimension {(group.order - 1) ** n} exceeds budget {budget}",
             budget=budget)
-    if table is None:
-        table = enumerate_group(group, budget=None)
-    m = len(table)
-    ctx = GroupAlgebraContext(group, table=table, budget=None)
+    ctx = GroupAlgebraContext(group, budget=None)
+    m = ctx.m
     if n == 1:
         return _z1_dim(ctx, strategy)
     z1 = _z1_dim(ctx, strategy)
@@ -488,7 +470,7 @@ def _z1_dim(ctx, strategy):
     m, p = ctx.m, ctx.p
     use_dense = strategy == "dense" or \
         (strategy == "auto" and (m - 1) ** 3 <= _DENSE_BAR_LIMIT)
-    gens = range(1, m) if use_dense else _dedup_gens(ctx)
+    gens = range(1, m) if use_dense else ctx.gen_idx
     rows = []
     for a in gens:
         block = np.zeros((m - 1, m - 1), dtype=np.int16)
@@ -511,10 +493,6 @@ def _z2_dim(ctx, strategy):
     if (m - 1) ** 5 <= _DENSE_BAR_LIMIT:
         return _z2_dim_dense(ctx)
     return _z2_dim_transport(ctx)
-
-
-def _pair_col(g1, g2, m):
-    return (g1 - 1) * (m - 1) + (g2 - 1)
 
 
 def _z2_dim_dense(ctx):
@@ -613,8 +591,6 @@ def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
         raise ValueError(f"unknown family {family!r}")
     if family == "b3r":
         params = SpaceGroupParams(3, 1)
-    elif not isinstance(params, SpaceGroupParams):
-        params = SpaceGroupParams(*params)
     levels = []
     for i in range(i_max + 1):
         try:

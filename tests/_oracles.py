@@ -1,8 +1,8 @@
 """Independent textbook oracles used to cross-check the packed kernels.
 
-Everything here except ``naive_minimal_resolution`` is deliberately
-plain Python on lists so it shares no code path with the package
-implementations.
+Everything here except ``naive_minimal_resolution`` and
+``perturb_filtration_level`` is deliberately plain Python on lists so it
+shares no code path with the package implementations.
 """
 
 from fractions import Fraction
@@ -131,3 +131,24 @@ def naive_minimal_resolution(group, max_degree, table=None):
         cur = FpMatrix.from_dense(p, nxt)
         boundaries.append(cur)
     return betti, boundaries
+
+
+def perturb_filtration_level(monkeypatch, level):
+    """Make ``spacegroup.filtration_lattices`` return level ``level`` with
+    one basis entry off by one (negative control for the filtration
+    checks)."""
+    from coclass import spacegroup
+    from coclass.intmat import IntMatrix
+    from coclass.lattice import lattice_from_columns
+
+    real = spacegroup.filtration_lattices
+
+    def perturbed(params, i_max):
+        levels = real(params, i_max)
+        rows = [list(r) for r in levels[level].lattice.basis.data]
+        rows[0][-1] += 1
+        levels[level] = spacegroup.FiltrationLattice(
+            params, level, lattice_from_columns(IntMatrix(rows)))
+        return levels
+
+    monkeypatch.setattr(spacegroup, "filtration_lattices", perturbed)

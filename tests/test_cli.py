@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from _oracles import perturb_filtration_level
 from coclass.cli import main
 
 
@@ -58,7 +59,7 @@ def test_filtration_pass(capsys):
 
 
 def test_filtration_tamper_hook(capsys, monkeypatch):
-    monkeypatch.setenv("COCLASS_TAMPER_LEVEL", "1")
+    perturb_filtration_level(monkeypatch, 1)
     code, out, err = run(capsys, ["filtration", "--p", "2", "--x", "1",
                                   "--i-max", "4"])
     assert code == 1

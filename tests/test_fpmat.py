@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from coclass.fpmat import FpMatrix, fp_kernel, fp_rank, fp_solve
+from coclass.fpmat import FpMatrix
 
 from _oracles import naive_kernel, naive_rank
 
@@ -15,20 +15,20 @@ def rand_dense(rng, p, rows, cols):
 def test_kernel_zero_matrix():
     for p in (2, 3):
         z = FpMatrix.zeros(p, 5, 5)
-        assert fp_kernel(z).cols == 5
+        assert z.kernel().cols == 5
 
 
 def test_kernel_identity():
     for p in (2, 3, 5):
-        assert fp_kernel(FpMatrix.identity(p, 6)).cols == 0
+        assert FpMatrix.identity(p, 6).kernel().cols == 0
 
 
 def test_kernel_random_f3_products_vanish():
     rng = random.Random(42)
     dense = rand_dense(rng, 3, 50, 60)
     a = FpMatrix.from_dense(3, dense)
-    k = fp_kernel(a)
-    assert fp_rank(a) + k.cols == 60
+    k = a.kernel()
+    assert a.rank() + k.cols == 60
     assert (a @ k).is_zero()
     oracle = naive_kernel(dense, 3)
     got = k.to_dense()
@@ -45,7 +45,7 @@ def test_solve_detects_solvability_like_oracle():
             dense = rand_dense(rng, p, rows, cols)
             b = [rng.randrange(p) for _ in range(rows)]
             a = FpMatrix.from_dense(p, dense)
-            sol = fp_solve(a, b)
+            sol = a.solve(b)
             aug = [row + [bb] for row, bb in zip(dense, b)]
             solvable = naive_rank(aug, p) == naive_rank(dense, p)
             assert (sol is not None) == solvable
@@ -60,7 +60,7 @@ def test_kernel_matches_naive_oracle_exactly():
             rows = rng.randrange(1, 14)
             cols = rng.randrange(1, 14)
             dense = rand_dense(rng, p, rows, cols)
-            ours = fp_kernel(FpMatrix.from_dense(p, dense)).to_dense()
+            ours = FpMatrix.from_dense(p, dense).kernel().to_dense()
             oracle = naive_kernel(dense, p)
             assert ours.shape[1] == len(oracle)
             for j, col in enumerate(oracle):
@@ -84,26 +84,26 @@ def test_solve_identity_and_random_consistent():
     rng = random.Random(77)
     eye = FpMatrix.identity(2, 6)
     b = [rng.randrange(2) for _ in range(6)]
-    assert list(fp_solve(eye, b)) == b
+    assert list(eye.solve(b)) == b
     for _ in range(30):
         rows, cols = rng.randrange(2, 10), rng.randrange(2, 10)
         a = FpMatrix.from_dense(2, rand_dense(rng, 2, rows, cols))
         x = [rng.randrange(2) for _ in range(cols)]
         b = (a.to_dense().astype(np.int64) @ np.array(x)) % 2
-        sol = fp_solve(a, b)
+        sol = a.solve(b)
         assert sol is not None
         assert list((a.to_dense().astype(np.int64) @ sol) % 2) == list(b)
 
 
 def test_solve_inconsistent_returns_none():
     a = FpMatrix.from_dense(3, [[1, 1], [1, 1]])
-    assert fp_solve(a, [1, 2]) is None
+    assert a.solve([1, 2]) is None
 
 
 def test_solve_dimension_mismatch():
     a = FpMatrix.identity(3, 2)
     with pytest.raises(ValueError):
-        fp_solve(a, [1, 2, 3])
+        a.solve([1, 2, 3])
 
 
 def test_matmul_both_reps():

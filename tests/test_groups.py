@@ -2,6 +2,7 @@ import pytest
 
 from coclass.errors import BudgetError
 from coclass.groups import (
+    ElementTable,
     abelian_group,
     element_order,
     enumerate_group,
@@ -40,6 +41,15 @@ def test_permuted_table():
     assert sorted(t2.elements) == sorted(t.elements)
     with pytest.raises(ValueError):
         t.permuted([0, 1, 2])
+
+
+def test_table_generators_exclude_identity_and_repeats():
+    g = abelian_group([2, 2])
+    t = enumerate_group(g)
+    assert ElementTable(g, t.elements, t.generators).generators == t.generators
+    for gens in (t.generators + (g.identity,), t.generators * 2):
+        with pytest.raises(AssertionError, match="generators repeat"):
+            ElementTable(g, t.elements, gens)
 
 
 def test_subgroup_closure_trivial_and_full():

@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from _oracles import naive_minimal_resolution, naive_mul_table
@@ -104,7 +106,7 @@ def test_betti_independent_of_element_order():
         perm = list(range(1, g.order))
         rng.shuffle(perm)
         shuffled = table.permuted(perm)
-        assert betti_numbers(g, 4) == betti_numbers(g, 4, table=shuffled)
+        assert betti_numbers(g, 4) == minimal_resolution(g, 4, table=shuffled).betti
 
 
 def test_non_p_group_rejected():
@@ -203,6 +205,15 @@ def test_context_certificate_rejects_a_corrupted_law():
         GroupAlgebraContext(_tampered(group, inv=bad_inv), table=table)
 
 
+def _c2_4_with_redundant_generator():
+    """C2^4 generated by its unit vectors and (1,1,0,0): five table
+    generators, of which every irredundant subset has four."""
+    base = abelian_group([2, 2, 2, 2])
+    return FiniteGroup({**base.descriptor, "extraGenerator": [1, 1, 0, 0]},
+                       base.order, base.p, base.identity,
+                       base.generators + ((1, 1, 0, 0),), base.mul, base.inv)
+
+
 # --- resolution step --------------------------------------------------------
 
 def _naive_step_cases():
@@ -219,6 +230,7 @@ def _naive_step_cases():
         perm = list(range(1, group.order))
         random.Random(3).shuffle(perm)
         yield group, enumerate_group(group).permuted(perm), 3
+    yield _c2_4_with_redundant_generator(), None, 3
 
 
 def _naive_step_id(case):
@@ -238,11 +250,13 @@ def test_resolution_matches_full_height_head_step(case):
 
 
 def test_generating_subset_has_frattini_rank_size():
-    for group in (quotient_group(SpaceGroupParams(2, 2), 2),
-                  quotient_group(SpaceGroupParams(3, 1), 3), b3r(5)):
+    for group, n_gens, rank in ((quotient_group(SpaceGroupParams(2, 2), 2), 3, 2),
+                                (quotient_group(SpaceGroupParams(3, 1), 3), 3, 2),
+                                (b3r(5), 3, 2),
+                                (_c2_4_with_redundant_generator(), 5, 4)):
         ctx = GroupAlgebraContext(group)
-        assert len(ctx.gen_idx) == 3
-        assert len(_reaching_subset(ctx)) == frattini_rank(group) == 2
+        assert len(ctx.gen_idx) == n_gens
+        assert len(_reaching_subset(ctx)) == frattini_rank(group) == rank
 
 
 def _corrupt_boundary(monkeypatch, degree, corrupt):
@@ -282,6 +296,26 @@ def test_zeroed_generator_block_breaks_exactness(monkeypatch):
         minimal_resolution(b3r(3), 3)
 
 
+def test_nonzero_composite_is_rejected(monkeypatch):
+    # one entry of d_2 off by one: d_1 d_2 picks up a nonzero column of d_1
+    def bump(out, m):
+        out[0, 0] = (out[0, 0] + 1) % 3
+
+    _corrupt_boundary(monkeypatch, 2, bump)
+    with pytest.raises(AssertionError,
+                       match="composite of consecutive boundaries is nonzero"):
+        minimal_resolution(b3r(3), 3)
+
+
+def test_nonzero_augmentation_is_rejected():
+    ctx = GroupAlgebraContext(b3r(3))
+    vecs = np.zeros((2 * ctx.m, 1), dtype=np.uint8)
+    vecs[ctx.m + 4, 0] = 1  # block 1 sums to 1
+    with pytest.raises(AssertionError,
+                       match="boundary entry with nonzero augmentation"):
+        resolution._assemble_boundary(ctx, vecs, 2)
+
+
 # --- cache ------------------------------------------------------------------
 
 def test_cache_round_trip_bit_identical(tmp_path):
@@ -319,6 +353,22 @@ def test_betti_numbers_uses_cache_and_checks_it(tmp_path, monkeypatch):
     manifest_path.write_text(json.dumps(manifest))
     assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == first
     assert json.loads(manifest_path.read_text())["betti"] == first
+
+
+def test_cache_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
+    g = b3r(3)
+    first = betti_numbers(g, 3, cache_dir=str(tmp_path))
+    manifest_path = tmp_path / resolution_cache_key(g.descriptor) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["version"] == resolution.CACHE_VERSION
+    manifest["version"] = resolution.CACHE_VERSION - 1
+    manifest_path.write_text(json.dumps(manifest))
+    assert load_resolution(g.descriptor, str(tmp_path)) is None
+    calls = _count_computes(monkeypatch)
+    assert betti_numbers(g, 3, cache_dir=str(tmp_path)) == first
+    assert calls == [3]
+    assert json.loads(manifest_path.read_text())["version"] == \
+        resolution.CACHE_VERSION
 
 
 def _count_computes(monkeypatch):
@@ -415,6 +465,10 @@ def test_cache_key_stability():
     g2 = b3r(3)
     assert resolution_cache_key(g1.descriptor) == resolution_cache_key(g2.descriptor)
     assert resolution_cache_key(b3r(4).descriptor) != resolution_cache_key(g1.descriptor)
+    # the key is the SHA-256 of the canonical descriptor JSON, nothing more
+    blob = json.dumps(g1.descriptor, sort_keys=True, separators=(",", ":"))
+    assert resolution_cache_key(g1.descriptor) == \
+        hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_cache_lock_excludes_other_holders(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _oracles import perturb_filtration_level
 from coclass.errors import BudgetError
 from coclass.intmat import IntMatrix, charpoly, poly_eval_matrix, scaled_inverse
 from coclass.lattice import apply_matrix, lattice_from_columns, scale_lattice
@@ -133,9 +134,9 @@ def test_verify_filtration_minimal_depth():
     assert rep["checks"][0]["name"] == "base-level-is-p-times-ambient"
 
 
-def test_verify_filtration_tamper_negative_control():
-    rep = verify_filtration(SpaceGroupParams(3, 1), 5, trials=20, seed=1,
-                            tamper_level=2)
+def test_verify_filtration_tamper_negative_control(monkeypatch):
+    perturb_filtration_level(monkeypatch, 2)
+    rep = verify_filtration(SpaceGroupParams(3, 1), 5, trials=20, seed=1)
     assert rep["failures"] > 0
     failing = {c["name"] for c in rep["checks"] if not c["passed"]}
     assert "successive-index-p" in failing
