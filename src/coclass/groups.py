@@ -30,6 +30,8 @@ class ElementTable:
         if len(self.elements) != group.order:
             raise AssertionError(
                 f"closure size {len(self.elements)} != declared order {group.order}")
+        if self.elements[0] != group.identity:
+            raise AssertionError("the identity is not element 0")
 
     def __len__(self):
         return len(self.elements)

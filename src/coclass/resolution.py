@@ -4,12 +4,13 @@ For a p-group G the group algebra F_p[G] is local with the augmentation
 ideal as radical, so the trivial module has a minimal free resolution
 and the rank of its n-th term equals dim H^n(G; F_p).  The construction
 is the standard one: compute the kernel of the current boundary as a
-plain F_p-subspace, strip the radical's span (the (g-1)-translates over
-a generating set of G, in the kernel's own coordinates) to read off a
-minimal generating set, and let those generators define the next
-boundary.  Each degree is certified: the composite is zero, the kernel
-is a submodule, the complex is exact below the top degree and every
-boundary entry lies in the augmentation ideal.
+plain F_p-subspace, read a minimal generating set off the rank profile
+of its radical (the (g-1)-translates over a generating set of G, in the
+kernel's own coordinates), and let those generators define the next
+boundary.  Each degree is certified: the boundary is an F_p[G]-map, the
+composite is zero, the complex is exact below the top degree (at the
+top the kernel is a submodule) and every boundary entry lies in the
+augmentation ideal.
 
 Free modules are row-indexed by (basis index, group element index) with
 the element order frozen by the canonical element table; boundary n is
@@ -47,7 +48,7 @@ _DENSE_BAR_LIMIT = 2_000_000  # (m-1)^5 cap for materializing the full degree-2 
 class GroupAlgebraContext:
     """Multiplication tables and index gathers for F_p[G] computations."""
 
-    __slots__ = ("group", "table", "p", "m", "mul", "inv", "gen_idx", "gather")
+    __slots__ = ("p", "m", "mul", "inv", "gen_idx", "gather")
 
     def __init__(self, group, table=None, budget=RESOLUTION_ORDER_BUDGET):
         if budget is not None and group.order > budget:
@@ -55,16 +56,11 @@ class GroupAlgebraContext:
                 f"group order {group.order} exceeds resolution budget {budget}",
                 order=group.order, budget=budget)
         p = group.p
-        k = 0
-        while p ** k < group.order:
-            k += 1
-        if p ** k != group.order:
+        if not any(p ** k == group.order for k in range(group.order.bit_length())):
             raise ValueError(f"order {group.order} is not a power of p={p}")
         if table is None:
             table = enumerate_group(group, budget)
         mul, inv = _group_tables(group, table)
-        self.group = group
-        self.table = table
         self.p = p
         self.m = len(table)
         self.mul = mul
@@ -159,10 +155,9 @@ def _reaching_subset(ctx):
 class Resolution:
     """Betti numbers beta_0..beta_N plus the boundary matrices d_1..d_N."""
 
-    __slots__ = ("descriptor", "key", "p", "max_degree", "betti", "boundaries")
+    __slots__ = ("key", "p", "max_degree", "betti", "boundaries")
 
-    def __init__(self, descriptor, key, p, max_degree, betti, boundaries):
-        self.descriptor = descriptor
+    def __init__(self, key, p, max_degree, betti, boundaries):
         self.key = key
         self.p = p
         self.max_degree = max_degree
@@ -188,28 +183,41 @@ def minimal_resolution(group, max_degree, *, table=None,
     basis of :meth:`FpMatrix.kernel`, which is the identity on the free
     rows (the non-pivot columns of rref(d_n)), so a vector of K has its
     K-coordinates there.  With S a generating set of G
-    (:func:`_reaching_subset`):
+    (:func:`_reaching_subset`), rad K is the sum of (g-1)K over g in S,
+    and restricting to the free rows is injective on K.  The heads come
+    from the rank profile of rad K: row-reducing the vectors (g-1)e_j in
+    K-coordinates with the coordinates reversed puts the pivots at the
+    coordinates where some vector of rad K ends.  Basis vector e_j lies in
+    rad K + span(e_i, i < j) exactly when some vector of rad K ends at j,
+    so the other coordinates are the heads: they span K modulo rad K, and
+    they become the free generators of the next term.
 
-    * exactness: rank d_n = cols - dim K must equal dim ker d_{n-1}
-      (1 for the augmentation, whose image is F_p);
-    * submodule: gK lies in K for each g in S, i.e. the rows of gK off
-      the free rows equal K's rows there times gK's free rows; this makes
-      K a submodule, since S generates G;
-    * head: rad K is the sum of (g-1)K over g in S, and restricting to the
-      free rows is injective on K, so row-reducing
-      [(g-1)K at the free rows, g in S | I] puts its pivots in the I
-      block at the basis vectors of K that survive modulo rad K; they
-      become the free generators of the next term;
+    Each fact is checked once, in the cheapest form that proves it:
+
+    * equivariance: each assembled d_{n+1} commutes with left translation
+      by every g in S (a comparison of gathered entries, one column block
+      at a time); S generates G, so every boundary is an F_p[G]-map and
+      every ker d_n a submodule;
+    * composite: for F_p[G]-maps, d_n d_{n+1} = 0 exactly when it holds on
+      the beta_{n+1} generator columns of d_{n+1} (the identity is element
+      0), a product |G| times smaller than the whole one;
+    * exactness below the top: rank d_n = cols - dim K must equal
+      dim ker d_{n-1} (1 for the augmentation, whose image is F_p); with
+      the composite this gives im d_n = ker d_{n-1}, however the heads
+      were picked;
+    * submodule at the top: gK lies in K for each g in S, i.e. the rows of
+      gK off the free rows equal K's rows there times gK's free rows;
     * minimality: every entry of the new boundary has zero augmentation,
-      which is what makes beta_n = dim H^n(G; F_p);
-    * composite: d_n d_{n+1} = 0 is checked as a matrix product.
+      which is what makes beta_n = dim H^n(G; F_p).
 
-    The top boundary d_N gets no kernel, so its exactness is not compared
-    (that would cost one more elimination); there it follows from the
-    submodule check and Nakayama's lemma: the selected vectors span K
-    modulo rad K, so they generate K and im d_N = K.  Below the top the
-    comparison, read off kernels computed anyway, also certifies the
-    assembled boundaries themselves.
+    The top degree differs because the top boundary d_N gets no kernel,
+    so its exactness is not compared (that would cost one more
+    elimination).  There it follows from Nakayama's lemma: the heads span
+    K modulo rad K, so they generate K and im d_N = K.  That argument
+    reads (g-1)K in the coordinates of the K the elimination returned, so
+    it needs that K to be closed under S, which the submodule products
+    check.  Below the top, the rank comparison at the next degree
+    certifies the boundary whatever the heads were.
     """
     ctx = GroupAlgebraContext(group, table=table, budget=budget_order)
     p, m = ctx.p, ctx.m
@@ -236,33 +244,48 @@ def minimal_resolution(group, max_degree, *, table=None,
         # a basis vector's 1 is its last nonzero entry: the others sit at
         # pivot columns to its left
         free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
-        rest = np.setdiff1d(np.arange(kd.shape[0]), free)
-        kern_rest = kern.row_select(rest)
-        offs = np.arange(beta_n, dtype=np.int64)[:, None] * m
+        # perm[b*m + r] = b*m + index of g^-1 * r: left translation by g
+        perms = [(np.arange(beta_n)[:, None] * m + ctx.gather[:, g]).ravel() for g in gens]
+        if n == max_degree - 1:
+            # the submodule products come before the head rref: the
+            # benchmark trace (perfbench/layers.py) takes the first product
+            # after the head to be the composite check
+            rest = np.setdiff1d(np.arange(kd.shape[0]), free)
+            kern_rest = kern.row_select(rest)
+            for perm in perms:
+                if kern_rest @ kern.row_select(perm[free]) != kern.row_select(perm[rest]):
+                    raise AssertionError("kernel is not a submodule")
+        # row j of block g: (g-1)e_j in K-coordinates
+        rad = np.stack([kd[perm[free]].T for perm in perms])
         diag = np.arange(k)
-        head = np.zeros((k, (len(gens) + 1) * k), dtype=np.uint8)
-        # the submodule products come before the head rref: the benchmark
-        # trace (perfbench/layers.py) takes the first product after the
-        # head to be the composite check
-        for s, g in enumerate(gens):
-            perm = (offs + ctx.gather[:, g][None, :].astype(np.int64)).ravel()
-            if kern_rest @ kern.row_select(perm[free]) != kern.row_select(perm[rest]):
-                raise AssertionError("kernel is not a submodule")
-            block = head[:, s * k:(s + 1) * k]
-            block[:] = kd[perm[free]]
-            block[diag, diag] = (block[diag, diag].astype(np.int16) - 1) % p
-        head[diag, len(gens) * k + diag] = 1
-        _red, piv = FpMatrix.from_dense(p, head).rref()
-        rad_cols = len(gens) * k
-        sel = [c - rad_cols for c in piv if c >= rad_cols]
+        rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
+        _red, piv = FpMatrix.from_dense(p, rad.reshape(-1, k)[:, ::-1]).rref()
+        sel = sorted(set(range(k)) - {k - 1 - c for c in piv})
         betti.append(len(sel))
-        nxt = FpMatrix.from_dense(p, _assemble_boundary(ctx, kd[:, sel], beta_n))
-        if not (cur @ nxt).is_zero():
-            raise AssertionError("composite of consecutive boundaries is nonzero")
-        boundaries.append(nxt)
-        cur = nxt
-    key = resolution_cache_key(group.descriptor)
-    return Resolution(group.descriptor, key, p, max_degree, betti, boundaries)
+        cur = _certified_boundary(ctx, cur, kd[:, sel], beta_n, perms, n + 1)
+        boundaries.append(cur)
+    return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
+
+
+def _certified_boundary(ctx, cur, vecs, beta_n, perms, n):
+    """d_n assembled from the kernel vectors ``vecs`` of ``cur`` = d_{n-1}.
+
+    Raises AssertionError unless d_{n-1} d_n vanishes on the generator
+    columns and d_n commutes with each left translation in ``perms``
+    (row permutations over beta_n blocks; within one block they are the
+    column permutations too).  Kept apart from the loop so that the dense
+    d is freed before the next kernel elimination."""
+    d = _assemble_boundary(ctx, vecs, beta_n)
+    nxt = FpMatrix.from_dense(ctx.p, d)
+    if not (cur @ FpMatrix.from_dense(ctx.p, d[:, ::ctx.m])).is_zero():
+        raise AssertionError("composite of consecutive boundaries is nonzero")
+    for perm in perms:
+        for t in range(0, d.shape[1], ctx.m):
+            block = d[:, t:t + ctx.m]
+            if not np.array_equal(block.take(perm, 0).take(perm[:ctx.m], 1), block):
+                raise AssertionError(f"d_{n} is not F_p[G]-linear, so its "
+                                     "kernel is not a submodule")
+    return nxt
 
 
 def _assemble_boundary(ctx, vecs, beta_n):
@@ -362,7 +385,7 @@ def load_resolution(descriptor, cache_dir):
             boundaries.append(mat)
     except (OSError, ValueError):
         return None
-    return Resolution(descriptor, key, p, max_degree, betti, boundaries)
+    return Resolution(key, p, max_degree, betti, boundaries)
 
 
 def list_cache(cache_dir):

@@ -52,6 +52,15 @@ def test_table_generators_exclude_identity_and_repeats():
             ElementTable(g, t.elements, gens)
 
 
+def test_table_puts_the_identity_first():
+    # the resolution reads generator columns and translations at index 0
+    g = abelian_group([2, 2])
+    t = enumerate_group(g)
+    assert t.elements[0] == g.identity
+    with pytest.raises(AssertionError, match="identity is not element 0"):
+        ElementTable(g, t.elements[1:] + t.elements[:1], t.generators)
+
+
 def test_subgroup_closure_trivial_and_full():
     g = b3r(3)
     assert subgroup_closure(g, [g.identity]) == frozenset([g.identity])

@@ -81,22 +81,35 @@ def test_quotients_2_1_level0_vs_level1_identical():
 
 
 def test_boundary_shapes_composites_and_minimality():
-    g = quotient_group(SpaceGroupParams(3, 1), 0)
-    res = minimal_resolution(g, 4)
-    m = g.order
-    assert res.betti[0] == 1
-    for n in range(1, 5):
-        bd = res.boundary(n)
-        assert bd.rows == res.betti[n - 1] * m
-        assert bd.cols == res.betti[n] * m
-    for n in range(1, 4):
-        assert (res.boundary(n) @ res.boundary(n + 1)).is_zero()
-    # minimality: every group-algebra entry has zero augmentation
-    for n in range(1, 5):
-        dense = res.boundary(n).to_dense()
-        for bi in range(res.betti[n - 1]):
-            block = dense[bi * m:(bi + 1) * m]
-            assert (block.sum(axis=0) % 3 == 0).all()
+    # the resolution checks composites on generator columns and
+    # equivariance over a generating subset; here both are checked in full:
+    # whole products, and every table generator through the reference table
+    for g, degree in ((quotient_group(SpaceGroupParams(3, 1), 0), 4),
+                      (quotient_group(SpaceGroupParams(2, 2), 1), 5),
+                      (b3r(4), 4)):
+        res = minimal_resolution(g, degree)
+        m = g.order
+        table = enumerate_group(g)
+        mul, inv = naive_mul_table(g, table)
+        assert res.betti[0] == 1
+        for n in range(1, degree + 1):
+            bd = res.boundary(n)
+            assert bd.rows == res.betti[n - 1] * m
+            assert bd.cols == res.betti[n] * m
+        for n in range(1, degree):
+            assert (res.boundary(n) @ res.boundary(n + 1)).is_zero()
+        for n in range(1, degree + 1):
+            dense = res.boundary(n).to_dense()
+            # minimality: every group-algebra entry has zero augmentation
+            for bi in range(res.betti[n - 1]):
+                block = dense[bi * m:(bi + 1) * m]
+                assert (block.sum(axis=0) % g.p == 0).all()
+            # equivariance: position r of each block of g.x holds x at g^-1 r
+            for gen in table.generators:
+                shift = np.array(mul[inv[table.index[gen]]])
+                rows = (np.arange(res.betti[n - 1])[:, None] * m + shift).ravel()
+                cols = (np.arange(res.betti[n])[:, None] * m + shift).ravel()
+                assert np.array_equal(dense[np.ix_(rows, cols)], dense)
 
 
 def test_betti_independent_of_element_order():
@@ -231,6 +244,8 @@ def _naive_step_cases():
         random.Random(3).shuffle(perm)
         yield group, enumerate_group(group).permuted(perm), 3
     yield _c2_4_with_redundant_generator(), None, 3
+    for invariants in ([5, 5], [7, 7], [251]):
+        yield abelian_group(invariants), None, 3
 
 
 def _naive_step_id(case):
@@ -302,6 +317,63 @@ def test_nonzero_composite_is_rejected(monkeypatch):
         out[0, 0] = (out[0, 0] + 1) % 3
 
     _corrupt_boundary(monkeypatch, 2, bump)
+    with pytest.raises(AssertionError,
+                       match="composite of consecutive boundaries is nonzero"):
+        minimal_resolution(b3r(3), 3)
+
+
+def test_non_equivariant_boundary_below_the_top_is_rejected(monkeypatch):
+    # the same swap with d_2 below the top: the submodule products run at
+    # the top degree only, so the equivariance check must catch it
+    def swap(out, m):
+        out[:, [3, 5]] = out[:, [5, 3]]
+
+    _corrupt_boundary(monkeypatch, 2, swap)
+    with pytest.raises(AssertionError, match=r"d_2 is not F_p\[G\]-linear"):
+        minimal_resolution(b3r(3), 4)
+
+
+def test_wrong_top_kernel_is_not_a_submodule(monkeypatch):
+    # the top kernel is not compared with a rank, so a basis vector of
+    # ker d_2 knocked out of the kernel must be caught by the submodule
+    # products before its heads are read
+    real = FpMatrix.kernel
+    calls = []
+
+    def kernel(self):
+        kern = real(self)
+        calls.append(kern)
+        if len(calls) < 3:
+            return kern
+        kd = kern.to_dense()
+        # a basis vector's 1 is its last nonzero entry; change a pivot row
+        # above the last vector's 1, so the free rows stay as they are
+        free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
+        row = min(set(range(free[-1])) - set(free.tolist()))
+        kd[row, -1] = (kd[row, -1] + 1) % self.p
+        return FpMatrix.from_dense(self.p, kd)
+
+    monkeypatch.setattr(FpMatrix, "kernel", kernel)
+    with pytest.raises(AssertionError, match="kernel is not a submodule"):
+        minimal_resolution(b3r(3), 3)
+
+
+def test_corrupted_orbit_is_rejected_by_the_composite(monkeypatch):
+    # one kernel vector changed before assembly: d_2 is still an
+    # F_p[G]-map with zero augmentation, but its second generator no
+    # longer lands in ker d_1
+    real = resolution._assemble_boundary
+    calls = []
+
+    def assemble(ctx, vecs, beta_n):
+        calls.append(beta_n)
+        if len(calls) == 2:
+            vecs = vecs.copy()
+            vecs[1, 1] = (vecs[1, 1] + 1) % 3
+            vecs[2, 1] = (vecs[2, 1] + 2) % 3
+        return real(ctx, vecs, beta_n)
+
+    monkeypatch.setattr(resolution, "_assemble_boundary", assemble)
     with pytest.raises(AssertionError,
                        match="composite of consecutive boundaries is nonzero"):
         minimal_resolution(b3r(3), 3)
