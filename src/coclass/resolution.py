@@ -174,10 +174,16 @@ def resolution_cache_key(descriptor):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def minimal_resolution(group, max_degree, *, table=None,
+def minimal_resolution(group, max_degree, *, start=None, table=None,
                        budget_order=RESOLUTION_ORDER_BUDGET,
                        budget_matrix=RESOLUTION_MATRIX_BUDGET):
     """Minimal free resolution of F_p over F_p[G] through ``max_degree``.
+
+    ``start``, a :class:`Resolution` of the same group through degree
+    N <= ``max_degree`` (a cache entry), is continued from its top
+    boundary d_N: only degrees N+1..max_degree are computed.  A cold run
+    is the same loop started from the degree-0 state (beta = [1], no
+    boundaries, d_0 the augmentation).
 
     Per degree n, K = ker d_n is computed as an F_p-space in the standard
     basis of :meth:`FpMatrix.kernel`, which is the identity on the free
@@ -208,7 +214,13 @@ def minimal_resolution(group, max_degree, *, table=None,
     * submodule at the top: gK lies in K for each g in S, i.e. the rows of
       gK off the free rows equal K's rows there times gK's free rows;
     * minimality: every entry of the new boundary has zero augmentation,
-      which is what makes beta_n = dim H^n(G; F_p).
+      which is what makes beta_n = dim H^n(G; F_p);
+    * a resumed top d_N is re-certified before it is extended: it must
+      commute with S, d_{N-1} d_N must vanish on its generator columns
+      (d_0 is the augmentation), and the rank comparison at degree N
+      checks it against dim ker d_{N-1}, which exactness of the
+      certified lower degrees gives as k_{-1} = 1 (the image of the
+      augmentation) and k_j = beta_j |G| - k_{j-1}.
 
     The top degree differs because the top boundary d_N gets no kernel,
     so its exactness is not compared (that would cost one more
@@ -222,11 +234,23 @@ def minimal_resolution(group, max_degree, *, table=None,
     ctx = GroupAlgebraContext(group, table=table, budget=budget_order)
     p, m = ctx.p, ctx.m
     gens = _reaching_subset(ctx)
-    betti = [1]
-    boundaries = []
-    cur = FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8))
+    betti = [1] if start is None else list(start.betti)
+    boundaries = [] if start is None else list(start.boundaries)
+    if len(boundaries) > max_degree:
+        raise ValueError(f"cannot resolve through degree {max_degree} "
+                         f"from degree {len(boundaries)}")
+    chain = [FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8)), *boundaries]
+    if boundaries:
+        # a loaded top is re-certified; its exactness is the rank
+        # comparison at the loop's first degree
+        _check_module_map(ctx, chain[-2], chain[-1].to_dense(),
+                          _translations(ctx, gens, betti[-2]), len(boundaries))
+    cur = chain[-1]
+    # dim ker d_{N-1} by exactness of the certified degrees below N
     prev_dim = 1
-    for n in range(max_degree):
+    for beta in betti[:-1]:
+        prev_dim = beta * m - prev_dim
+    for n in range(len(boundaries), max_degree):
         beta_n = betti[-1]
         if beta_n * m > budget_matrix:
             raise BudgetError(
@@ -244,8 +268,7 @@ def minimal_resolution(group, max_degree, *, table=None,
         # a basis vector's 1 is its last nonzero entry: the others sit at
         # pivot columns to its left
         free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
-        # perm[b*m + r] = b*m + index of g^-1 * r: left translation by g
-        perms = [(np.arange(beta_n)[:, None] * m + ctx.gather[:, g]).ravel() for g in gens]
+        perms = _translations(ctx, gens, beta_n)
         if n == max_degree - 1:
             # the submodule products come before the head rref: the
             # benchmark trace (perfbench/layers.py) takes the first product
@@ -267,17 +290,29 @@ def minimal_resolution(group, max_degree, *, table=None,
     return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
 
 
-def _certified_boundary(ctx, cur, vecs, beta_n, perms, n):
-    """d_n assembled from the kernel vectors ``vecs`` of ``cur`` = d_{n-1}.
+def _translations(ctx, gens, beta):
+    """Left translation by each g in ``gens`` on beta blocks of |G| rows:
+    perm[b*m + r] = b*m + index of g^-1 * r."""
+    return [(np.arange(beta)[:, None] * ctx.m + ctx.gather[:, g]).ravel() for g in gens]
 
-    Raises AssertionError unless d_{n-1} d_n vanishes on the generator
-    columns and d_n commutes with each left translation in ``perms``
-    (row permutations over beta_n blocks; within one block they are the
-    column permutations too).  Kept apart from the loop so that the dense
-    d is freed before the next kernel elimination."""
+
+def _certified_boundary(ctx, cur, vecs, beta_n, perms, n):
+    """d_n assembled from the kernel vectors ``vecs`` of ``cur`` = d_{n-1}
+    and checked by :func:`_check_module_map`.  Kept apart from the loop so
+    that the dense d is freed before the next kernel elimination."""
     d = _assemble_boundary(ctx, vecs, beta_n)
     nxt = FpMatrix.from_dense(ctx.p, d)
-    if not (cur @ FpMatrix.from_dense(ctx.p, d[:, ::ctx.m])).is_zero():
+    _check_module_map(ctx, cur, d, perms, n)
+    return nxt
+
+
+def _check_module_map(ctx, prev, d, perms, n):
+    """Raise AssertionError unless d_{n-1} d_n vanishes on the generator
+    columns of the dense d_n ``d`` (``prev`` = d_{n-1}) and d_n commutes
+    with each left translation in ``perms`` (row permutations over
+    beta_{n-1} blocks; within one block they are the column permutations
+    too)."""
+    if not (prev @ FpMatrix.from_dense(ctx.p, d[:, ::ctx.m])).is_zero():
         raise AssertionError("composite of consecutive boundaries is nonzero")
     for perm in perms:
         for t in range(0, d.shape[1], ctx.m):
@@ -285,7 +320,6 @@ def _certified_boundary(ctx, cur, vecs, beta_n, perms, n):
             if not np.array_equal(block.take(perm, 0).take(perm[:ctx.m], 1), block):
                 raise AssertionError(f"d_{n} is not F_p[G]-linear, so its "
                                      "kernel is not a submodule")
-    return nxt
 
 
 def _assemble_boundary(ctx, vecs, beta_n):
@@ -312,12 +346,20 @@ def _cache_paths(cache_dir, key):
 
 
 def _read_manifest(path):
+    """The manifest at ``path``, or None unless it is a dict listing
+    beta_0..beta_maxDegree."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    return manifest if isinstance(manifest, dict) else None
+    if not isinstance(manifest, dict):
+        return None
+    betti, max_degree = manifest.get("betti"), manifest.get("maxDegree")
+    if (not isinstance(betti, list) or not isinstance(max_degree, int)
+            or len(betti) != max_degree + 1):
+        return None
+    return manifest
 
 
 @contextlib.contextmanager
@@ -368,11 +410,10 @@ def load_resolution(descriptor, cache_dir):
     boundary n must have shape (beta_{n-1}*|G|, beta_n*|G|)."""
     key = resolution_cache_key(descriptor)
     base, manifest_path, _ = _cache_paths(cache_dir, key)
-    manifest = _read_manifest(manifest_path) or {}
-    betti, max_degree = manifest.get("betti"), manifest.get("maxDegree")
-    if (manifest.get("version") != CACHE_VERSION or not isinstance(betti, list)
-            or not isinstance(max_degree, int) or len(betti) != max_degree + 1):
+    manifest = _read_manifest(manifest_path)
+    if manifest is None or manifest.get("version") != CACHE_VERSION:
         return None
+    betti, max_degree = manifest["betti"], manifest["maxDegree"]
     p, order = descriptor["p"], descriptor["order"]
     boundaries = []
     try:
@@ -419,33 +460,29 @@ def betti_numbers(group, max_degree, *, cache_dir=None,
                   budget_order=RESOLUTION_ORDER_BUDGET,
                   budget_matrix=RESOLUTION_MATRIX_BUDGET):
     """Betti numbers beta_0..beta_max_degree, consulting the cache when a
-    directory is given."""
+    directory is given.
+
+    The entry is loaded once, under the key's lock: if it is deep enough
+    it is the answer, otherwise the resolution continues from it (from
+    degree 0 when there is none) and the deeper entry replaces it."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if cache_dir is None:
         return minimal_resolution(
             group, max_degree, budget_order=budget_order,
             budget_matrix=budget_matrix).betti
     _base, _manifest, lock_path = _cache_paths(
         cache_dir, resolution_cache_key(group.descriptor))
-    cached = _cached_betti(group.descriptor, cache_dir, max_degree)
-    if cached is not None:
-        return cached
     os.makedirs(cache_dir, exist_ok=True)
     with _cache_lock(lock_path):
-        cached = _cached_betti(group.descriptor, cache_dir, max_degree)
-        if cached is not None:
-            return cached
+        cached = load_resolution(group.descriptor, cache_dir)
+        if cached is not None and cached.max_degree >= max_degree:
+            return cached.betti[:max_degree + 1]
         res = minimal_resolution(
-            group, max_degree, budget_order=budget_order,
+            group, max_degree, start=cached, budget_order=budget_order,
             budget_matrix=budget_matrix)
         save_resolution(res, cache_dir)
         return res.betti
-
-
-def _cached_betti(descriptor, cache_dir, max_degree):
-    res = load_resolution(descriptor, cache_dir)
-    if res is None or res.max_degree < max_degree:
-        return None
-    return res.betti[:max_degree + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +649,9 @@ def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
     failing level."""
     if family not in (None, "b3r"):
         raise ValueError(f"unknown family {family!r}")
+    if i_max < 0:
+        raise ValueError("no level to compare: " + (
+            f"r_max = {3 + i_max} < 3" if family == "b3r" else f"i_max = {i_max} < 0"))
     if family == "b3r":
         params = SpaceGroupParams(3, 1)
     levels = []

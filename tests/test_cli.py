@@ -141,6 +141,32 @@ def test_cache_list_and_clear(capsys, tmp_path):
     assert json.loads(out)["removed"] == 1
 
 
+def test_cache_list_skips_a_manifest_without_betti(capsys, tmp_path):
+    run(capsys, ["betti", "--p", "2", "--x", "1", "--i", "0", "--max-degree",
+                 "2", "--cache-dir", str(tmp_path)])
+    (tmp_path / "abc").mkdir()
+    (tmp_path / "abc" / "manifest.json").write_text('{"version": 1}')
+    code, out, err = run(capsys, ["cache", "list", "--cache-dir", str(tmp_path)])
+    assert code == 0 and err == ""
+    assert [e["maxDegree"] for e in json.loads(out)["entries"]] == [2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["betti", "--p", "3", "--x", "1", "--i", "0", "--max-degree", "-2"],
+     "max_degree must be >= 0"),
+    (["theorem", "--p", "2", "--x", "1", "--i-max", "-1", "--max-degree", "2"],
+     "i_max = -1 < 0"),
+    (["theorem", "--family", "b3r", "--r-max", "2", "--max-degree", "2"],
+     "r_max = 2 < 3"),
+])
+def test_negative_degree_or_level_is_a_usage_error(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path / "cc")])
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "cc").exists()
+
+
 def test_cache_dir_env_default(monkeypatch, tmp_path):
     from coclass.cli import build_parser
     monkeypatch.setenv("COCLASS_CACHE_DIR", str(tmp_path / "envcache"))

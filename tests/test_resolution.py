@@ -647,6 +647,139 @@ def test_cache_lock_of_a_killed_process_is_released(tmp_path):
     assert log == ["call-a", "compute-a", "call-b", "compute-b", "done-b"]
 
 
+# --- resuming a cached resolution ---------------------------------------------
+
+def _resume_cases():
+    yield quotient_group(SpaceGroupParams(2, 2), 2), 6, 7
+    yield b3r(4), 3, 6
+    yield quotient_group(SpaceGroupParams(3, 1), 1), 1, 4
+    yield abelian_group([251]), 2, 3
+    yield b3r(3), 0, 3  # an entry with no boundary yet
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    real = FpMatrix.kernel
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return real(self)
+
+    monkeypatch.setattr(FpMatrix, "kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case", list(_resume_cases()),
+    ids=lambda c: f"{_group_id(c[0])}-deg{c[1]}to{c[2]}")
+def test_extending_a_cached_entry_matches_a_cold_run(case, tmp_path, monkeypatch):
+    group, start, stop = case
+    cold = minimal_resolution(group, stop)
+    betti_numbers(group, start, cache_dir=str(tmp_path))
+    kernels = _count_kernels(monkeypatch)
+    assert betti_numbers(group, stop, cache_dir=str(tmp_path)) == cold.betti
+    # one kernel elimination per new degree, none for the cached ones
+    assert len(kernels) == stop - start
+    back = load_resolution(group.descriptor, str(tmp_path))
+    assert back.max_degree == stop
+    assert back.betti == cold.betti
+    assert [b.to_bytes() for b in back.boundaries] == \
+        [b.to_bytes() for b in cold.boundaries]
+
+
+def test_start_beyond_max_degree_is_rejected():
+    g = b3r(3)
+    with pytest.raises(ValueError, match="through degree 1 from degree 2"):
+        minimal_resolution(g, 1, start=minimal_resolution(g, 2))
+
+
+def _extend_tampered_top(tmp_path, group, degree, tamper):
+    """Cache ``group`` through ``degree``, pass the dense top boundary
+    through ``tamper`` (in place) and write it back, then ask for one
+    degree more.  Shape and residue range are kept, so the entry still
+    loads."""
+    betti_numbers(group, degree, cache_dir=str(tmp_path))
+    path = tmp_path / resolution_cache_key(group.descriptor) / f"{degree}.fpmx"
+    top = FpMatrix.from_bytes(path.read_bytes()).to_dense()
+    tamper(top, GroupAlgebraContext(group))
+    path.write_bytes(FpMatrix.from_dense(group.p, top).to_bytes())
+    assert load_resolution(group.descriptor, str(tmp_path)) is not None
+    return betti_numbers(group, degree + 1, cache_dir=str(tmp_path))
+
+
+def test_resumed_top_with_one_changed_residue_is_rejected(tmp_path):
+    # column 1 is not a generator column, so the composite (checked on
+    # generator columns) cannot see the change
+    def bump(top, ctx):
+        top[0, 1] = (top[0, 1] + 1) % ctx.p
+
+    with pytest.raises(AssertionError, match=r"d_3 is not F_p\[G\]-linear"):
+        _extend_tampered_top(tmp_path, b3r(3), 3, bump)
+
+
+def test_resumed_top_after_a_row_operation_is_not_equivariant(tmp_path):
+    # adding a row that vanishes on the generator columns to another row
+    # is invertible, so d_3 keeps its kernel, its rank and d_2 d_3 = 0 on
+    # the generator columns: only equivariance tells it from the real d_3
+    def add_row(top, ctx):
+        s = next(i for i in range(top.shape[0])
+                 if top[i].any() and not top[i, ::ctx.m].any())
+        top[s - 1] = (top[s - 1] + top[s]) % ctx.p
+
+    with pytest.raises(AssertionError, match=r"d_3 is not F_p\[G\]-linear"):
+        _extend_tampered_top(tmp_path, b3r(3), 3, add_row)
+
+
+def test_resumed_top_off_the_kernel_is_rejected_by_the_composite(tmp_path):
+    # right multiplication by a generator on the first row block is an
+    # automorphism of the free module that commutes with left
+    # translation: d_3 stays an F_p[G]-map with the same kernel and rank,
+    # but its image leaves ker d_2
+    def right_translate(top, ctx):
+        top[ctx.mul[:, ctx.gen_idx[0]]] = top[:ctx.m].copy()
+
+    with pytest.raises(AssertionError,
+                       match="composite of consecutive boundaries is nonzero"):
+        _extend_tampered_top(tmp_path, b3r(3), 3, right_translate)
+
+
+def test_resumed_top_with_a_smaller_image_is_not_exact(tmp_path):
+    # generator 5's vector v becomes (g-1)v: d_3 is still an F_p[G]-map
+    # with d_2 d_3 = 0 and entries in the augmentation ideal, but its image
+    # is smaller than ker d_2, which the rank comparison at degree 3 sees
+    def shrink(top, ctx):
+        beta = top.shape[0] // ctx.m
+        vecs = top[:, ::ctx.m].copy()
+        perm = resolution._translations(ctx, ctx.gen_idx[:1], beta)[0]
+        vecs[:, 5] = (vecs[perm, 5].astype(np.int16) - vecs[:, 5]) % ctx.p
+        top[:] = resolution._assemble_boundary(ctx, vecs, beta)
+
+    with pytest.raises(AssertionError, match="not exact at degree 2"):
+        _extend_tampered_top(tmp_path, b3r(3), 3, shrink)
+
+
+def test_negative_degrees_and_levels_are_rejected(tmp_path):
+    g = abelian_group([3])
+    for cache_dir in (None, str(tmp_path)):
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            betti_numbers(g, -2, cache_dir=cache_dir)
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="i_max = -1 < 0"):
+        verify_theorem(SpaceGroupParams(2, 1), -1, 2)
+    with pytest.raises(ValueError, match="r_max = 2 < 3"):
+        verify_theorem(SpaceGroupParams(3, 1), -1, 2, family="b3r")
+
+
+def test_cache_list_skips_malformed_manifests(tmp_path):
+    betti_numbers(abelian_group([2]), 2, cache_dir=str(tmp_path))
+    for name, manifest in (("abc", {"version": 2}),
+                           ("def", {"betti": [1, 1], "maxDegree": 3}),
+                           ("ghi", [1, 2])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
+    assert [e["betti"] for e in list_cache(str(tmp_path))] == [[1, 1, 1]]
+
+
 # --- bar oracle --------------------------------------------------------------
 
 def test_bar_degree0():
