@@ -15,8 +15,6 @@ from .lattice import (
 )
 from .fpmat import FpMatrix
 from .spacegroup import (
-    CyclicAction,
-    FiltrationLattice,
     FiniteGroup,
     QuotientCoords,
     SpaceGroupParams,

@@ -114,7 +114,7 @@ def _cmd_theorem(args):
         if args.r_max is None:
             raise ValueError("--r-max is required with --family b3r")
         i_max = args.r_max - 3
-        params = sg.SpaceGroupParams(3, 1)
+        params = None  # verify_theorem fixes p = 3, x = 1 for the family
     else:
         if args.p is None or args.x is None or args.i_max is None:
             raise ValueError("--p, --x and --i-max are required "

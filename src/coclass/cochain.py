@@ -22,9 +22,11 @@ from math import comb
 import numpy as np
 
 from .spacegroup import (
+    QuotientCoords,
     SpaceGroupParams,
     _block_action_pows,
     companion_cyclotomic,
+    filtration,
     wreath_group,
     wreath_inv,
     _invert_perm,
@@ -187,7 +189,8 @@ def act_on_point(params, q, point):
 def check_eta_equivariance(params, degree, trials, seed):
     """Sample (q, elementary tensor, argument tuple) triples and compare
     acting-then-multiplying against multiplying-then-acting pointwise.
-    Returns a report; zero failures is the expected outcome.
+    Returns a report; zero failures is the expected outcome.  The
+    identity is only sampled, so at least one trial is required.
 
     Sampled tensors have one nontrivial factor of full degree (constant 1
     elsewhere).  That is the only shape for which the identity can hold
@@ -195,6 +198,7 @@ def check_eta_equivariance(params, degree, trials, seed):
     chain-homotopy-level operation, not a pointwise one, so tensors with
     several active factors genuinely violate the unsigned identity.
     """
+    _require_trials(trials)
     p = params.p
     slots = p ** (params.x - 1)
     qblock = p ** (p - 1)
@@ -240,6 +244,12 @@ def check_eta_equivariance(params, degree, trials, seed):
     }
 
 
+def _require_trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}: "
+                         "the identity is only checked on samples")
+
+
 # ---------------------------------------------------------------------------
 # inflation
 
@@ -253,7 +263,7 @@ def inflate_eval(f, coords, z):
 
 def point_generator_matrix(params, inverse=False):
     """The point-generator action on T/pT (rows mod p), or its inverse."""
-    cmat = companion_cyclotomic(params).matrix
+    cmat = companion_cyclotomic(params)
     e = params.point_order - 1 if inverse else 1
     mat = cmat ** e
     return tuple(tuple(v % params.p for v in row) for row in mat.data)
@@ -261,13 +271,12 @@ def point_generator_matrix(params, inverse=False):
 
 def check_inflation_equivariance(params, level, trials, seed):
     """Acting by the point generator commutes with inflation: random
-    degree-1 cochains and arguments, exact comparison."""
-    from .spacegroup import QuotientCoords, _filtration_lattice
-
+    degree-1 cochains and arguments, exact comparison.  Sampled only, so
+    at least one trial is required."""
+    _require_trials(trials)
     p = params.p
-    cmat = companion_cyclotomic(params).matrix
-    coords = QuotientCoords(params, level, cmat,
-                            _filtration_lattice(p, cmat, level))
+    coords = QuotientCoords(params, companion_cyclotomic(params),
+                            filtration(params, level))
     rng = random.Random(seed)
     inv_mat = point_generator_matrix(params, inverse=True)
     failures = 0

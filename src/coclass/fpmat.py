@@ -75,11 +75,7 @@ class FpMatrix:
         if p > 251 or not is_prime(p):
             raise ValueError(f"p must be a prime <= 251, got {p}")
         arr = np.asarray(data)
-        if arr.dtype == object:
-            arr = np.array([[int(x) % p for x in row] for row in data], dtype=np.uint8)
-            if arr.ndim == 1:
-                arr = arr.reshape(0, 0)
-        elif arr.dtype == np.uint8:
+        if arr.dtype == np.uint8:
             arr = arr % np.uint8(p)
         else:
             arr = (arr.astype(np.int64) % p).astype(np.uint8)
@@ -89,18 +85,6 @@ class FpMatrix:
         if p == 2:
             return cls(p, rows, cols, _pack_bits(arr))
         return cls(p, rows, cols, np.ascontiguousarray(arr))
-
-    @classmethod
-    def zeros(cls, p, rows, cols):
-        if p == 2:
-            return cls(p, rows, cols, np.zeros((rows, _words(cols)), dtype=np.uint64))
-        if p > 251 or not is_prime(p):
-            raise ValueError(f"p must be a prime <= 251, got {p}")
-        return cls(p, rows, cols, np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls.from_dense(p, np.eye(n, dtype=np.uint8))
 
     # -- views ---------------------------------------------------------
 
@@ -198,23 +182,6 @@ class FpMatrix:
             sub = red._d[:npiv][:, wi]
             return ((sub >> sh) & np.uint64(1)).astype(np.uint8)
         return red._d[:npiv][:, cols]
-
-    def solve(self, b):
-        """Any solution x of self @ x = b, or None if inconsistent."""
-        b = np.asarray(b, dtype=np.int64).reshape(-1) % self.p
-        if b.shape[0] != self.rows:
-            raise ValueError("dimension mismatch")
-        aug = np.concatenate([self.to_dense().astype(np.int64),
-                              b.reshape(-1, 1)], axis=1)
-        red, piv = FpMatrix.from_dense(self.p, aug).rref()
-        if piv and piv[-1] == self.cols:
-            return None
-        x = np.zeros(self.cols, dtype=np.uint8)
-        if piv:
-            vals = self._pivot_rows_at(red, len(piv), [self.cols])
-            for r, pcol in enumerate(piv):
-                x[pcol] = vals[r, 0]
-        return x
 
     # -- serialization ---------------------------------------------------
 

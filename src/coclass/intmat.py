@@ -89,9 +89,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
                                for ra, rb in zip(self.data, other.data)))
 
-    def __neg__(self):
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.data))
-
     def __mul__(self, scalar):
         scalar = int(scalar)
         return IntMatrix(tuple(tuple(scalar * a for a in r) for r in self.data))
@@ -134,9 +131,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.data)
-
-    def trace(self):
-        return sum(self.data[i][i] for i in range(min(self.rows, self.cols)))
 
     def is_zero(self):
         return all(all(a == 0 for a in row) for row in self.data)

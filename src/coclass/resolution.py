@@ -42,7 +42,6 @@ RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
 BAR_DIM_BUDGET = 100_000
 CACHE_VERSION = 2
-_DENSE_BAR_LIMIT = 2_000_000  # (m-1)^5 cap for materializing the full degree-2 coboundary
 
 
 class GroupAlgebraContext:
@@ -488,21 +487,27 @@ def betti_numbers(group, max_degree, *, cache_dir=None,
 # ---------------------------------------------------------------------------
 # bar-cochain oracle (degrees 0..2, trivial coefficients)
 
-def bar_cohomology_dim(group, n, *, strategy="auto",
-                       budget=BAR_DIM_BUDGET):
+def bar_cohomology_dim(group, n, *, budget=BAR_DIM_BUDGET):
     """dim H^n(G; F_p) from normalized inhomogeneous cochains, n <= 2.
 
     Independent of the resolution path: cocycle spaces are cut out of
-    explicit value tables.  Degree 2 either materializes the full
-    coboundary matrix (small groups) or parametrizes cocycle tables row
-    by row through the relation
+    explicit value tables, and H^n = Z^n / B^n with dim B^2 = (|G|-1) -
+    dim Z^1.  Each degree keeps only the rows indexed by generators:
 
-        F[g1*a, g3] = F[a, g3] + F[g1, a*g3] - F[g1, a],
+    * Z^1 (homomorphisms G -> F_p) is cut out by f(g1*a) = f(g1) + f(a)
+      for every g1 and every table generator a.  Every element is a
+      positive word in the generators (G is finite), so induction on the
+      length of w gives f(g1*w) = f(g1) + f(w) for all w.
+    * Z^2 is parametrized row by row through the relation
 
-    eliminating everything onto the generator rows; restricting the
-    middle argument to generators is enough because the vanishing of the
-    iterated coboundary propagates the cocycle identity to arbitrary
-    middle arguments by induction on word length.
+          F[g1*a, g3] = F[a, g3] + F[g1, a*g3] - F[g1, a],
+
+      with the generator rows F[a, .] free and every other row
+      transported onto them; the relations left over at (g1, a) cut out
+      the cocycles.  Restricting the middle argument to generators is
+      enough because the vanishing of the iterated coboundary propagates
+      the cocycle identity to arbitrary middle arguments by induction on
+      word length.
     """
     if n < 0 or n > 2:
         raise ValueError("degrees 0..2 only")
@@ -515,24 +520,20 @@ def bar_cohomology_dim(group, n, *, strategy="auto",
             f"cochain dimension {(group.order - 1) ** n} exceeds budget {budget}",
             budget=budget)
     ctx = GroupAlgebraContext(group, budget=None)
-    m = ctx.m
+    z1 = _z1_dim(ctx)
     if n == 1:
-        return _z1_dim(ctx, strategy)
-    z1 = _z1_dim(ctx, strategy)
-    z2 = _z2_dim(ctx, strategy)
-    return z2 - ((m - 1) - z1)
+        return z1
+    return _z2_dim_transport(ctx) - ((ctx.m - 1) - z1)
 
 
 _TRANSPORT_WORK_BUDGET = 2 * 10 ** 10
 
 
-def _z1_dim(ctx, strategy):
+def _z1_dim(ctx):
+    """dim Z^1: the cocycle rows (g1, a) for the table generators a."""
     m, p = ctx.m, ctx.p
-    use_dense = strategy == "dense" or \
-        (strategy == "auto" and (m - 1) ** 3 <= _DENSE_BAR_LIMIT)
-    gens = range(1, m) if use_dense else ctx.gen_idx
     rows = []
-    for a in gens:
+    for a in ctx.gen_idx:
         block = np.zeros((m - 1, m - 1), dtype=np.int16)
         block[np.arange(m - 1), np.arange(m - 1)] += 1          # f(g1)
         block[np.arange(m - 1), a - 1] += 1                     # f(a)
@@ -541,42 +542,6 @@ def _z1_dim(ctx, strategy):
         block[np.flatnonzero(hit), prod[hit] - 1] -= 1          # -f(g1*a)
         rows.append(block % p)
     mat = FpMatrix.from_dense(p, np.concatenate(rows))
-    return mat.cols - mat.rank()
-
-
-def _z2_dim(ctx, strategy):
-    m = ctx.m
-    if strategy == "dense":
-        return _z2_dim_dense(ctx)
-    if strategy == "transport":
-        return _z2_dim_transport(ctx)
-    if (m - 1) ** 5 <= _DENSE_BAR_LIMIT:
-        return _z2_dim_dense(ctx)
-    return _z2_dim_transport(ctx)
-
-
-def _z2_dim_dense(ctx):
-    """Kernel dimension of the explicit degree-2 coboundary matrix."""
-    m, p = ctx.m, ctx.p
-    mm = m - 1
-    ncols = mm * mm
-    blocks = []
-    cols = np.arange(1, m)
-    for g1 in range(1, m):
-        block = np.zeros((ncols, ncols), dtype=np.int16)
-        rows = np.arange(ncols)
-        g2 = np.repeat(cols, mm)
-        g3 = np.tile(cols, mm)
-        block[rows, (g2 - 1) * mm + (g3 - 1)] += 1              # f(g2, g3)
-        prod12 = ctx.mul[g1, g2]
-        hit = prod12 != 0
-        block[rows[hit], (prod12[hit] - 1) * mm + (g3[hit] - 1)] -= 1   # -f(g1g2, g3)
-        prod23 = ctx.mul[g2, g3]
-        hit = prod23 != 0
-        block[rows[hit], (g1 - 1) * mm + (prod23[hit] - 1)] += 1        # +f(g1, g2g3)
-        block[rows, (g1 - 1) * mm + (g2 - 1)] -= 1              # -f(g1, g2)
-        blocks.append(block % p)
-    mat = FpMatrix.from_dense(p, np.concatenate(blocks))
     return mat.cols - mat.rank()
 
 
@@ -644,9 +609,10 @@ def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
                    budget_matrix=RESOLUTION_MATRIX_BUDGET):
     """Betti vectors of the quotient family through ``max_degree`` for
     levels 0..i_max, with an all-equal verdict.  ``family="b3r"`` runs the
-    explicit order-3^r models (r = 3 .. 3 + i_max) instead.  The degree is
-    never truncated silently: budget overruns raise, tagged with the
-    failing level."""
+    explicit order-3^r models (r = 3 .. 3 + i_max) instead; they have
+    p = 3, x = 1, and ``params`` is not read (callers pass None).  The
+    degree is never truncated silently: budget overruns raise, tagged with
+    the failing level."""
     if family not in (None, "b3r"):
         raise ValueError(f"unknown family {family!r}")
     if i_max < 0:

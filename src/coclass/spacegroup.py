@@ -28,7 +28,6 @@ from .intmat import (
     snf,
 )
 from .lattice import (
-    Lattice,
     apply_matrix,
     lattice_from_columns,
     lattice_contains,
@@ -73,16 +72,9 @@ def cyclotomic_pp(p, x):
     return coeffs
 
 
-@dataclass(frozen=True)
-class CyclicAction:
-    """The integer matrix through which the order-p^x generator acts on T."""
-
-    params: SpaceGroupParams
-    matrix: IntMatrix
-
-
 def companion_cyclotomic(params):
-    """Companion matrix of the p^x-th cyclotomic polynomial."""
+    """Companion matrix of the p^x-th cyclotomic polynomial: the integer
+    matrix C through which the order-p^x generator acts on T."""
     coeffs = cyclotomic_pp(params.p, params.x)
     d = params.dim
     rows = [[0] * d for _ in range(d)]
@@ -91,7 +83,7 @@ def companion_cyclotomic(params):
     # last column holds the negated low-order coefficients
     for i in range(d):
         rows[i][d - 1] -= coeffs[d - i]
-    return CyclicAction(params, IntMatrix(rows))
+    return IntMatrix(rows)
 
 
 def maximal_class_matrix(p):
@@ -111,15 +103,6 @@ def maximal_class_matrix(p):
     return IntMatrix(rows)
 
 
-@dataclass(frozen=True)
-class FiltrationLattice:
-    """Level i of the invariant chain: the lattice spanned by p*(C-I)^i."""
-
-    params: SpaceGroupParams
-    level: int
-    lattice: Lattice
-
-
 def _filtration_lattice(p, cmat, i):
     d = cmat.rows
     step = cmat - IntMatrix.identity(d)
@@ -127,21 +110,21 @@ def _filtration_lattice(p, cmat, i):
 
 
 def filtration(params, i):
+    """Level i of the invariant chain: the lattice N_i spanned by p*(C-I)^i."""
     if i < 0:
-        raise ValueError("level must be >= 0")
-    cmat = companion_cyclotomic(params).matrix
-    return FiltrationLattice(params, i, _filtration_lattice(params.p, cmat, i))
+        raise ValueError(f"level must be >= 0, got {i}")
+    return _filtration_lattice(params.p, companion_cyclotomic(params), i)
 
 
 def filtration_lattices(params, i_max):
     """Levels 0..i_max in one pass (each level reuses the previous power)."""
-    cmat = companion_cyclotomic(params).matrix
+    cmat = companion_cyclotomic(params)
     d = cmat.rows
     step = cmat - IntMatrix.identity(d)
     power = IntMatrix.identity(d)
     out = []
     for i in range(i_max + 1):
-        out.append(FiltrationLattice(params, i, lattice_from_columns(params.p * power)))
+        out.append(lattice_from_columns(params.p * power))
         power = step @ power
     return out
 
@@ -150,8 +133,7 @@ def commutator_matrix(params):
     """Matrix of the map sending a translation a to its commutator with
     the point-group generator, computed in T x| <generator>:
     (a,0)(0,1)(-a,0)(0,-1) = ((I-C)a, 0).  Returns I - C."""
-    cmat = companion_cyclotomic(params).matrix
-    return IntMatrix.identity(params.dim) - cmat
+    return IntMatrix.identity(params.dim) - companion_cyclotomic(params)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +147,16 @@ class QuotientCoords:
     invariant factors; the point generator acts through A = S*C*S^-1.
     """
 
-    __slots__ = ("params", "level", "invariants", "s", "s_inv", "point_pows",
+    __slots__ = ("params", "invariants", "s", "s_inv", "point_pows",
                  "subgroup_order")
 
-    def __init__(self, params, level, cmat, lat):
+    def __init__(self, params, cmat, lat):
         diag, s, _t = snf(lat.basis)
         d = params.dim
         invariants = tuple(diag.data[k][k] for k in range(d))
         if any(inv % params.p != 0 for inv in invariants):
             raise AssertionError("invariant factor not divisible by p")
         self.params = params
-        self.level = level
         self.invariants = invariants
         self.s = s
         self.s_inv = inverse_unimodular(s)
@@ -241,7 +222,7 @@ class FiniteGroup:
 
 def _quotient_from_action(params, cmat, level, model, budget):
     lat = _filtration_lattice(params.p, cmat, level)
-    coords = QuotientCoords(params, level, cmat, lat)
+    coords = QuotientCoords(params, cmat, lat)
     px = params.point_order
     order = coords.subgroup_order * px
     if order != params.p ** (params.dim + params.x + level):
@@ -289,8 +270,8 @@ def quotient_group(params, i, budget=DEFAULT_ENUM_BUDGET):
     level i, with law (v,s)*(w,t) = (v + C^s w, s+t)."""
     if i < 0:
         raise ValueError("level must be >= 0")
-    cmat = companion_cyclotomic(params).matrix
-    return _quotient_from_action(params, cmat, i, "quotient", budget)
+    return _quotient_from_action(params, companion_cyclotomic(params), i,
+                                 "quotient", budget)
 
 
 def b3r(r, budget=DEFAULT_ENUM_BUDGET):
@@ -413,7 +394,7 @@ def wreath_group(params):
 def _block_action_pows(params):
     """Powers of the (p-1)x(p-1) block action matrix, reduced mod p."""
     p = params.p
-    a = companion_cyclotomic(SpaceGroupParams(p, 1)).matrix
+    a = companion_cyclotomic(SpaceGroupParams(p, 1))
     pows = []
     cur = IntMatrix.identity(p - 1)
     for _ in range(p):
@@ -478,11 +459,12 @@ def verify_filtration(params, i_max, trials=200, seed=0):
     """
     import random as _random
 
+    if i_max < 0:
+        raise ValueError(f"no level to check: i_max = {i_max} < 0")
     p, d = params.p, params.dim
-    cmat = companion_cyclotomic(params).matrix
+    cmat = companion_cyclotomic(params)
     delta = IntMatrix.identity(d) - cmat
-    levels = filtration_lattices(params, i_max + d)
-    lats = [fl.lattice for fl in levels]
+    lats = filtration_lattices(params, i_max + d)
 
     checks = []
 
@@ -524,7 +506,7 @@ def verify_filtration(params, i_max, trials=200, seed=0):
     diagram_ok = True
     upper = min(i_max, 4)
     try:
-        coords = [QuotientCoords(params, i, cmat, lats[i]) for i in range(upper + 2)]
+        coords = [QuotientCoords(params, cmat, lats[i]) for i in range(upper + 2)]
         for _ in range(trials):
             i = rng.randrange(upper + 1)
             v = tuple(rng.randrange(-50, 51) for _ in range(d))

@@ -2,7 +2,8 @@
 
 Everything here except ``naive_minimal_resolution`` and
 ``perturb_filtration_level`` is deliberately plain Python on lists so it
-shares no code path with the package implementations.
+shares no code path with the package implementations (the bar reference
+borrows only the canonical element order of ``enumerate_group``).
 """
 
 from fractions import Fraction
@@ -68,6 +69,51 @@ def naive_mul_table(group, table, rows=None):
     mul = [[index[group.mul(elements[a], b)] for b in elements] for a in picks]
     inv = [index[group.inv(a)] for a in elements]
     return mul, inv
+
+
+def dense_bar_cohomology_dim(group, n):
+    """dim H^n(G; F_p) for n in (1, 2) from the full explicit coboundary
+    matrices of normalized inhomogeneous cochains (reference only): every
+    pair (g1, g2), resp. triple (g1, g2, g3), of non-identity elements
+    gives a row, and H^n = dim ker d^n - rank d^(n-1)."""
+    from coclass.groups import enumerate_group
+
+    table = enumerate_group(group)
+    mul, _inv = naive_mul_table(group, table)
+    e = table.index[group.identity]
+    nonid = [a for a in range(len(table.elements)) if a != e]
+    col = {a: k for k, a in enumerate(nonid)}
+    mm = len(nonid)
+
+    def put(row, sign, *args):
+        # normalized cochains vanish on the identity
+        if e not in args:
+            row[sum(col[a] * mm ** k for k, a in enumerate(reversed(args)))] += sign
+
+    # (d^1 f)(g1, g2) = f(g2) - f(g1 g2) + f(g1)
+    d1 = []
+    for g1 in nonid:
+        for g2 in nonid:
+            row = [0] * mm
+            put(row, 1, g2)
+            put(row, -1, mul[g1][g2])
+            put(row, 1, g1)
+            d1.append(row)
+    rank1 = naive_rank(d1, group.p)
+    if n == 1:
+        return mm - rank1
+    # (d^2 F)(g1, g2, g3) = F(g2, g3) - F(g1 g2, g3) + F(g1, g2 g3) - F(g1, g2)
+    d2 = []
+    for g1 in nonid:
+        for g2 in nonid:
+            for g3 in nonid:
+                row = [0] * (mm * mm)
+                put(row, 1, g2, g3)
+                put(row, -1, mul[g1][g2], g3)
+                put(row, 1, g1, mul[g2][g3])
+                put(row, -1, g1, g2)
+                d2.append(row)
+    return mm * mm - naive_rank(d2, group.p) - rank1
 
 
 def rational_solve_integral(a_rows, b_cols):
@@ -145,10 +191,9 @@ def perturb_filtration_level(monkeypatch, level):
 
     def perturbed(params, i_max):
         levels = real(params, i_max)
-        rows = [list(r) for r in levels[level].lattice.basis.data]
+        rows = [list(r) for r in levels[level].basis.data]
         rows[0][-1] += 1
-        levels[level] = spacegroup.FiltrationLattice(
-            params, level, lattice_from_columns(IntMatrix(rows)))
+        levels[level] = lattice_from_columns(IntMatrix(rows))
         return levels
 
     monkeypatch.setattr(spacegroup, "filtration_lattices", perturbed)

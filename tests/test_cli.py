@@ -158,13 +158,38 @@ def test_cache_list_skips_a_manifest_without_betti(capsys, tmp_path):
      "i_max = -1 < 0"),
     (["theorem", "--family", "b3r", "--r-max", "2", "--max-degree", "2"],
      "r_max = 2 < 3"),
+    (["filtration", "--p", "2", "--x", "1", "--i-max", "-1"], "i_max = -1 < 0"),
+    (["equivariance", "delta", "--p", "2", "--x", "1", "--i-max", "-1"],
+     "i_max = -1 < 0"),
+    (["equivariance", "inflation", "--p", "2", "--x", "1", "--i", "-1"],
+     "level must be >= 0, got -1"),
 ])
 def test_negative_degree_or_level_is_a_usage_error(capsys, tmp_path, argv, message):
-    code, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path / "cc")])
+    if argv[0] in ("betti", "theorem"):
+        argv = argv + ["--cache-dir", str(tmp_path / "cc")]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert message in err
     assert not (tmp_path / "cc").exists()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["equivariance", "eta", "--p", "3", "--x", "1"], 2),
+    (["equivariance", "inflation", "--p", "3", "--x", "1"], 2),
+    (["equivariance", "delta", "--p", "2", "--x", "1", "--i-max", "3"], 0),
+    (["filtration", "--p", "2", "--x", "1", "--i-max", "3"], 0),
+])
+def test_zero_trials_is_a_usage_error_for_sampled_identities(capsys, argv, expected):
+    code, out, err = run(capsys, argv + ["--trials", "0"])
+    assert code == expected
+    if expected == 2:
+        assert out == ""
+        assert "trials must be >= 1, got 0" in err
+    else:
+        # the deterministic checks still run
+        rep = json.loads(out)
+        assert rep["checks"] and rep["failures"] == 0
 
 
 def test_cache_dir_env_default(monkeypatch, tmp_path):

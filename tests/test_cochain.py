@@ -23,8 +23,8 @@ from coclass.groups import enumerate_group
 from coclass.spacegroup import (
     QuotientCoords,
     SpaceGroupParams,
-    _filtration_lattice,
     companion_cyclotomic,
+    filtration,
     wreath_group,
     wreath_inv,
     wreath_mul,
@@ -175,9 +175,8 @@ def test_eta_report_determinism():
 # --- inflation ---------------------------------------------------------------
 
 def _coords(params, level):
-    cmat = companion_cyclotomic(params).matrix
-    return QuotientCoords(params, level, cmat,
-                          _filtration_lattice(params.p, cmat, level))
+    return QuotientCoords(params, companion_cyclotomic(params),
+                          filtration(params, level))
 
 
 def test_inflate_level0_is_evaluation():

@@ -38,7 +38,7 @@ def test_unimodular_change_of_basis_same_lattice():
 
 
 def test_level_one_determinant():
-    c = companion_cyclotomic(SpaceGroupParams(3, 1)).matrix
+    c = companion_cyclotomic(SpaceGroupParams(3, 1))
     step = c - IntMatrix.identity(2)
     lat = lattice_from_columns(3 * step)
     # index p^dim for the scaling times p for one commutator step
@@ -91,6 +91,6 @@ def test_index_not_sublattice():
 
 
 def test_successive_filtration_index_is_p():
-    lats = [f.lattice for f in filtration_lattices(SpaceGroupParams(3, 1), 9)]
+    lats = filtration_lattices(SpaceGroupParams(3, 1), 9)
     for i in range(9):
         assert lattice_index(lats[i], lats[i + 1]) == 3

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import naive_minimal_resolution, naive_mul_table
+from _oracles import dense_bar_cohomology_dim, naive_minimal_resolution, naive_mul_table
 from coclass import resolution
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
@@ -461,7 +461,8 @@ def test_cache_wrong_shape_boundary_is_recomputed(tmp_path, monkeypatch):
     assert first == [1, 2, 4, 6, 7]
     base = tmp_path / resolution_cache_key(g.descriptor)
     good = (base / "3.fpmx").read_bytes()
-    (base / "3.fpmx").write_bytes(FpMatrix.zeros(3, 4 * 27, 5 * 27).to_bytes())
+    wrong = FpMatrix.from_dense(3, np.zeros((4 * 27, 5 * 27)))
+    (base / "3.fpmx").write_bytes(wrong.to_bytes())
     assert load_resolution(g.descriptor, str(tmp_path)) is None
     calls = _count_computes(monkeypatch)
     assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == first
@@ -808,9 +809,8 @@ def test_bar_strategies_agree_small():
               abelian_group([8]), abelian_group([2, 2, 2])]
     for g in groups:
         for n in (1, 2):
-            dense = bar_cohomology_dim(g, n, strategy="dense")
-            transport = bar_cohomology_dim(g, n, strategy="transport")
-            assert dense == transport, g.descriptor
+            assert bar_cohomology_dim(g, n) == dense_bar_cohomology_dim(g, n), \
+                g.descriptor
 
 
 def test_bar_degree_cap_and_budget():
