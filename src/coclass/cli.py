@@ -177,9 +177,17 @@ def _add_params(sp, i_flag=None, family=False):
         sp.add_argument("--r", type=int, default=None)
 
 
-def _add_budgets(sp):
-    sp.add_argument("--budget-order", dest="budget_order", type=int, default=None)
-    sp.add_argument("--budget-matrix", dest="budget_matrix", type=int, default=None)
+def _add_budgets(sp, matrix=True):
+    def budget(text):  # argparse names it in "invalid budget value: ..."
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"budget must be >= 1, got {value}")
+        return value
+
+    sp.add_argument("--budget-order", dest="budget_order", type=budget, default=None)
+    if matrix:
+        sp.add_argument("--budget-matrix", dest="budget_matrix", type=budget,
+                        default=None)
 
 
 def build_parser():
@@ -192,7 +200,7 @@ def build_parser():
     g = sub.add_parser("group", help="construct a group and report on it")
     g.add_argument("action", choices=["build", "census", "export"])
     _add_params(g, i_flag="i", family=True)
-    _add_budgets(g)
+    _add_budgets(g, matrix=False)
     g.set_defaults(func=_cmd_group)
 
     f = sub.add_parser("filtration", help="verify the lattice-chain identities")

@@ -21,6 +21,7 @@ from math import comb
 
 import numpy as np
 
+from .errors import BudgetError
 from .spacegroup import (
     QuotientCoords,
     SpaceGroupParams,
@@ -77,9 +78,7 @@ class Cochain:
         self.dim = dim
         self.degree = degree
         q = p ** dim
-        if degree and q ** degree > self.TABLE_BUDGET:
-            raise ValueError(
-                f"dense cochain table with {q}^{degree} entries exceeds budget")
+        self._require_budget(q, degree)
         table = np.asarray(table, dtype=np.uint8) % p
         if table.shape != (q,) * degree:
             raise ValueError("table shape mismatch")
@@ -94,8 +93,16 @@ class Cochain:
         return cls(p, dim, 0, np.asarray(value % p, dtype=np.uint8))
 
     @classmethod
+    def _require_budget(cls, q, degree):
+        if degree and q ** degree > cls.TABLE_BUDGET:
+            raise BudgetError(
+                f"dense cochain table with {q}^{degree} entries exceeds "
+                f"budget {cls.TABLE_BUDGET}", entries=q ** degree)
+
+    @classmethod
     def random_normalized(cls, p, dim, degree, rng):
         q = p ** dim
+        cls._require_budget(q, degree)  # before drawing q^degree values
         flat = [rng.randrange(p) for _ in range(q ** degree)]
         table = np.asarray(flat, dtype=np.uint8).reshape((q,) * degree)
         return cls(p, dim, degree, table)
@@ -199,6 +206,8 @@ def check_eta_equivariance(params, degree, trials, seed):
     several active factors genuinely violate the unsigned identity.
     """
     _require_trials(trials)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     p = params.p
     slots = p ** (params.x - 1)
     qblock = p ** (p - 1)

@@ -165,10 +165,38 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-def hnf(a):
-    """Column Hermite normal form.
+def _pair(a, b):
+    """Unimodular coefficients (w, x, y, z) with w*a + x*b = +-gcd(a, b)
+    and y*a + z*b = 0: a swap when a == 0, a transvection when a divides
+    b, the extended gcd otherwise."""
+    if a == 0:
+        return 0, 1, 1, 0
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, w, x = xgcd(a, b)
+    return w, x, -(b // g), a // g
 
-    Returns (h, u) with h = a @ u, u unimodular, and h in the canonical
+
+def _cols(mat, c1, c2, w, x, y, z):
+    """(col c1, col c2) <- (w*c1 + x*c2, y*c1 + z*c2) in place."""
+    for row in mat:
+        u, v = row[c1], row[c2]
+        row[c1] = w * u + x * v
+        row[c2] = y * u + z * v
+
+
+def _rows(mats, r1, r2, w, x, y, z):
+    """(row r1, row r2) <- (w*r1 + x*r2, y*r1 + z*r2) in each matrix."""
+    for mat in mats:
+        a1, a2 = mat[r1], mat[r2]
+        mat[r1] = [w * u + x * v for u, v in zip(a1, a2)]
+        mat[r2] = [y * u + z * v for u, v in zip(a1, a2)]
+
+
+def hnf(a):
+    """Column Hermite normal form of ``a``.
+
+    The result h spans the same columns over Z and is in the canonical
     shape for column spans: echelon columns packed to the right, pivots
     positive, every entry to the right of a pivot reduced into
     [0, pivot).  A square nonsingular input yields an upper-triangular h
@@ -176,148 +204,73 @@ def hnf(a):
     the left.  Two matrices have equal column span over Z iff their h
     agree up to those leading zero columns.
     """
-    d, n = a.rows, a.cols
-    if d == 0 or n == 0:
-        return a, IntMatrix.identity(n)
     h = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colcomb(c1, c2, s, t, p, q):
-        # (col c1, col c2) <- (s*c1 + t*c2, p*c1 + q*c2); s*q - t*p = +-1
-        for mat, nrows in ((h, d), (u, n)):
-            for i in range(nrows):
-                x, y = mat[i][c1], mat[i][c2]
-                mat[i][c1] = s * x + t * y
-                mat[i][c2] = p * x + q * y
-
-    def colsub(dst, src, q):
-        for mat, nrows in ((h, d), (u, n)):
-            for i in range(nrows):
-                mat[i][dst] -= q * mat[i][src]
-
-    r = n - 1
+    r = a.cols - 1
     pivots = []  # (row, col), discovered bottom-up
-    for i in range(d - 1, -1, -1):
+    for i in range(a.rows - 1, -1, -1):
         if r < 0:
             break
         for j in range(r):
-            if h[i][j] == 0:
-                continue
-            aa, bb = h[i][r], h[i][j]
-            if aa == 0:
-                colcomb(r, j, 0, 1, 1, 0)
-            elif bb % aa == 0:
-                colcomb(r, j, 1, 0, -(bb // aa), 1)
-            else:
-                g, s, t = xgcd(aa, bb)
-                colcomb(r, j, s, t, -(bb // g), aa // g)
+            if h[i][j]:
+                _cols(h, r, j, *_pair(h[i][r], h[i][j]))
         if h[i][r] == 0:
             continue
         if h[i][r] < 0:
-            for mat, nrows in ((h, d), (u, n)):
-                for k in range(nrows):
-                    mat[k][r] = -mat[k][r]
+            _cols(h, r, r, -1, 0, 0, -1)  # negate column r
         pivots.append((i, r))
         r -= 1
     # canonical reduction: entries right of each pivot into [0, pivot),
     # processed bottom pivot first so later passes cannot disturb it
     for (i, c) in pivots:
-        for j in range(c + 1, n):
+        for j in range(c + 1, a.cols):
             q = h[i][j] // h[i][c]
             if q:
-                colsub(j, c, q)
-    return IntMatrix(h), IntMatrix(u)
+                _cols(h, c, j, 1, 0, -q, 1)
+    return IntMatrix(h)
 
 
 def snf(a):
-    """Smith normal form: (d, s, t) with d = s @ a @ t diagonal,
-    s and t unimodular, and each diagonal entry dividing the next."""
+    """Smith normal form: (d, s) with s unimodular and d = s @ a @ t
+    diagonal for some unimodular t, each diagonal entry dividing the
+    next.  The rows of s are the Smith coordinates of Z^rows / (column
+    span of a)."""
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    s = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def rowcomb(r1, r2, w, x, y, z):
-        for mat in (d, s):
-            a1, a2 = mat[r1], mat[r2]
-            for j in range(len(a1)):
-                u, v = a1[j], a2[j]
-                a1[j] = w * u + x * v
-                a2[j] = y * u + z * v
-
-    def colcomb(c1, c2, w, x, y, z):
-        for mat, nr in ((d, m), (t, n)):
-            for i in range(nr):
-                u, v = mat[i][c1], mat[i][c2]
-                mat[i][c1] = w * u + x * v
-                mat[i][c2] = y * u + z * v
-
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
     for k in range(min(m, n)):
         # deterministic pivot search: first nonzero scanning columns then rows
-        pi = pj = -1
-        for j in range(k, n):
-            for i in range(k, m):
-                if d[i][j] != 0:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
+        pivot = next(((i, j) for j in range(k, n) for i in range(k, m) if d[i][j]),
+                     None)
+        if pivot is None:
             break
+        pi, pj = pivot
         if pj != k:
-            colcomb(k, pj, 0, 1, 1, 0)
+            _cols(d, k, pj, 0, 1, 1, 0)
         if pi != k:
-            rowcomb(k, pi, 0, 1, 1, 0)
+            _rows((d, s), k, pi, 0, 1, 1, 0)
         if d[k][k] < 0:
-            for mat in (d, s):
-                row = mat[k]
-                for j in range(len(row)):
-                    row[j] = -row[j]
+            _rows((d, s), k, k, -1, 0, 0, -1)  # negate row k
         while True:
             # divisible entries fall to plain transvections (pivot row and
             # column untouched); otherwise the gcd step strictly shrinks
-            # the pivot, so the loop terminates
+            # the positive pivot, so the loop terminates
             for i in range(k + 1, m):
-                bb = d[i][k]
-                if bb != 0:
-                    aa = d[k][k]
-                    if bb % aa == 0:
-                        rowcomb(k, i, 1, 0, -(bb // aa), 1)
-                    else:
-                        g, w, x = xgcd(aa, bb)
-                        rowcomb(k, i, w, x, -(bb // g), aa // g)
+                if d[i][k]:
+                    _rows((d, s), k, i, *_pair(d[k][k], d[i][k]))
             for j in range(k + 1, n):
-                bb = d[k][j]
-                if bb != 0:
-                    aa = d[k][k]
-                    if bb % aa == 0:
-                        colcomb(k, j, 1, 0, -(bb // aa), 1)
-                    else:
-                        g, w, x = xgcd(aa, bb)
-                        colcomb(k, j, w, x, -(bb // g), aa // g)
+                if d[k][j]:
+                    _cols(d, k, j, *_pair(d[k][k], d[k][j]))
             if any(d[i][k] for i in range(k + 1, m)):
                 continue
             if any(d[k][j] for j in range(k + 1, n)):
                 continue
             # divisibility: the pivot must divide the remaining block
-            piv = d[k][k]
-            bad = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if d[i][j] % piv != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(k + 1, m)
+                        if any(d[i][j] % d[k][k] for j in range(k + 1, n))), None)
             if bad is None:
                 break
-            rowcomb(k, bad, 1, 1, 0, 1)
-        if d[k][k] < 0:
-            for mat in (d, s):
-                row = mat[k]
-                for j in range(len(row)):
-                    row[j] = -row[j]
-    return IntMatrix(d), IntMatrix(s), IntMatrix(t)
+            _rows((d, s), k, bad, 1, 1, 0, 1)
+    return IntMatrix(d), IntMatrix(s)
 
 
 def _rational_inverse(a):

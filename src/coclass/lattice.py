@@ -37,7 +37,7 @@ def lattice_from_columns(a):
     d = a.rows
     if a.cols < d:
         raise ValueError("not full rank")
-    h, _ = hnf(a)
+    h = hnf(a)
     basis_rows = []
     off = h.cols - d
     for i in range(d):

@@ -389,12 +389,14 @@ def _write_atomic(path, data):
         raise
 
 
-def save_resolution(res, cache_dir):
-    """Write the boundaries, then the manifest, each atomically: a reader
-    that finds a manifest finds every boundary it names."""
+def save_resolution(res, cache_dir, *, first=1):
+    """Write boundaries first..max_degree, then the manifest, each
+    atomically: a reader that finds a manifest finds every boundary it
+    names.  Boundaries below ``first`` must already be on disk (an entry
+    that ``res`` extends)."""
     base, manifest_path, _ = _cache_paths(cache_dir, res.key)
     os.makedirs(base, exist_ok=True)
-    for n, mat in enumerate(res.boundaries, start=1):
+    for n, mat in enumerate(res.boundaries[first - 1:], start=first):
         _write_atomic(os.path.join(base, f"{n}.fpmx"), mat.to_bytes())
     manifest = {"betti": res.betti, "maxDegree": res.max_degree,
                 "version": CACHE_VERSION}
@@ -480,7 +482,8 @@ def betti_numbers(group, max_degree, *, cache_dir=None,
         res = minimal_resolution(
             group, max_degree, start=cached, budget_order=budget_order,
             budget_matrix=budget_matrix)
-        save_resolution(res, cache_dir)
+        save_resolution(res, cache_dir,
+                        first=1 if cached is None else cached.max_degree + 1)
         return res.betti
 
 

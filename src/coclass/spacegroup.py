@@ -151,7 +151,7 @@ class QuotientCoords:
                  "subgroup_order")
 
     def __init__(self, params, cmat, lat):
-        diag, s, _t = snf(lat.basis)
+        diag, s = snf(lat.basis)
         d = params.dim
         invariants = tuple(diag.data[k][k] for k in range(d))
         if any(inv % params.p != 0 for inv in invariants):
@@ -461,6 +461,8 @@ def verify_filtration(params, i_max, trials=200, seed=0):
 
     if i_max < 0:
         raise ValueError(f"no level to check: i_max = {i_max} < 0")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     p, d = params.p, params.dim
     cmat = companion_cyclotomic(params)
     delta = IntMatrix.identity(d) - cmat

@@ -163,6 +163,20 @@ def test_cache_list_skips_a_manifest_without_betti(capsys, tmp_path):
      "i_max = -1 < 0"),
     (["equivariance", "inflation", "--p", "2", "--x", "1", "--i", "-1"],
      "level must be >= 0, got -1"),
+    (["equivariance", "eta", "--p", "3", "--x", "1", "--degree", "-1"],
+     "degree must be >= 0, got -1"),
+    (["filtration", "--p", "2", "--x", "1", "--trials", "-3"],
+     "trials must be >= 0, got -3"),
+    (["equivariance", "delta", "--p", "2", "--x", "1", "--trials", "-3"],
+     "trials must be >= 0, got -3"),
+    (["betti", "--p", "2", "--x", "1", "--i", "0", "--max-degree", "1",
+      "--budget-order", "0"], "budget must be >= 1, got 0"),
+    (["theorem", "--p", "2", "--x", "1", "--i-max", "1", "--max-degree", "1",
+      "--budget-matrix", "-5"], "budget must be >= 1, got -5"),
+    (["group", "build", "--p", "2", "--x", "1", "--i", "0", "--budget-order", "-5"],
+     "budget must be >= 1, got -5"),
+    (["group", "build", "--p", "2", "--x", "1", "--i", "0", "--budget-matrix", "5"],
+     "unrecognized arguments: --budget-matrix 5"),
 ])
 def test_negative_degree_or_level_is_a_usage_error(capsys, tmp_path, argv, message):
     if argv[0] in ("betti", "theorem"):

@@ -19,6 +19,7 @@ from coclass.cochain import (
     point_index,
     point_generator_matrix,
 )
+from coclass.errors import BudgetError
 from coclass.groups import enumerate_group
 from coclass.spacegroup import (
     QuotientCoords,
@@ -43,6 +44,20 @@ def test_cochain_normalization_enforced():
     assert f.eval((0, 5)) == 0
     assert f.eval((5, 0)) == 0
     assert f.eval((5, 7)) == 1
+
+
+def test_random_cochain_over_budget_refuses_before_drawing(monkeypatch):
+    class NoDraws:
+        def randrange(self, n):
+            raise AssertionError("drew a value for an over-budget table")
+
+    monkeypatch.setattr(Cochain, "TABLE_BUDGET", 80)
+    with pytest.raises(BudgetError, match="9\\^3 entries exceeds budget 80"):
+        Cochain.random_normalized(3, 2, 3, NoDraws())
+    # 9^2 = 81 entries is over as well; 9^1 is within and draws
+    with pytest.raises(BudgetError):
+        Cochain.random_normalized(3, 2, 2, NoDraws())
+    assert Cochain.random_normalized(3, 2, 1, random.Random(0)).degree == 1
 
 
 def test_cross_product_degree_zero():

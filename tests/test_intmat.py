@@ -33,27 +33,47 @@ def test_xgcd_basics():
         assert s * a + t * b == g
 
 
+def assert_smith(a, d, s):
+    """d = s @ a @ t for some unimodular t: s unimodular, d diagonal with
+    each entry dividing the next, and s @ a spanning the columns of d."""
+    assert abs(s.det()) == 1
+    k = min(a.rows, a.cols)
+    diag = [d.data[i][i] for i in range(k)]
+    for i in range(d.rows):
+        for j in range(d.cols):
+            if i != j:
+                assert d.data[i][j] == 0
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        if x != 0:
+            assert y % x == 0
+        else:
+            assert y == 0
+    assert hnf(s @ a) == hnf(d)
+
+
 def test_hnf_identity():
     eye = IntMatrix.identity(3)
-    h, u = hnf(eye)
-    assert h == eye
-    assert u == eye
+    assert hnf(eye) == eye
 
 
 def test_hnf_already_canonical_diagonal():
     d = IntMatrix([[2, 0], [0, 2]])
-    h, u = hnf(d)
-    assert h == d
-    assert u == IntMatrix.identity(2)
+    assert hnf(d) == d
 
 
 def test_hnf_factorization_and_unimodularity():
+    # h = a @ u with u unimodular: u = a^-1 h is integral and |det h| = |det a|
     rng = random.Random(11)
-    for _ in range(30):
+    done = 0
+    while done < 30:
         a = rand_matrix(rng, 4, 4)
-        h, u = hnf(a)
-        assert a @ u == h
-        assert abs(u.det()) == 1
+        if a.det() == 0:
+            continue
+        h = hnf(a)
+        assert rational_solve_integral(a.to_lists(), h.to_lists())
+        assert abs(h.det()) == abs(a.det())
+        done += 1
 
 
 def test_hnf_column_span_preserved_mutual_membership():
@@ -64,7 +84,7 @@ def test_hnf_column_span_preserved_mutual_membership():
         a = rand_matrix(rng, 4, 4)
         if a.det() == 0:
             continue
-        h, _ = hnf(a)
+        h = hnf(a)
         a_rows = a.to_lists()
         h_cols = [[h.data[i][j] for j in range(4)] for i in range(4)]
         assert rational_solve_integral(a_rows, h_cols)
@@ -77,9 +97,7 @@ def test_hnf_canonical_under_unimodular_right_factor():
     for _ in range(20):
         a = rand_matrix(rng, 3, 3)
         u = rand_unimodular(rng, 3)
-        h1, _ = hnf(a)
-        h2, _ = hnf(a @ u)
-        assert h1 == h2
+        assert hnf(a) == hnf(a @ u)
 
 
 def test_hnf_shape_canonicality():
@@ -90,7 +108,7 @@ def test_hnf_shape_canonicality():
         a = rand_matrix(rng, 4, 4)
         if a.det() == 0:
             continue
-        h, _ = hnf(a)
+        h = hnf(a)
         for i in range(4):
             assert h.data[i][i] > 0
             for j in range(4):
@@ -102,53 +120,79 @@ def test_hnf_shape_canonicality():
 
 
 def test_hnf_empty():
-    e = IntMatrix.zeros(0, 0)
-    h, u = hnf(e)
-    assert h.rows == 0 and u.rows == 0
+    h = hnf(IntMatrix.zeros(0, 0))
+    assert isinstance(h, IntMatrix)
+    assert h.rows == 0 and h.cols == 0
 
 
 def test_snf_coprime_diagonal():
-    d, s, t = snf(IntMatrix([[2, 0], [0, 3]]))
+    a = IntMatrix([[2, 0], [0, 3]])
+    d, s = snf(a)
     assert d == IntMatrix([[1, 0], [0, 6]])
-    assert s @ IntMatrix([[2, 0], [0, 3]]) @ t == d
+    assert_smith(a, d, s)
 
 
 def test_snf_zero_matrix():
     z = IntMatrix.zeros(2, 3)
-    d, s, t = snf(z)
+    d, s = snf(z)
     assert d == z
-    assert abs(s.det()) == 1
-    assert abs(t.det()) == 1
+    assert_smith(z, d, s)
 
 
 def test_snf_random_recomposition_and_divisibility():
     rng = random.Random(31)
-    for _ in range(25):
+    for trial in range(25):
         a = rand_matrix(rng, 3, 3)
-        d, s, t = snf(a)
-        assert s @ a @ t == d
-        assert abs(s.det()) == 1
-        assert abs(t.det()) == 1
-        diag = [d.data[i][i] for i in range(3)]
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert d.data[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            if x != 0:
-                assert y % x == 0
-            else:
-                assert y == 0
-        prod = diag[0] * diag[1] * diag[2]
-        assert abs(prod) == abs(a.det())
+        if trial % 5 == 0:
+            # force a singular input: third column = first + second
+            a = IntMatrix([[r[0], r[1], r[0] + r[1]] for r in a.data])
+        d, s = snf(a)
+        assert_smith(a, d, s)
+        prod = d.data[0][0] * d.data[1][1] * d.data[2][2]
+        assert prod == abs(a.det())
 
 
 def test_snf_rectangular():
     rng = random.Random(13)
     for shape in [(2, 4), (4, 2), (3, 5)]:
         a = rand_matrix(rng, *shape)
-        d, s, t = snf(a)
-        assert s @ a @ t == d
+        d, s = snf(a)
+        assert_smith(a, d, s)
+
+
+# hnf of p(C-I)^i and (d, s) = snf of that hnf, for the chain levels of
+# p=2 x=2 and p=3 x=1; s fixes the Smith coordinates of T/N_i and so the
+# element order of every quotient group
+_CHAIN_LEVELS = [
+    # (p, x, i, h, d, s)
+    (2, 2, 1, [[4, 2], [0, 2]], [[2, 0], [0, 4]], [[1, 0], [-1, 1]]),
+    (2, 2, 2, [[4, 0], [0, 4]], [[4, 0], [0, 4]], [[1, 0], [0, 1]]),
+    (2, 2, 3, [[8, 4], [0, 4]], [[4, 0], [0, 8]], [[1, 0], [-1, 1]]),
+    (2, 2, 5, [[16, 8], [0, 8]], [[8, 0], [0, 16]], [[1, 0], [-1, 1]]),
+    (3, 1, 1, [[9, 6], [0, 3]], [[3, 0], [0, 9]], [[1, 0], [1, 1]]),
+    (3, 1, 2, [[9, 0], [0, 9]], [[9, 0], [0, 9]], [[1, 0], [0, 1]]),
+    (3, 1, 3, [[27, 18], [0, 9]], [[9, 0], [0, 27]], [[1, 0], [1, 1]]),
+    (3, 1, 5, [[81, 54], [0, 27]], [[27, 0], [0, 81]], [[1, 0], [1, 1]]),
+]
+
+
+@pytest.mark.parametrize("p, x, i, h, d, s", _CHAIN_LEVELS)
+def test_chain_level_normal_forms_are_pinned(p, x, i, h, d, s):
+    from coclass.spacegroup import SpaceGroupParams, companion_cyclotomic
+    c = companion_cyclotomic(SpaceGroupParams(p, x))
+    a = p * (c - IntMatrix.identity(c.rows)) ** i
+    assert hnf(a) == IntMatrix(h)
+    assert snf(IntMatrix(h)) == (IntMatrix(d), IntMatrix(s))
+
+
+@pytest.mark.parametrize("a, d, s", [
+    ([[-5, -6], [0, 2]], [[1, 0], [0, 10]], [[-1, 0], [2, 1]]),
+    ([[6, -2, -3], [-4, -2, -2], [4, 5, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 132]],
+     [[-1, -2, 0], [19, 36, -3], [60, 113, -10]]),
+])
+def test_snf_transform_is_pinned_for_negative_pivots(a, d, s):
+    # s is not unique; these pin the row operations, sign flips included
+    assert snf(IntMatrix(a)) == (IntMatrix(d), IntMatrix(s))
 
 
 def test_det_bareiss_vs_charpoly_constant():

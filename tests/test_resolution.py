@@ -688,6 +688,18 @@ def test_extending_a_cached_entry_matches_a_cold_run(case, tmp_path, monkeypatch
         [b.to_bytes() for b in cold.boundaries]
 
 
+def test_extending_an_entry_leaves_its_boundaries_in_place(tmp_path):
+    g = abelian_group([3, 3])
+    betti_numbers(g, 2, cache_dir=str(tmp_path))
+    base = tmp_path / resolution_cache_key(g.descriptor)
+    before = [(base / f"{n}.fpmx").stat() for n in (1, 2)]
+    betti_numbers(g, 4, cache_dir=str(tmp_path))
+    after = [(base / f"{n}.fpmx").stat() for n in (1, 2)]
+    assert [(st.st_ino, st.st_mtime_ns) for st in after] == \
+        [(st.st_ino, st.st_mtime_ns) for st in before]
+    assert load_resolution(g.descriptor, str(tmp_path)).max_degree == 4
+
+
 def test_start_beyond_max_degree_is_rejected():
     g = b3r(3)
     with pytest.raises(ValueError, match="through degree 1 from degree 2"):
