@@ -4,13 +4,14 @@ The inner loops that dominate every resolution computation: row
 reduction and matrix products mod p, plus bit-packed GF(2) variants.
 Odd-p row reduction is a blocked Gauss–Jordan elimination whose trailing
 updates are float64 matrix products, so the bulk of its work runs in
-BLAS; the GF(2) kernels are vectorized numpy loops over packed words,
-the product through Four-Russians tables.
+BLAS; the GF(2) kernels take columns in strips of 8, one byte of each
+packed row, and XOR in rows from a 256-entry Four-Russians table.
 
 Conventions shared by all kernels:
   * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
   * GF(2) matrices are uint64 word arrays, column j living in bit j % 64
-    of word j // 64, with unused tail bits always zero;
+    of word j // 64, with unused tail bits always zero (table entries
+    are XORs of such rows);
   * rref_* operate in place and return the pivot column indices;
   * results are reduced row echelon forms, which are unique, so they do
     not depend on pivot-row choice, block size or BLAS threading.
@@ -152,28 +153,113 @@ def matmul_u8(a, b, p):
     return _mod(prod, p).astype(np.uint8)
 
 
+def _xor_table(table, rows):
+    """Fill ``table[b]`` with the XOR of ``rows[t]`` over the set bits t of b.
+
+    By doubling: entries [2^t, 2^(t+1)) are entries [0, 2^t) XORed with
+    ``rows[t]``, one row XOR per entry.  ``table[0]`` must be zero, and
+    entries from 2^len(rows) on are left as they were.
+    """
+    for t, row in enumerate(rows):
+        np.bitwise_xor(table[:1 << t], row, out=table[1 << t:2 << t])
+
+
+def _strip_basis(strip):
+    """Rows of ``strip`` (a uint8 vector) whose bytes are a basis of its span.
+
+    A byte is a row of 8 columns, column t in bit t, so the pivot of a
+    nonzero byte is its lowest set bit.  Returns ``(chosen, echelon)``:
+    the bytes ``strip[chosen]`` are a basis, and ``echelon`` lists
+    ``(t, mask)`` by ascending pivot t, where the XOR of
+    ``strip[chosen[j]]`` over the set bits j of ``mask`` is the reduced
+    echelon basis byte with pivot t.
+    """
+    seen = np.full(256, -1, dtype=np.intp)
+    seen[strip] = np.arange(strip.size)  # a row holding each byte value
+    basis = {}  # pivot bit -> (byte, mask over chosen)
+    chosen = []
+    for byte in np.flatnonzero(seen >= 0).tolist():
+        v, mask = byte, 1 << len(chosen)
+        while v and v & -v in basis:
+            bv, bm = basis[v & -v]
+            v ^= bv
+            mask ^= bm
+        if v:
+            basis[v & -v] = (v, mask)
+            chosen.append(int(seen[byte]))
+            if len(chosen) == 8:
+                break
+    lows = sorted(basis)
+    for j, lo in enumerate(lows):  # only lower pivots' bytes can hold bit lo
+        v, m = basis[lo]
+        for other in lows[:j]:
+            ov, om = basis[other]
+            if ov & lo:
+                basis[other] = (ov ^ v, om ^ m)
+    return chosen, [(lo.bit_length() - 1, basis[lo][1]) for lo in lows]
+
+
 def rref_b2(w, ncols):
-    """In-place RREF of a bit-packed GF(2) matrix; returns pivot columns."""
-    rows = w.shape[0]
+    """In-place RREF of a bit-packed GF(2) matrix; returns pivot columns.
+
+    Four-Russians Gauss–Jordan (Albrecht, Bard & Hart, TOMS 2010) on
+    strips of 8 columns, one byte of the little-endian rows.  Rows
+    ``[rank, rows)`` are the not-yet-pivot rows, zero left of the strip.
+    For each strip at column c0:
+
+    1. ``_strip_basis`` picks k <= 8 of those rows whose strip bytes are
+       a basis of the span of theirs, with the reduced echelon form of
+       that span;
+    2. ``tab[m]`` is the XOR of the chosen rows at the set bits of m
+       (from word c0 // 64 on), so the reduced pivot rows are k entries
+       of ``tab``;
+    3. ``combo[b]`` is the entry that clears the pivot bits of byte b:
+       the XOR of the reduced pivot rows at b's pivot bits;
+    4. every row with a pivot bit in its strip byte XORs in
+       ``tab[combo[byte]]``, which zeroes the not-yet-pivot rows on the
+       strip and clears the new pivot columns from the earlier pivot
+       rows, and the reduced pivot rows are written to rows
+       ``[rank, rank + k)`` (the free rows there move to the chosen
+       rows' slots, which the update has zeroed).
+
+    So the pivot rows end up in pivot order with no final gather, and
+    the only temporaries are the update's, at most one matrix.  Table
+    entries are XORs of rows, so tail bits stay zero.  The RREF is
+    unique, so the output does not depend on which rows are chosen.
+    """
+    rows, nw = w.shape
+    table = np.zeros((256, nw), dtype=np.uint64)
+    combo = np.zeros(256, dtype=np.intp)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == rows:
+    for c0 in range(0, ncols, 8):
+        rank = len(pivots)
+        if rank == rows:
             break
-        wi, bi = divmod(c, 64)
-        bit = np.uint64(1) << np.uint64(bi)
-        nz = np.flatnonzero((w[r:, wi] & bit) != 0)
-        if nz.size == 0:
+        w0, shift = divmod(c0, 64)
+        strip = (w[:, w0] >> np.uint64(shift)).astype(np.uint8)
+        chosen, echelon = _strip_basis(strip[rank:])
+        if not chosen:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            w[[r, pr]] = w[[pr, r]]
-        mask = (w[:, wi] & bit) != 0
-        mask[r] = False
-        if mask.any():
-            w[mask] ^= w[r]
-        pivots.append(c)
-        r += 1
+        src = [rank + i for i in chosen]
+        tab = table[:, w0:]
+        _xor_table(tab, w[src, w0:])
+        prow = tab[[mask for _, mask in echelon]]
+        by_bit = [0] * 8
+        for t, mask in echelon:
+            by_bit[t] = mask
+        _xor_table(combo, by_bit)
+        sel = combo[strip]
+        hit = np.flatnonzero(sel)
+        if hit.size > rows // 2:
+            w[:, w0:] ^= tab[sel]
+        else:
+            w[hit, w0:] ^= tab[sel[hit]]
+        end = rank + len(src)
+        movers = [r for r in range(rank, end) if r not in src]
+        if movers:
+            w[[r for r in src if r >= end]] = w[movers]
+        w[rank:end, w0:] = prow
+        pivots.extend(c0 + t for t, _ in echelon)
     return np.asarray(pivots, dtype=np.int64)
 
 
@@ -194,8 +280,7 @@ def matmul_b2(aw, bw, a_cols):
     a_bytes = np.ascontiguousarray(aw, dtype="<u8").view(np.uint8)
     table = np.zeros((256, nw), dtype=np.uint64)
     for c0 in range(0, a_cols, 8):
-        for t in range(min(8, a_cols - c0)):
-            np.bitwise_xor(table[:1 << t], bw[c0 + t], out=table[1 << t:2 << t])
+        _xor_table(table, bw[c0:c0 + 8])
         # zero tail bits keep a short last run's bytes inside its table
         out ^= table[a_bytes[:, c0 // 8]]
     return out

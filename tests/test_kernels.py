@@ -1,13 +1,13 @@
-"""The blocked odd-p row reduction and the kernel basis against the
-plain-Python oracles, over shapes that cross the elimination's panel
-edges."""
+"""The blocked odd-p row reduction, the Four-Russians GF(2) kernels and
+the kernel basis against the plain-Python oracles, over shapes that
+cross the eliminations' panel, strip and word edges."""
 
 import random
 
 import numpy as np
 
 from coclass import kernels
-from coclass.fpmat import FpMatrix
+from coclass.fpmat import FpMatrix, _pack_bits
 
 from _oracles import naive_kernel, naive_rref
 
@@ -113,8 +113,6 @@ def test_matmul_b2_matches_dense_product():
     # widths around the 8-column tables and the 64-bit words, with 0 and
     # 1 rows; the packed result must equal the packed dense product, so
     # its tail bits are zero
-    from coclass.fpmat import _pack_bits
-
     rng = np.random.default_rng(11)
     for a_cols in (0, 1, 7, 8, 9, 64, 65, 130):
         for rows in (0, 1, 5, 70):
@@ -125,3 +123,70 @@ def test_matmul_b2_matches_dense_product():
                 dense = (a.astype(np.int64) @ b.astype(np.int64)) % 2
                 assert out.dtype == np.uint64
                 assert np.array_equal(out, _pack_bits(dense.astype(np.uint8)))
+
+
+# strip (8 columns) and word (64 columns) edges of the packed elimination
+STRIP_EDGE_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130)
+
+
+def assert_rref_b2_matches_oracle(a):
+    """rref_b2 on the packed copy of a 0/1 matrix equals the packed oracle
+    RREF, tail bits included, and reduces in place."""
+    rows, cols = a.shape
+    work = _pack_bits(a).copy()  # _pack_bits returns a read-only array
+    piv = kernels.rref_b2(work, cols)
+    red, oracle_piv = naive_rref(a.tolist(), 2)
+    assert piv.dtype == np.int64
+    assert piv.tolist() == oracle_piv
+    expect = _pack_bits(np.array(red, dtype=np.uint8).reshape(rows, cols))
+    assert work.dtype == np.uint64 and work.shape == expect.shape
+    assert np.array_equal(work, expect)
+
+
+def bits(rng, rows, cols, density=0.5):
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+def test_rref_b2_strip_edge_widths():
+    rng = np.random.default_rng(21)
+    for cols in STRIP_EDGE_WIDTHS:
+        for rows in sorted({1, 2, cols // 2 + 1, cols, cols + 3}):
+            assert_rref_b2_matches_oracle(bits(rng, rows, cols))
+            assert_rref_b2_matches_oracle(bits(rng, rows, cols, 0.03))
+            rank3 = bits(rng, rows, 3).astype(np.int64) @ bits(rng, 3, cols)
+            assert_rref_b2_matches_oracle((rank3 % 2).astype(np.uint8))
+
+
+def test_rref_b2_rank_full_inside_a_strip_and_zero_strips():
+    rng = np.random.default_rng(22)
+    # five rows whose pivots are columns 10..14: the rank reaches the row
+    # count inside the strip [8, 16), and the later columns still reduce
+    a = bits(rng, 5, 40)
+    a[:, :10] = 0
+    a[:, 10:15] = np.eye(5, dtype=np.uint8)[rng.permutation(5)]
+    assert_rref_b2_matches_oracle(a)
+    # the same with columns 16..23 zero between the pivots and more rows
+    # than the rank: the all-zero strip is skipped
+    b = bits(rng, 12, 90)
+    b[:, 16:24] = 0
+    assert_rref_b2_matches_oracle(b)
+    # a strip that is zero on the free rows but not on an earlier pivot
+    # row: its columns stay as they are in that row
+    c = np.zeros((4, 70), dtype=np.uint8)
+    c[0, [0, 9, 12, 15, 66]] = 1
+    c[1, [20, 30, 64]] = 1
+    c[2, [30, 69]] = 1
+    c[3] = c[1] ^ c[2]
+    assert_rref_b2_matches_oracle(c)
+    # repeated rows and every strip byte value at once
+    d = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    assert_rref_b2_matches_oracle(np.concatenate([d, d[::-1]], axis=1))
+
+
+def test_rref_b2_degenerate_shapes():
+    for shape in ((0, 5), (0, 130), (4, 0), (3, 7)):
+        assert_rref_b2_matches_oracle(np.zeros(shape, dtype=np.uint8))
+        m = FpMatrix.from_dense(2, np.zeros(shape, dtype=np.uint8))
+        red, piv = m.rref()
+        assert piv == () and red == m
+    assert_rref_b2_matches_oracle(np.ones((1, 1), dtype=np.uint8))

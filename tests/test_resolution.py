@@ -868,6 +868,14 @@ def test_verify_theorem_p2_x2_instance():
     assert rep["levels"][0]["betti"] == [1, 2, 4, 6, 9, 12, 16]
 
 
+def test_verify_theorem_p2_x3_fixture():
+    # orders 128 and 256, every elimination on the packed GF(2) path
+    rep = verify_theorem(SpaceGroupParams(2, 3), 1, 5)
+    assert rep["allEqual"] is True
+    assert [lv["order"] for lv in rep["levels"]] == [128, 256]
+    assert [lv["betti"] for lv in rep["levels"]] == [[1, 2, 5, 10, 20, 34]] * 2
+
+
 def test_cross_model_betti_agreement():
     # the companion-matrix quotients and the explicit order-3^r family are
     # isomorphic groups built through different integral actions
