@@ -4,7 +4,7 @@ resolutions over F_p[G] with their Betti numbers, and the cochain-level
 product identities, all verified by exact arithmetic."""
 
 from .errors import BudgetError
-from .intmat import IntMatrix, charpoly, hnf, is_prime, snf, xgcd
+from .intmat import IntMatrix, hnf, is_prime, snf, xgcd
 from .lattice import (
     Lattice,
     apply_matrix,
@@ -21,36 +21,27 @@ from .spacegroup import (
     WreathElement,
     b3r,
     check_delta_equivariance,
-    commutator_matrix,
     companion_cyclotomic,
     cyclotomic_pp,
-    embed_cyclic,
     filtration,
     filtration_lattices,
     maximal_class_matrix,
-    odometer_permutation,
     quotient_group,
     sylow_tree_generators,
     verify_filtration,
-    wreath_act,
-    wreath_action_matrix,
     wreath_group,
     wreath_inv,
     wreath_mul,
 )
 from .groups import (
     ElementTable,
-    abelian_group,
     element_order,
     enumerate_group,
-    frattini_rank,
     order_census,
-    subgroup_closure,
 )
 from .resolution import (
     GroupAlgebraContext,
     Resolution,
-    bar_cohomology_dim,
     betti_numbers,
     clear_cache,
     list_cache,
@@ -63,13 +54,11 @@ from .resolution import (
 from .cochain import (
     Cochain,
     ElementaryTensor,
-    ExteriorAlgebra,
     act_on_cochain,
     act_on_point,
     check_eta_equivariance,
     check_inflation_equivariance,
     cross_product_eval,
-    exterior_dims,
     inflate_eval,
     point_index,
     index_point,

@@ -2,9 +2,8 @@
 
 Normalized value-table cochains on elementary abelian p-groups, their
 front/back cross product onto the block product group, the wreath action
-permuting tensor slots and twisting arguments, inflation along the
-quotient projections, and the exterior algebra whose graded dimensions
-the degree-wise block cohomology matches.
+permuting tensor slots and twisting arguments, and inflation along the
+quotient projections.
 
 Cross product convention: the arguments of the product cochain are
 consumed front to back, factor j reading its own block coordinate of its
@@ -16,15 +15,12 @@ is fixed by requiring (q1*q2).f = q1.(q2.f) to hold on the nose.
 from __future__ import annotations
 
 import random
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .errors import BudgetError
 from .spacegroup import (
     QuotientCoords,
-    SpaceGroupParams,
     _block_action_pows,
     companion_cyclotomic,
     filtration,
@@ -270,11 +266,9 @@ def inflate_eval(f, coords, z):
     return f.eval(args)
 
 
-def point_generator_matrix(params, inverse=False):
-    """The point-generator action on T/pT (rows mod p), or its inverse."""
-    cmat = companion_cyclotomic(params)
-    e = params.point_order - 1 if inverse else 1
-    mat = cmat ** e
+def inverse_point_generator_matrix(params):
+    """The inverse of the point-generator action on T/pT (rows mod p)."""
+    mat = companion_cyclotomic(params) ** (params.point_order - 1)
     return tuple(tuple(v % params.p for v in row) for row in mat.data)
 
 
@@ -287,7 +281,7 @@ def check_inflation_equivariance(params, level, trials, seed):
     coords = QuotientCoords(params, companion_cyclotomic(params),
                             filtration(params, level))
     rng = random.Random(seed)
-    inv_mat = point_generator_matrix(params, inverse=True)
+    inv_mat = inverse_point_generator_matrix(params)
     failures = 0
     first = None
     for _ in range(trials):
@@ -311,53 +305,3 @@ def check_inflation_equivariance(params, level, trials, seed):
         "firstCounterexample": first,
         "seed": seed,
     }
-
-
-# ---------------------------------------------------------------------------
-# exterior algebra
-
-class ExteriorAlgebra:
-    """Exterior algebra on p-1 degree-one generators over F_p.
-
-    Basis monomials are strictly increasing tuples from 1..p-1; products
-    carry the shuffle sign and vanish on repeated generators.  Elements
-    are dicts monomial -> nonzero coefficient.
-    """
-
-    __slots__ = ("p", "ngen")
-
-    def __init__(self, p):
-        self.p = p
-        self.ngen = p - 1
-
-    def dims(self):
-        return [comb(self.ngen, m) for m in range(self.ngen + 1)]
-
-    def basis(self, degree):
-        return [tuple(c) for c in combinations(range(1, self.ngen + 1), degree)]
-
-    def mul_basis(self, m1, m2):
-        """(coefficient, monomial) for a product of basis monomials."""
-        if set(m1) & set(m2):
-            return 0, ()
-        sign = 1
-        for a in m1:
-            sign *= (-1) ** sum(1 for b in m2 if b < a)
-        merged = tuple(sorted(m1 + m2))
-        return sign % self.p, merged
-
-    def mul(self, e1, e2):
-        out = {}
-        for m1, c1 in e1.items():
-            for m2, c2 in e2.items():
-                c, mono = self.mul_basis(m1, m2)
-                c = c * c1 * c2 % self.p
-                if c:
-                    out[mono] = (out.get(mono, 0) + c) % self.p
-        return {k: v for k, v in out.items() if v}
-
-
-def exterior_dims(p):
-    """Graded dimensions [binom(p-1, m)] for m = 0..p-1."""
-    SpaceGroupParams(p, 1)  # raises unless p is prime
-    return ExteriorAlgebra(p).dims()

@@ -310,35 +310,6 @@ def scaled_inverse(a, scalar):
     return IntMatrix([[int(x) for x in row] for row in out])
 
 
-def charpoly(a):
-    """Characteristic polynomial coefficients, leading term first.
-
-    Faddeev-LeVerrier over exact rationals; the result is always
-    integral for integer input.
-    """
-    if a.rows != a.cols:
-        raise ValueError("square matrices only")
-    n = a.rows
-    af = [[Fraction(x) for x in row] for row in a.data]
-
-    def matmul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
-    for i in range(1, n + 1):
-        ab = matmul(af, b)
-        c = -sum(ab[k][k] for k in range(n)) / i
-        coeffs.append(c)
-        for k in range(n):
-            ab[k][k] += c
-        b = ab
-    if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("non-integral characteristic polynomial")
-    return [int(c) for c in coeffs]
-
-
 def poly_eval_matrix(coeffs, a):
     """Horner evaluation of a polynomial (leading coefficient first) at a
     square matrix."""

@@ -17,9 +17,9 @@ the element order frozen by the canonical element table; boundary n is
 stored as the F_p-matrix of shape (beta_{n-1}*|G|, beta_n*|G|) acting on
 column vectors.
 
-An independent low-degree oracle (normalized inhomogeneous cochains with
-trivial coefficients, degrees 0..2) lives here as well, so Betti numbers
-never have to be trusted on the resolution path alone.
+Resolutions are cached on disk (one directory per group, boundaries as
+``.fpmx`` files plus a manifest), and :func:`verify_theorem` compares
+the Betti vectors across the levels of a quotient family.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
-BAR_DIM_BUDGET = 100_000
 CACHE_VERSION = 2
 
 
@@ -127,9 +126,10 @@ def _reaching_subset(ctx):
     generate without.
 
     The result is an irredundant generating set, so for a p-group it has
-    d(G) = Frattini rank elements (Burnside basis theorem).  Shared by
-    the resolution (rad K is the sum of (g-1)K over any generating set)
-    and the transport oracle (one parameter block per generator).
+    d(G) = Frattini rank elements (Burnside basis theorem).  The
+    resolution translates by it: rad K is the sum of (g-1)K over any
+    generating set, and equivariance under a generating set makes a map
+    F_p[G]-linear.
     """
     def reaches(sub):
         seen = {0}
@@ -152,7 +152,8 @@ def _reaching_subset(ctx):
 
 
 class Resolution:
-    """Betti numbers beta_0..beta_N plus the boundary matrices d_1..d_N."""
+    """Betti numbers beta_0..beta_N plus the boundary matrices d_1..d_N
+    (``boundaries[n - 1]`` is d_n)."""
 
     __slots__ = ("key", "p", "max_degree", "betti", "boundaries")
 
@@ -162,10 +163,6 @@ class Resolution:
         self.max_degree = max_degree
         self.betti = list(betti)
         self.boundaries = list(boundaries)
-
-    def boundary(self, n):
-        """The matrix of d_n for 1 <= n <= max_degree."""
-        return self.boundaries[n - 1]
 
 
 def resolution_cache_key(descriptor):
@@ -346,7 +343,8 @@ def _cache_paths(cache_dir, key):
 
 def _read_manifest(path):
     """The manifest at ``path``, or None unless it is a dict listing
-    beta_0..beta_maxDegree."""
+    beta_0..beta_maxDegree as JSON integers (not floats such as 1.0, not
+    booleans), with beta_0 = 1 and none negative."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -355,8 +353,9 @@ def _read_manifest(path):
     if not isinstance(manifest, dict):
         return None
     betti, max_degree = manifest.get("betti"), manifest.get("maxDegree")
-    if (not isinstance(betti, list) or not isinstance(max_degree, int)
-            or len(betti) != max_degree + 1):
+    if (not isinstance(betti, list) or type(max_degree) is not int
+            or len(betti) != max_degree + 1 or betti[:1] != [1]
+            or any(type(b) is not int or b < 0 for b in betti)):
         return None
     return manifest
 
@@ -407,7 +406,8 @@ def save_resolution(res, cache_dir, *, first=1):
 
 def load_resolution(descriptor, cache_dir):
     """Reload a cached resolution, or None if absent, corrupt or
-    inconsistent: the manifest must list beta_0..beta_maxDegree and
+    inconsistent: the manifest must list beta_0..beta_maxDegree as
+    integers (see :func:`_read_manifest`) and
     boundary n must have shape (beta_{n-1}*|G|, beta_n*|G|)."""
     key = resolution_cache_key(descriptor)
     base, manifest_path, _ = _cache_paths(cache_dir, key)
@@ -488,123 +488,6 @@ def betti_numbers(group, max_degree, *, cache_dir=None,
 
 
 # ---------------------------------------------------------------------------
-# bar-cochain oracle (degrees 0..2, trivial coefficients)
-
-def bar_cohomology_dim(group, n, *, budget=BAR_DIM_BUDGET):
-    """dim H^n(G; F_p) from normalized inhomogeneous cochains, n <= 2.
-
-    Independent of the resolution path: cocycle spaces are cut out of
-    explicit value tables, and H^n = Z^n / B^n with dim B^2 = (|G|-1) -
-    dim Z^1.  Each degree keeps only the rows indexed by generators:
-
-    * Z^1 (homomorphisms G -> F_p) is cut out by f(g1*a) = f(g1) + f(a)
-      for every g1 and every table generator a.  Every element is a
-      positive word in the generators (G is finite), so induction on the
-      length of w gives f(g1*w) = f(g1) + f(w) for all w.
-    * Z^2 is parametrized row by row through the relation
-
-          F[g1*a, g3] = F[a, g3] + F[g1, a*g3] - F[g1, a],
-
-      with the generator rows F[a, .] free and every other row
-      transported onto them; the relations left over at (g1, a) cut out
-      the cocycles.  Restricting the middle argument to generators is
-      enough because the vanishing of the iterated coboundary propagates
-      the cocycle identity to arbitrary middle arguments by induction on
-      word length.
-    """
-    if n < 0 or n > 2:
-        raise ValueError("degrees 0..2 only")
-    if n == 0:
-        return 1
-    if group.order == 1:
-        return 0
-    if (group.order - 1) ** n > budget:
-        raise BudgetError(
-            f"cochain dimension {(group.order - 1) ** n} exceeds budget {budget}",
-            budget=budget)
-    ctx = GroupAlgebraContext(group, budget=None)
-    z1 = _z1_dim(ctx)
-    if n == 1:
-        return z1
-    return _z2_dim_transport(ctx) - ((ctx.m - 1) - z1)
-
-
-_TRANSPORT_WORK_BUDGET = 2 * 10 ** 10
-
-
-def _z1_dim(ctx):
-    """dim Z^1: the cocycle rows (g1, a) for the table generators a."""
-    m, p = ctx.m, ctx.p
-    rows = []
-    for a in ctx.gen_idx:
-        block = np.zeros((m - 1, m - 1), dtype=np.int16)
-        block[np.arange(m - 1), np.arange(m - 1)] += 1          # f(g1)
-        block[np.arange(m - 1), a - 1] += 1                     # f(a)
-        prod = ctx.mul[1:, a]
-        hit = prod != 0
-        block[np.flatnonzero(hit), prod[hit] - 1] -= 1          # -f(g1*a)
-        rows.append(block % p)
-    mat = FpMatrix.from_dense(p, np.concatenate(rows))
-    return mat.cols - mat.rank()
-
-
-def _z2_dim_transport(ctx):
-    """Cocycle table dimension via row transport onto generator rows."""
-    m, p = ctx.m, ctx.p
-    mm = m - 1
-    gens = _reaching_subset(ctx)
-    P = len(gens) * mm
-    work = mm * len(gens) * mm * P * P
-    if work > _TRANSPORT_WORK_BUDGET:
-        raise BudgetError(
-            f"degree-2 cocycle elimination needs ~{work:.1e} operations; "
-            f"group too large for the oracle", order=m)
-    A = np.zeros((m, mm, P), dtype=np.uint8)
-    defined = np.zeros(m, dtype=bool)
-    defined[0] = True  # identity row is identically zero
-    queue = []
-    for gi, a in enumerate(gens):
-        if not defined[a]:
-            A[a, :, gi * mm:(gi + 1) * mm] = np.eye(mm, dtype=np.uint8)
-            defined[a] = True
-            queue.append(a)
-    pos = 0
-    while pos < len(queue):
-        g1 = queue[pos]
-        pos += 1
-        for a in gens:
-            h = int(ctx.mul[g1, a])
-            if h == 0 or defined[h]:
-                continue
-            A[h] = _row_relation(ctx, A, g1, a)
-            defined[h] = True
-            queue.append(h)
-    if not defined.all():
-        raise AssertionError("generators do not reach every element")
-    blocks = []
-    for g1 in range(1, m):
-        for a in gens:
-            rel = _row_relation(ctx, A, g1, a).astype(np.int16)
-            h = int(ctx.mul[g1, a])
-            if h != 0:
-                rel = rel - A[h]
-            blocks.append(rel % p)
-    mat = FpMatrix.from_dense(p, np.concatenate(blocks))
-    return P - mat.rank()
-
-
-def _row_relation(ctx, A, g1, a):
-    """r_a[g3] + r_g1[a*g3] - r_g1[a], as parameter-matrix rows mod p."""
-    m, p = ctx.m, ctx.p
-    prod = ctx.mul[a, 1:]
-    gathered = np.zeros_like(A[a], dtype=np.int16)
-    hit = prod != 0
-    gathered[np.flatnonzero(hit)] = A[g1][prod[hit] - 1]
-    out = A[a].astype(np.int16) + gathered - A[g1][a - 1].astype(np.int16)
-    return (out % p).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
 # theorem verification
 
 def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
@@ -631,7 +514,8 @@ def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
                                   budget_order=budget_order,
                                   budget_matrix=budget_matrix)
         except BudgetError as exc:
-            raise BudgetError(f"level {i}: {exc}", level=i, **exc.context) from exc
+            raise BudgetError(f"level {i}: {exc}",
+                              **{**exc.context, "level": i}) from exc
         levels.append({"i": i, "order": group.order, "betti": betti})
     all_equal = all(lv["betti"] == levels[0]["betti"] for lv in levels)
     return {

@@ -13,7 +13,6 @@ wreath elements are WreathElement(base, top) pairs of tuples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -129,13 +128,6 @@ def filtration_lattices(params, i_max):
     return out
 
 
-def commutator_matrix(params):
-    """Matrix of the map sending a translation a to its commutator with
-    the point-group generator, computed in T x| <generator>:
-    (a,0)(0,1)(-a,0)(0,-1) = ((I-C)a, 0).  Returns I - C."""
-    return IntMatrix.identity(params.dim) - companion_cyclotomic(params)
-
-
 # ---------------------------------------------------------------------------
 # finite quotients
 
@@ -213,24 +205,25 @@ class FiniteGroup:
         self.mul = mul
         self.inv = inv
 
-    def descriptor_json(self):
-        return json.dumps(self.descriptor, sort_keys=True, separators=(",", ":"))
-
     def __repr__(self):
         return f"FiniteGroup({self.descriptor.get('model')}, order={self.order})"
 
 
 def _quotient_from_action(params, cmat, level, model, budget):
-    lat = _filtration_lattice(params.p, cmat, level)
-    coords = QuotientCoords(params, cmat, lat)
-    px = params.point_order
-    order = coords.subgroup_order * px
-    if order != params.p ** (params.dim + params.x + level):
-        raise AssertionError("quotient order mismatch")
+    """The group (T/N_level) x| C_{p^x} for the action ``cmat``.  Its order
+    is p^(dim+x+level) in closed form, so an over-budget group is refused
+    before the lattice is built; the built lattice must then give that
+    order."""
+    order = params.p ** (params.dim + params.x + level)
     if budget is not None and order > budget:
         raise BudgetError(
             f"group order {order} exceeds enumeration budget {budget}",
             order=order, budget=budget, level=level)
+    lat = _filtration_lattice(params.p, cmat, level)
+    coords = QuotientCoords(params, cmat, lat)
+    px = params.point_order
+    if coords.subgroup_order * px != order:
+        raise AssertionError("quotient order mismatch")
     d = params.dim
     invariants = coords.invariants
 
@@ -328,27 +321,6 @@ def sylow_tree_generators(p, k):
     return gens
 
 
-def odometer_permutation(p, k):
-    """The base-p adding machine on p^k points (increment the most
-    significant digit, carrying downward): a p^k-cycle lying inside the
-    rooted-tree Sylow subgroup."""
-    npoints = p ** k
-    perm = []
-    for n in range(npoints):
-        digits = []
-        rem = n
-        for e in range(k - 1, -1, -1):
-            digits.append(rem // p ** e)
-            rem %= p ** e
-        for t in range(k):
-            digits[t] += 1
-            if digits[t] < p:
-                break
-            digits[t] = 0
-        perm.append(sum(dig * p ** (k - 1 - t) for t, dig in enumerate(digits)))
-    return tuple(perm)
-
-
 def wreath_mul(p, q1, q2):
     a, sig = q1
     b, tau = q2
@@ -401,46 +373,6 @@ def _block_action_pows(params):
         pows.append(tuple(tuple(v % p for v in row) for row in cur.data))
         cur = a @ cur
     return pows
-
-
-def wreath_act(params, q, v):
-    """Action on a mod-p vector of length dim, split into p^{x-1} blocks
-    of length p-1: block j of q*v is A^{a_j} applied to block sigma^{-1}(j)."""
-    p = params.p
-    blk = p - 1
-    slots = p ** (params.x - 1)
-    v = tuple(int(c) % p for c in v)
-    if len(v) != params.dim:
-        raise ValueError("length mismatch")
-    a, sig = q
-    sig_inv = _invert_perm(sig)
-    pows = _block_action_pows(params)
-    out = []
-    for j in range(slots):
-        src = v[sig_inv[j] * blk:(sig_inv[j] + 1) * blk]
-        mat = pows[a[j] % p]
-        out.extend(sum(mat[r][c] * src[c] for c in range(blk)) % p
-                   for r in range(blk))
-    return tuple(out)
-
-
-def wreath_action_matrix(params, q):
-    """The mod-p matrix of wreath_act(params, q, .)."""
-    d = params.dim
-    cols = []
-    for k in range(d):
-        unit = tuple(1 if j == k else 0 for j in range(d))
-        cols.append(wreath_act(params, q, unit))
-    return IntMatrix.from_columns(cols)
-
-
-def embed_cyclic(params):
-    """A wreath element of order p^x: twist in the first block, adding
-    machine on top.  Its mod-p action matrix has the p^x-th cyclotomic
-    polynomial as characteristic polynomial."""
-    slots = params.p ** (params.x - 1)
-    base = (1,) + (0,) * (slots - 1)
-    return WreathElement(base, odometer_permutation(params.p, params.x - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,24 @@
-"""Independent textbook oracles used to cross-check the packed kernels.
+"""Independent reference computations the tests check the package against.
 
-Everything here except ``naive_minimal_resolution`` and
-``perturb_filtration_level`` is deliberately plain Python on lists so it
-shares no code path with the package implementations (the bar reference
-borrows only the canonical element order of ``enumerate_group``).
+The textbook oracles (row reduction, kernels, multiplication tables, the
+dense bar complex, rational solves, the characteristic polynomial) are
+deliberately plain Python on lists, so they share no code path with the
+package implementations (the dense bar reference borrows only the
+canonical element order of ``enumerate_group``).  The low-degree
+cohomology oracles (Frattini rank, generator-row bar cochains) and
+``naive_minimal_resolution`` run on the package's group tables and
+``FpMatrix``: they cross-check the resolution step, not the elimination
+kernels.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from coclass.errors import BudgetError
+from coclass.fpmat import FpMatrix
+from coclass.groups import enumerate_group
+from coclass.resolution import GroupAlgebraContext, _reaching_subset
 
 
 def naive_rref(rows, p):
@@ -76,8 +86,6 @@ def dense_bar_cohomology_dim(group, n):
     matrices of normalized inhomogeneous cochains (reference only): every
     pair (g1, g2), resp. triple (g1, g2, g3), of non-identity elements
     gives a row, and H^n = dim ker d^n - rank d^(n-1)."""
-    from coclass.groups import enumerate_group
-
     table = enumerate_group(group)
     mul, _inv = naive_mul_table(group, table)
     e = table.index[group.identity]
@@ -116,6 +124,183 @@ def dense_bar_cohomology_dim(group, n):
     return mm * mm - naive_rank(d2, group.p) - rank1
 
 
+BAR_DIM_BUDGET = 100_000
+_TRANSPORT_WORK_BUDGET = 2 * 10 ** 10
+
+
+def bar_cohomology_dim(group, n, *, budget=BAR_DIM_BUDGET):
+    """dim H^n(G; F_p) from normalized inhomogeneous cochains, n <= 2.
+
+    Independent of the resolution path: cocycle spaces are cut out of
+    explicit value tables, and H^n = Z^n / B^n with dim B^2 = (|G|-1) -
+    dim Z^1.  Each degree keeps only the rows indexed by generators:
+
+    * Z^1 (homomorphisms G -> F_p) is cut out by f(g1*a) = f(g1) + f(a)
+      for every g1 and every table generator a.  Every element is a
+      positive word in the generators (G is finite), so induction on the
+      length of w gives f(g1*w) = f(g1) + f(w) for all w.
+    * Z^2 is parametrized row by row through the relation
+
+          F[g1*a, g3] = F[a, g3] + F[g1, a*g3] - F[g1, a],
+
+      with the generator rows F[a, .] free and every other row
+      transported onto them; the relations left over at (g1, a) cut out
+      the cocycles.  Restricting the middle argument to generators is
+      enough because the vanishing of the iterated coboundary propagates
+      the cocycle identity to arbitrary middle arguments by induction on
+      word length.
+    """
+    if n < 0 or n > 2:
+        raise ValueError("degrees 0..2 only")
+    if n == 0:
+        return 1
+    if group.order == 1:
+        return 0
+    if (group.order - 1) ** n > budget:
+        raise BudgetError(
+            f"cochain dimension {(group.order - 1) ** n} exceeds budget {budget}",
+            budget=budget)
+    ctx = GroupAlgebraContext(group, budget=None)
+    z1 = _z1_dim(ctx)
+    if n == 1:
+        return z1
+    return _z2_dim_transport(ctx) - ((ctx.m - 1) - z1)
+
+
+def _z1_dim(ctx):
+    """dim Z^1: the cocycle rows (g1, a) for the table generators a."""
+    m, p = ctx.m, ctx.p
+    rows = []
+    for a in ctx.gen_idx:
+        block = np.zeros((m - 1, m - 1), dtype=np.int16)
+        block[np.arange(m - 1), np.arange(m - 1)] += 1          # f(g1)
+        block[np.arange(m - 1), a - 1] += 1                     # f(a)
+        prod = ctx.mul[1:, a]
+        hit = prod != 0
+        block[np.flatnonzero(hit), prod[hit] - 1] -= 1          # -f(g1*a)
+        rows.append(block % p)
+    mat = FpMatrix.from_dense(p, np.concatenate(rows))
+    return mat.cols - mat.rank()
+
+
+def _z2_dim_transport(ctx):
+    """Cocycle table dimension via row transport onto generator rows (one
+    parameter block per generator of :func:`_reaching_subset`)."""
+    m, p = ctx.m, ctx.p
+    mm = m - 1
+    gens = _reaching_subset(ctx)
+    P = len(gens) * mm
+    work = mm * len(gens) * mm * P * P
+    if work > _TRANSPORT_WORK_BUDGET:
+        raise BudgetError(
+            f"degree-2 cocycle elimination needs ~{work:.1e} operations; "
+            f"group too large for the oracle", order=m)
+    A = np.zeros((m, mm, P), dtype=np.uint8)
+    defined = np.zeros(m, dtype=bool)
+    defined[0] = True  # identity row is identically zero
+    queue = []
+    for gi, a in enumerate(gens):
+        if not defined[a]:
+            A[a, :, gi * mm:(gi + 1) * mm] = np.eye(mm, dtype=np.uint8)
+            defined[a] = True
+            queue.append(a)
+    pos = 0
+    while pos < len(queue):
+        g1 = queue[pos]
+        pos += 1
+        for a in gens:
+            h = int(ctx.mul[g1, a])
+            if h == 0 or defined[h]:
+                continue
+            A[h] = _row_relation(ctx, A, g1, a)
+            defined[h] = True
+            queue.append(h)
+    if not defined.all():
+        raise AssertionError("generators do not reach every element")
+    blocks = []
+    for g1 in range(1, m):
+        for a in gens:
+            rel = _row_relation(ctx, A, g1, a).astype(np.int16)
+            h = int(ctx.mul[g1, a])
+            if h != 0:
+                rel = rel - A[h]
+            blocks.append(rel % p)
+    mat = FpMatrix.from_dense(p, np.concatenate(blocks))
+    return P - mat.rank()
+
+
+def _row_relation(ctx, A, g1, a):
+    """r_a[g3] + r_g1[a*g3] - r_g1[a], as parameter-matrix rows mod p."""
+    p = ctx.p
+    prod = ctx.mul[a, 1:]
+    gathered = np.zeros_like(A[a], dtype=np.int16)
+    hit = prod != 0
+    gathered[np.flatnonzero(hit)] = A[g1][prod[hit] - 1]
+    out = A[a].astype(np.int16) + gathered - A[g1][a - 1].astype(np.int16)
+    return (out % p).astype(np.uint8)
+
+
+def subgroup_closure(group, seed_elements):
+    """Smallest subgroup containing the given elements (as a frozenset)."""
+    seeds = [g for g in seed_elements if g != group.identity]
+    seen = {group.identity}
+    queue = []
+    for g in seeds:
+        if g not in seen:
+            seen.add(g)
+            queue.append(g)
+    while queue:
+        h = queue.pop()
+        for g in seeds:
+            y = group.mul(h, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+def _commutator(group, a, b):
+    return group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
+
+
+def frattini_rank(group):
+    """Rank of G/Phi(G) for a p-group G.
+
+    Phi(G) = G^p [G,G] is computed as the subgroup generated by all p-th
+    powers together with commutators of the generators, closed under
+    conjugation by generators to a fixpoint.  The rank equals the minimal
+    number of generators of G.
+    """
+    table = enumerate_group(group)
+    p = group.p
+    seeds = set()
+    for g in table.elements:
+        y = g
+        for _ in range(p - 1):
+            y = group.mul(y, g)
+        seeds.add(y)
+    for a in table.generators:
+        for b in table.generators:
+            seeds.add(_commutator(group, a, b))
+    sub = subgroup_closure(group, seeds)
+    while True:
+        conj = set(sub)
+        for c in table.generators:
+            c_inv = group.inv(c)
+            for h in sub:
+                conj.add(group.mul(group.mul(c, h), c_inv))
+        if conj == sub:
+            break
+        sub = subgroup_closure(group, conj)
+    quotient = group.order // len(sub)
+    rank = 0
+    while p ** rank < quotient:
+        rank += 1
+    if p ** rank != quotient:
+        raise AssertionError("Frattini quotient is not a power of p")
+    return rank
+
+
 def rational_solve_integral(a_rows, b_cols):
     """Is A^-1 B integral?  A square nonsingular over the rationals."""
     n = len(a_rows)
@@ -135,6 +320,35 @@ def rational_solve_integral(a_rows, b_cols):
                for i in range(n) for j in range(width))
 
 
+def charpoly(a):
+    """Characteristic polynomial coefficients, leading term first.
+
+    Faddeev-LeVerrier over exact rationals; the result is always
+    integral for integer input.
+    """
+    if a.rows != a.cols:
+        raise ValueError("square matrices only")
+    n = a.rows
+    af = [[Fraction(x) for x in row] for row in a.data]
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(1)]
+    for i in range(1, n + 1):
+        ab = matmul(af, b)
+        c = -sum(ab[k][k] for k in range(n)) / i
+        coeffs.append(c)
+        for k in range(n):
+            ab[k][k] += c
+        b = ab
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("non-integral characteristic polynomial")
+    return [int(c) for c in coeffs]
+
+
 def naive_minimal_resolution(group, max_degree, table=None):
     """``(betti, boundaries)`` by the full-height head step (reference only).
 
@@ -145,9 +359,6 @@ def naive_minimal_resolution(group, max_degree, table=None):
     ``FpMatrix``, so it cross-checks the resolution step, not the
     elimination kernels.
     """
-    from coclass.fpmat import FpMatrix
-    from coclass.resolution import GroupAlgebraContext
-
     ctx = GroupAlgebraContext(group, table=table)
     p, m = ctx.p, ctx.m
     betti = [1]

@@ -236,3 +236,86 @@ def test_report_determinism(capsys, tmp_path):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+_FILTRATION_CHECKS = (
+    '{"name": "base-level-is-p-times-ambient", "passed": true}, '
+    '{"name": "successive-index-p", "passed": true}, '
+    '{"name": "strict-containment", "passed": true}, '
+    '{"name": "point-shift-maps-level-to-next", "passed": true}, '
+    '{"name": "commutator-image-is-next-level", "passed": true}, '
+    '{"name": "p-scaling-climbs-dim-levels", "passed": true}, '
+    '{"name": "point-matrix-order", "passed": true}, '
+    '{"name": "cyclotomic-annihilation", "passed": true}, '
+    '{"detail": 2, "name": "commutator-determinant", "passed": true}, '
+    '{"name": "commutator-commutes-with-point-matrix", "passed": true}, '
+    '{"name": "scaled-inverse-integral", "passed": true}, '
+    '{"name": "projection-commutes-with-commutator", "passed": true}')
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("group build --p 3 --x 1 --i 0",
+     '{"i": 0, "matrixC": [[0, -1], [1, -1]], "model": "quotient", "order": 27, '
+     '"p": 3, "snf": [3, 3], "x": 1}'),
+    ("group census --family b3r --r 3",
+     '{"census": {"1": 1, "3": 26}, "i": 0, "matrixC": [[1, -3], [1, -2]], '
+     '"model": "b3r", "order": 27, "p": 3, "snf": [3, 3], "x": 1}'),
+    ("group export --p 2 --x 1 --i 1",
+     '{"enumerated": 8, "generators": [[1, 0], [0, 1]], "i": 1, '
+     '"matrixC": [[-1]], "model": "quotient", "order": 8, "p": 2, "snf": [4], '
+     '"x": 1}'),
+    ("filtration --p 2 --x 1 --i-max 2 --trials 20",
+     '{"checks": [' + _FILTRATION_CHECKS + '], "failures": 0, "iMax": 2, '
+     '"identity": "filtration", "p": 2, "seed": 0, "trials": 20, "x": 1}'),
+    ("equivariance eta --p 3 --x 1 --degree 1 --trials 10 --seed 1",
+     '{"degree": 1, "failures": 0, "firstCounterexample": null, '
+     '"identity": "eta-equivariance", "p": 3, "seed": 1, "trials": 10, "x": 1}'),
+    ("equivariance delta --p 2 --x 1 --i-max 2 --trials 10",
+     '{"checks": [{"name": "commutator-image-is-next-level", "passed": true}, '
+     '{"detail": 2, "name": "commutator-determinant", "passed": true}, '
+     '{"name": "commutator-commutes-with-point-matrix", "passed": true}, '
+     '{"name": "scaled-inverse-integral", "passed": true}, '
+     '{"name": "projection-commutes-with-commutator", "passed": true}], '
+     '"failures": 0, "iMax": 2, "identity": "delta-equivariance", "p": 2, '
+     '"seed": 0, "trials": 10, "x": 1}'),
+    ("equivariance inflation --p 3 --x 1 --i 1 --trials 10",
+     '{"failures": 0, "firstCounterexample": null, '
+     '"identity": "inflation-equivariance", "level": 1, "p": 3, "seed": 0, '
+     '"trials": 10, "x": 1}'),
+])
+def test_report_bytes_are_pinned(capsys, argv, expected):
+    assert run(capsys, argv.split()) == (0, expected + "\n", "")
+
+
+def test_over_budget_quotient_is_refused_from_its_order(capsys, tmp_path):
+    # order 251^251: the lattice would take minutes to reduce
+    code, out, err = run(capsys, ["group", "build", "--p", "251", "--x", "1",
+                                  "--i", "0"])
+    assert (code, out) == (3, "")
+    assert err == ("error: group order " + str(251 ** 251) +
+                   " exceeds enumeration budget 1048576\n")
+    code, out, err = run(capsys, ["theorem", "--p", "251", "--x", "1",
+                                  "--i-max", "1", "--max-degree", "1",
+                                  "--cache-dir", str(tmp_path)])
+    assert (code, out) == (3, "")
+    assert err == ("error: level 0: group order " + str(251 ** 251) +
+                   " exceeds enumeration budget 1048576\n")
+
+
+def test_manifest_with_float_betti_is_recomputed(capsys, tmp_path):
+    betti = ["betti", "--p", "2", "--x", "1", "--i", "0", "--cache-dir",
+             str(tmp_path), "--max-degree"]
+    run(capsys, betti + ["3"])
+    (manifest,) = tmp_path.glob("*/manifest.json")
+    cached = json.loads(manifest.read_text())
+    floats = json.dumps({**cached, "betti": [1.0, 2.0, 3.0, 4.0]})
+    manifest.write_text(floats)
+    code, out, err = run(capsys, ["cache", "list", "--cache-dir", str(tmp_path)])
+    assert (code, json.loads(out)["entries"], err) == (0, [], "")
+    # a repeat request (once a hit) and a deeper one (once an extension)
+    for degree, expected in (("3", [1, 2, 3, 4]), ("5", [1, 2, 3, 4, 5, 6])):
+        manifest.write_text(floats)
+        code, out, err = run(capsys, betti + [degree])
+        assert (code, err) == (0, "")
+        assert f'"betti": {expected}' in out
+        assert json.loads(manifest.read_text())["betti"] == expected

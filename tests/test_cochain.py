@@ -4,20 +4,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from _models import ExteriorAlgebra, exterior_dims
 from coclass.cochain import (
     Cochain,
     ElementaryTensor,
-    ExteriorAlgebra,
     act_on_cochain,
     act_on_point,
     check_eta_equivariance,
     check_inflation_equivariance,
     cross_product_eval,
-    exterior_dims,
     index_point,
     inflate_eval,
+    inverse_point_generator_matrix,
     point_index,
-    point_generator_matrix,
 )
 from coclass.errors import BudgetError
 from coclass.groups import enumerate_group
@@ -220,8 +219,9 @@ def test_inflation_generator_equivariance():
 
 def test_point_generator_matrix_inverse():
     params = SpaceGroupParams(3, 2)
-    fwd = point_generator_matrix(params)
-    bwd = point_generator_matrix(params, inverse=True)
+    fwd = tuple(tuple(v % 3 for v in row)
+                for row in companion_cyclotomic(params).data)
+    bwd = inverse_point_generator_matrix(params)
     n = len(fwd)
     prod = [[sum(fwd[i][k] * bwd[k][j] for k in range(n)) % 3 for j in range(n)]
             for i in range(n)]

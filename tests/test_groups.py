@@ -1,15 +1,9 @@
 import pytest
 
+from _models import abelian_group, permuted
+from _oracles import frattini_rank, subgroup_closure
 from coclass.errors import BudgetError
-from coclass.groups import (
-    ElementTable,
-    abelian_group,
-    element_order,
-    enumerate_group,
-    frattini_rank,
-    order_census,
-    subgroup_closure,
-)
+from coclass.groups import ElementTable, element_order, enumerate_group, order_census
 from coclass.spacegroup import SpaceGroupParams, b3r, quotient_group
 
 
@@ -36,11 +30,11 @@ def test_enumerate_budget():
 def test_permuted_table():
     g = abelian_group([2, 2])
     t = enumerate_group(g)
-    t2 = t.permuted([3, 1, 2])
+    t2 = permuted(g, t, [3, 1, 2])
     assert t2.elements[0] == g.identity
     assert sorted(t2.elements) == sorted(t.elements)
     with pytest.raises(ValueError):
-        t.permuted([0, 1, 2])
+        permuted(g, t, [0, 1, 2])
 
 
 def test_table_generators_exclude_identity_and_repeats():

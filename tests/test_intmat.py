@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from coclass.intmat import IntMatrix, charpoly, hnf, snf, xgcd
+from coclass.intmat import IntMatrix, hnf, snf, xgcd
 
-from _oracles import rational_solve_integral
+from _oracles import charpoly, rational_solve_integral
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):

@@ -10,16 +10,22 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import dense_bar_cohomology_dim, naive_minimal_resolution, naive_mul_table
+from _models import abelian_group, permuted
+from _oracles import (
+    bar_cohomology_dim,
+    dense_bar_cohomology_dim,
+    frattini_rank,
+    naive_minimal_resolution,
+    naive_mul_table,
+)
 from coclass import resolution
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
-from coclass.groups import abelian_group, enumerate_group, frattini_rank
+from coclass.groups import enumerate_group
 from coclass.resolution import (
     GroupAlgebraContext,
     _cache_lock,
     _reaching_subset,
-    bar_cohomology_dim,
     betti_numbers,
     clear_cache,
     list_cache,
@@ -93,13 +99,13 @@ def test_boundary_shapes_composites_and_minimality():
         mul, inv = naive_mul_table(g, table)
         assert res.betti[0] == 1
         for n in range(1, degree + 1):
-            bd = res.boundary(n)
+            bd = res.boundaries[n - 1]
             assert bd.rows == res.betti[n - 1] * m
             assert bd.cols == res.betti[n] * m
         for n in range(1, degree):
-            assert (res.boundary(n) @ res.boundary(n + 1)).is_zero()
+            assert (res.boundaries[n - 1] @ res.boundaries[n]).is_zero()
         for n in range(1, degree + 1):
-            dense = res.boundary(n).to_dense()
+            dense = res.boundaries[n - 1].to_dense()
             # minimality: every group-algebra entry has zero augmentation
             for bi in range(res.betti[n - 1]):
                 block = dense[bi * m:(bi + 1) * m]
@@ -118,7 +124,7 @@ def test_betti_independent_of_element_order():
         table = enumerate_group(g)
         perm = list(range(1, g.order))
         rng.shuffle(perm)
-        shuffled = table.permuted(perm)
+        shuffled = permuted(g, table, perm)
         assert betti_numbers(g, 4) == minimal_resolution(g, 4, table=shuffled).betti
 
 
@@ -174,7 +180,7 @@ def test_context_tables_match_naive_products_permuted_order():
     for group in (quotient_group(SpaceGroupParams(2, 2), 1), b3r(4)):
         perm = list(range(1, group.order))
         rng.shuffle(perm)
-        table = enumerate_group(group).permuted(perm)
+        table = permuted(group, enumerate_group(group), perm)
         ctx = GroupAlgebraContext(group, table=table)
         mul, inv = naive_mul_table(group, table)
         assert ctx.mul.tolist() == mul
@@ -242,7 +248,7 @@ def _naive_step_cases():
     for group in (quotient_group(SpaceGroupParams(2, 2), 1), b3r(4)):
         perm = list(range(1, group.order))
         random.Random(3).shuffle(perm)
-        yield group, enumerate_group(group).permuted(perm), 3
+        yield group, permuted(group, enumerate_group(group), perm), 3
     yield _c2_4_with_redundant_generator(), None, 3
     for invariants in ([5, 5], [7, 7], [251]):
         yield abelian_group(invariants), None, 3
@@ -483,6 +489,26 @@ def test_load_rejects_betti_length_mismatch(tmp_path):
         assert load_resolution(g.descriptor, str(tmp_path)) is None
 
 
+def test_load_rejects_betti_that_are_not_integers(tmp_path):
+    g = abelian_group([3])
+    save_resolution(minimal_resolution(g, 3), str(tmp_path))
+    manifest_path = tmp_path / resolution_cache_key(g.descriptor) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for bad in ({**manifest, "betti": [1.0, 1.0, 1.0, 1.0]},
+                {**manifest, "betti": [1, 1, 1.0, 1]},
+                {**manifest, "betti": [True, 1, 1, 1]},
+                {**manifest, "betti": [1, 1, -1, 1]},
+                {**manifest, "betti": [2, 1, 1, 1]},
+                {**manifest, "betti": [], "maxDegree": -1},
+                {**manifest, "maxDegree": 3.0},
+                {**manifest, "betti": [1, 1], "maxDegree": True}):
+        manifest_path.write_text(json.dumps(bad))
+        assert load_resolution(g.descriptor, str(tmp_path)) is None
+        assert list_cache(str(tmp_path)) == []
+        assert betti_numbers(g, 3, cache_dir=str(tmp_path)) == [1, 1, 1, 1]
+        assert json.loads(manifest_path.read_text()) == manifest
+
+
 def test_save_writes_atomically_manifest_last(tmp_path, monkeypatch):
     g = abelian_group([3])
     save_resolution(minimal_resolution(g, 2), str(tmp_path))
@@ -530,7 +556,7 @@ def test_cache_fpmx_files_exist(tmp_path):
         data = (base / f"{n}.fpmx").read_bytes()
         assert data[:4] == b"FPMX"
         mat = FpMatrix.from_bytes(data)
-        assert mat == res.boundary(n)
+        assert mat == res.boundaries[n - 1]
 
 
 def test_cache_key_stability():
@@ -888,6 +914,14 @@ def test_cross_model_betti_agreement():
 def test_verify_theorem_budget_annotates_level():
     with pytest.raises(BudgetError, match="level 4"):
         verify_theorem(SpaceGroupParams(3, 1), 6, 2)
+
+
+def test_verify_theorem_annotates_a_refusal_that_names_its_level():
+    # the quotient's own budget error already carries the level
+    with pytest.raises(BudgetError, match="level 0: group order") as info:
+        verify_theorem(SpaceGroupParams(251, 1), 1, 1)
+    assert info.value.context == {"order": 251 ** 251, "budget": 1 << 20,
+                                  "level": 0}
 
 
 def test_verify_theorem_unknown_family():

@@ -1,28 +1,32 @@
+import json
 import random
 
 import pytest
 
-from _oracles import perturb_filtration_level
+from _models import (
+    abelian_group,
+    embed_cyclic,
+    odometer_permutation,
+    wreath_act,
+    wreath_action_matrix,
+)
+from _oracles import charpoly, perturb_filtration_level
+from coclass import spacegroup
 from coclass.errors import BudgetError
-from coclass.intmat import IntMatrix, charpoly, poly_eval_matrix, scaled_inverse
+from coclass.intmat import IntMatrix, poly_eval_matrix, scaled_inverse
 from coclass.lattice import apply_matrix, lattice_from_columns, scale_lattice
 from coclass.spacegroup import (
     SpaceGroupParams,
     b3r,
     check_delta_equivariance,
-    commutator_matrix,
     companion_cyclotomic,
     cyclotomic_pp,
-    embed_cyclic,
     filtration,
     filtration_lattices,
     maximal_class_matrix,
-    odometer_permutation,
     quotient_group,
     sylow_tree_generators,
     verify_filtration,
-    wreath_act,
-    wreath_action_matrix,
     wreath_group,
     wreath_inv,
     wreath_mul,
@@ -105,7 +109,7 @@ def test_filtration_negative_level():
 
 
 def test_commutator_matrix_2_1():
-    d = commutator_matrix(SpaceGroupParams(2, 1))
+    d = IntMatrix.identity(1) - companion_cyclotomic(SpaceGroupParams(2, 1))
     assert d == IntMatrix([[2]])
     assert d.det() == 2
 
@@ -113,7 +117,7 @@ def test_commutator_matrix_2_1():
 def test_commutator_image_and_scaled_inverse():
     for p, x in [(2, 1), (3, 1), (3, 2), (5, 1)]:
         params = SpaceGroupParams(p, x)
-        d = commutator_matrix(params)
+        d = IntMatrix.identity(params.dim) - companion_cyclotomic(params)
         c = companion_cyclotomic(params)
         assert d @ c == c @ d
         scaled_inverse(d, p)  # raises if p * d^-1 is not integral
@@ -199,6 +203,26 @@ def test_quotient_budget():
         quotient_group(SpaceGroupParams(2, 1), 5, budget=64)
 
 
+def test_over_budget_quotient_is_refused_before_the_lattice(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("lattice built for a refused group")
+
+    monkeypatch.setattr(spacegroup, "_filtration_lattice", unreachable)
+    with pytest.raises(BudgetError, match="exceeds enumeration budget"):
+        quotient_group(SpaceGroupParams(251, 1), 0)
+    with pytest.raises(BudgetError):
+        b3r(30)
+
+
+def test_quotient_order_is_certified_against_the_built_lattice(monkeypatch):
+    # a lattice one level too deep gives a group p times too large
+    real = spacegroup._filtration_lattice
+    monkeypatch.setattr(spacegroup, "_filtration_lattice",
+                        lambda p, cmat, i: real(p, cmat, i + 1))
+    with pytest.raises(AssertionError, match="quotient order mismatch"):
+        quotient_group(SpaceGroupParams(3, 1), 1)
+
+
 @pytest.mark.parametrize("p,x,i", [(2, 1, 3), (3, 1, 1), (2, 2, 1)])
 def test_translation_subgroup_matches_snf(p, x, i):
     # elements with trivial point part form an abelian subgroup of order
@@ -214,7 +238,7 @@ def test_translation_subgroup_matches_snf(p, x, i):
     census = {}
     for e in translations:
         census[element_order(g, e)] = census.get(element_order(g, e), 0) + 1
-    from coclass.groups import abelian_group, order_census as oc
+    from coclass.groups import order_census as oc
     model = abelian_group(g.descriptor["snf"])
     assert census == oc(model)
 
@@ -371,7 +395,8 @@ def test_wreath_act_length_mismatch():
 
 def test_descriptor_json_canonical():
     g = quotient_group(SpaceGroupParams(3, 1), 0)
-    j1 = g.descriptor_json()
-    j2 = quotient_group(SpaceGroupParams(3, 1), 0).descriptor_json()
+    j1 = json.dumps(g.descriptor, sort_keys=True, separators=(",", ":"))
+    j2 = json.dumps(quotient_group(SpaceGroupParams(3, 1), 0).descriptor,
+                    sort_keys=True, separators=(",", ":"))
     assert j1 == j2
     assert '"model":"quotient"' in j1
