@@ -60,12 +60,6 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return cls(tuple((0,) * cols for _ in range(rows)))
 
-    @classmethod
-    def from_columns(cls, columns):
-        columns = [tuple(int(x) for x in c) for c in columns]
-        rows = len(columns[0]) if columns else 0
-        return cls(tuple(tuple(c[i] for c in columns) for i in range(rows)))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

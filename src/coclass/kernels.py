@@ -2,10 +2,14 @@
 
 The inner loops that dominate every resolution computation: row
 reduction and matrix products mod p, plus bit-packed GF(2) variants.
-Odd-p row reduction is a blocked Gauss–Jordan elimination whose trailing
-updates are float64 matrix products, so the bulk of its work runs in
-BLAS; the GF(2) kernels take columns in strips of 8, one byte of each
-packed row, and XOR in rows from a 256-entry Four-Russians table.
+Odd-p row reduction is a blocked Gauss–Jordan elimination whose updates
+are float matrix products, so the bulk of its work runs in BLAS.  Each
+call picks float32 when every integer it can form stays below 2^24,
+where float32 is exact, and float64 otherwise (``_float_dtype``, with
+the inner dimension of a product or min(rows, cols) of a row
+reduction).  The GF(2) kernels take columns in strips of 8, one
+byte of each packed row, and XOR in rows from a 256-entry Four-Russians
+table.
 
 Conventions shared by all kernels:
   * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
@@ -27,14 +31,31 @@ USE_NUMBA = False
 # Columns per panel of the blocked elimination in rref_u8; 64 was the
 # fastest of 32, 64, 128 and 256 on the resolution matrices of B(3,r).
 _PANEL = 64
+# Rows per chunk when _panel_basis reads the not-yet-pivot rows of a panel.
+_CHUNK = 64
+
+
+def _float_dtype(n, p):
+    """float32 if n (p-1)^2 + p < 2^24, else float64.
+
+    A sum of n products of residues mod p, and any partial sum of it, is
+    an integer of magnitude at most n (p-1)^2.  Below 2^24 every such
+    integer is a float32, so BLAS computes it exactly in any summation
+    order, and ``_mod`` reduces anything of magnitude under 2^24 - p.
+    float32 halves the memory and the bandwidth of every product.
+    """
+    return np.float32 if n * (p - 1) ** 2 + p < 1 << 24 else np.float64
 
 
 def _mod(x, p):
-    """x mod p for an integer-valued float64 array with |x| < 2^53.
+    """x mod p for an integer-valued float array with |x| < 2^s - p,
+    s = 24 for float32 and 53 for float64 (the significand width).
 
-    The rounding error of x / p is below |x / p| 2^-53 < 1/p, and a
+    The rounding error of x / p is below |x / p| 2^-s < 1/p, and a
     non-multiple of p lies at least 1/p from the nearest integer, so the
-    floor is exact.  Several times faster than np.mod on floats.
+    floor is exact; floor(x / p) p then has magnitude below |x| + p, so
+    it and the remainder are exact too.  Several times faster than np.mod
+    on floats.
     """
     q = x / p
     np.floor(q, out=q)
@@ -43,88 +64,155 @@ def _mod(x, p):
     return q
 
 
-def _rref_small(work, p):
-    """Unblocked in-place RREF of a narrow int64 matrix of residues mod p.
+def _rref_small(work, p, width):
+    """Unblocked in-place Gauss–Jordan elimination of a small int32
+    matrix of residues mod p, pivoting on its first ``width`` columns.
 
-    Returns (pivot columns, row order): after the call, row r of ``work``
-    is the reduced row built on original row ``order[r]``, so for r below
-    the rank, ``order[r]`` is the row that supplied pivot r.  Reduction is
-    delayed: only the pivot row and pivot column are brought into [0, p)
-    per step, so entries grow by at most (p-1)^2 per pivot, far from
-    2^63 at the panel sizes used here.
+    Rows are not swapped.  Returns (pivot columns, pivot rows): row
+    ``prow[i]`` ends as the reduced row with pivot ``piv[i]``, a
+    combination of the original rows ``prow``, and every other row ends
+    zero on the first ``width`` columns.  Reduction is delayed: the
+    pivot row and a copy of the pivot column are reduced per step, so
+    entries grow by at most (p-1)^2 per pivot, far from 2^31 at the
+    sizes used here (at most 64 pivots), and the matrix is reduced once
+    at the end.
     """
     rows = work.shape[0]
-    order = np.arange(rows)
-    pivots = []
-    r = 0
-    for c in np.flatnonzero(work.any(axis=0)).tolist():
-        if r == rows:
+    free = np.ones(rows, dtype=bool)
+    pivots, prow = [], []
+    for c in np.flatnonzero(work[:, :width].any(axis=0)).tolist():
+        if len(prow) == rows:
             break
-        work[:, c] %= p
-        nz = work[r:, c].nonzero()[0]
-        if nz.size == 0:
+        col = work[:, c] % p
+        cand = col.astype(bool)
+        cand &= free
+        r = int(cand.argmax())
+        if not cand[r]:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-            order[[r, pr]] = order[[pr, r]]
-        work[r] %= p
-        f = pow(int(work[r, c]), p - 2, p)
+        # the pivot row is zero mod p left of c, like every free row
+        row = work[r, c:]
+        row %= p
+        f = pow(int(row[0]), p - 2, p)
         if f != 1:
-            work[r] *= f
-            work[r] %= p
-        col = work[:, c].copy()
+            row *= f
+            row %= p
         col[r] = 0
         hit = col.nonzero()[0]
         if hit.size > rows // 2:
-            work -= col[:, None] * work[r]
+            work[:, c:] -= col[:, None] * row
         elif hit.size:
-            work[hit] -= col[hit, None] * work[r]
+            work[hit, c:] -= col[hit, None] * row
+        free[r] = False
         pivots.append(c)
-        r += 1
+        prow.append(r)
     work %= p
-    return pivots, order
+    return pivots, prow
+
+
+def _panel_basis(panel, p):
+    """Rows of a panel that span its row space, and the inverse of their
+    pivot block.
+
+    ``panel`` is a float array of residues mod p.  Returns ``(chosen,
+    piv, t)``: with M = panel[chosen][:, piv] (rows in ``chosen``'s order,
+    ``piv`` ascending), t = M^-1 mod p, so t @ panel[chosen] is the
+    reduced echelon basis E of the panel's row space, with pivots ``piv``.
+
+    The rows are read in chunks of ``_CHUNK``, keeping E and T with
+    E = T @ panel[chosen] so far.  A chunk C is reduced against E with
+    one product, C - C[:, piv] @ E, and only the rows that stay nonzero
+    go through ``_rref_small``, with their coefficient rows
+    [-C[:, piv] @ T | I] over the chosen rows and the chunk.  The new
+    pivot columns are cleared from E, with the same row operations on
+    T, and the new rows are appended and sorted in by pivot.
+    The products run in BLAS in the panel's float dtype: every factor is
+    a residue and the inner dimension is at most the rank, so the bound
+    of ``_float_dtype`` holds.
+    """
+    rows, width = panel.shape
+    dt = panel.dtype
+    basis = np.zeros((0, width), dtype=dt)
+    coef = np.zeros((0, 0), dtype=dt)
+    piv = np.zeros(0, dtype=np.int64)
+    chosen = []
+    for r0 in range(0, rows, _CHUNK):
+        k = len(chosen)
+        if k == width:
+            break
+        chunk = panel[r0:r0 + _CHUNK]
+        if k:
+            lead = chunk[:, piv]
+            chunk = _mod(chunk - lead @ basis, p)
+        live = np.flatnonzero(chunk.any(axis=1))
+        if live.size == 0:
+            continue
+        n = live.size
+        aug = np.zeros((n, width + k + n), dtype=np.int32)
+        aug[:, :width] = chunk[live]
+        if k:
+            aug[:, width:width + k] = _mod(-(lead[live] @ coef), p)
+        aug[np.arange(n), width + k + np.arange(n)] = 1
+        # a live row is nonzero mod E, so it supplies at least one pivot
+        local, src = _rref_small(aug, p, width)
+        kn = len(local)
+        src = np.asarray(src)
+        new = aug[src, :width].astype(dt)
+        new_coef = aug[src[:, None], np.r_[width:width + k, width + k + src]].astype(dt)
+        coef = np.concatenate([coef, np.zeros((k, kn), dtype=dt)], axis=1)
+        if k:
+            hit = basis[:, local]
+            basis = _mod(basis - hit @ new, p)
+            coef = _mod(coef - hit @ new_coef, p)
+        by_pivot = np.argsort(np.concatenate([piv, local]), kind="stable")
+        basis = np.concatenate([basis, new])[by_pivot]
+        coef = np.concatenate([coef, new_coef])[by_pivot]
+        piv = np.concatenate([piv, local])[by_pivot]
+        chosen.extend((r0 + live[src]).tolist())
+    return chosen, piv, coef
 
 
 def rref_u8(a, p):
     """In-place RREF of a uint8 matrix mod p; returns pivot columns.
 
-    Blocked Gauss–Jordan on one float64 copy of ``a``.  Columns are taken
-    in panels of ``_PANEL``.  In each panel the unblocked loop finds the k
-    new pivots on the not-yet-pivot rows; with M the k x k block of those
-    rows and pivot columns, X = M^-1 A[pivot rows, c0:] mod p replaces the
-    pivot rows, and every other row gets A[:, c0:] -= A[:, pivot cols] @ X
-    as one GEMM (over the rows with a nonzero multiplier only, when those
-    are at most half).  Rows are never swapped: the pivot rows are
-    gathered in pivot order at the end, ``_PANEL`` rows at a time so the
-    final reduction needs no full-size temporary, and every other row has
-    reduced to zero.
+    Blocked Gauss–Jordan on one float copy of ``a``, float32 when
+    ``_float_dtype(min(rows, cols), p)`` allows it and float64 otherwise.
+    Columns are taken in panels of ``_PANEL``.  In each panel
+    ``_panel_basis`` picks k rows among the not-yet-pivot ones whose
+    panel entries span those of all of them, with pivot columns and
+    T = M^-1 for M the k x k block of those rows and columns; T @ M = I
+    is checked (AssertionError otherwise).  X = T A[pivot rows, c0:] mod
+    p replaces the pivot rows, and every other row gets
+    A[:, c0:] -= A[:, pivot cols] @ X as one GEMM (over the rows with a
+    nonzero multiplier only, when those are at most half).  Rows are
+    never swapped: the pivot rows are gathered in pivot order at the end,
+    ``_PANEL`` rows at a time so the final reduction needs no full-size
+    temporary, and every other row has reduced to zero.
 
     Reduction is delayed: only the panel, the pivot columns and X are
     reduced mod p.  Each update subtracts at most k (p-1)^2 from an entry,
-    so trailing entries stay below rank (p-1)^2 + p in absolute value —
-    under 2^53, where float64 arithmetic is exact, for any rank below
-    1.4e11 at p <= 251 — and the result is reduced once at the end.
+    so trailing entries stay below rank (p-1)^2 + p <= min(rows, cols)
+    (p-1)^2 + p in absolute value, which ``_float_dtype`` keeps inside
+    the range where the float type is exact; the result is reduced once
+    at the end.
     """
     rows, cols = a.shape
-    work = a.astype(np.float64)
+    work = a.astype(_float_dtype(min(rows, cols), p))
     is_pivot_row = np.zeros(rows, dtype=bool)
     pivot_rows, pivot_cols = [], []
     for c0 in range(0, cols, _PANEL):
         if len(pivot_rows) == rows:
             break
         free = np.flatnonzero(~is_pivot_row)
-        panel = _mod(work[free, c0:c0 + _PANEL], p).astype(np.int64)
-        local, order = _rref_small(panel, p)
-        k = len(local)
+        panel = _mod(work[free, c0:c0 + _PANEL], p)
+        chosen, local, t = _panel_basis(panel, p)
+        k = len(chosen)
         if k == 0:
             continue
-        prow = free[order[:k]]
-        pcol = c0 + np.asarray(local, dtype=np.int64)
-        m = _mod(work[np.ix_(prow, pcol)], p).astype(np.int64)
-        aug = np.concatenate([m, np.eye(k, dtype=np.int64)], axis=1)
-        _rref_small(aug, p)
-        x = _mod(aug[:, k:].astype(np.float64) @ _mod(work[prow, c0:], p), p)
+        if (_mod(t @ panel[np.ix_(chosen, local)], p) != np.eye(k)).any():
+            raise AssertionError("panel inverse does not invert its pivot block")
+        prow = free[chosen]
+        pcol = c0 + local
+        x = _mod(t @ _mod(work[prow, c0:], p), p)
         lhs = _mod(work[:, pcol], p)
         hit = np.flatnonzero(lhs.any(axis=1))
         if hit.size > rows // 2:
@@ -146,11 +234,13 @@ def rref_u8(a, p):
 def matmul_u8(a, b, p):
     """(a @ b) mod p for uint8 operands.
 
-    Goes through float64 matmul (BLAS) — exact as long as inner products
-    stay under 2^53, i.e. for inner dimensions up to ~1.4e11 at p <= 251.
+    Goes through a float matmul (BLAS) in the dtype that
+    ``_float_dtype`` picks for the inner dimension: float32 up to
+    (2^24 - p) / (p-1)^2 terms (4.19M at p = 3, 268 at p = 251), float64
+    up to about 1.4e11 at p <= 251.
     """
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return _mod(prod, p).astype(np.uint8)
+    dt = _float_dtype(a.shape[1], p)
+    return _mod(a.astype(dt) @ b.astype(dt), p).astype(np.uint8)
 
 
 def _xor_table(table, rows):

@@ -184,7 +184,14 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     Per degree n, K = ker d_n is computed as an F_p-space in the standard
     basis of :meth:`FpMatrix.kernel`, which is the identity on the free
     rows (the non-pivot columns of rref(d_n)), so a vector of K has its
-    K-coordinates there.  With S a generating set of G
+    K-coordinates there.  The elimination runs on d_n[F], the rows of d_n
+    at the free rows F of K_{n-1} = ker d_{n-1}; the first degree of a
+    run, cold or resumed, has no F and keeps every row.  That gives the
+    same K, not a bound on it: the composite check (below) puts every
+    column of d_n in K_{n-1}, and K_{n-1} is the identity on F, so
+    d_n = K_{n-1} d_n[F].  K_{n-1} has full column rank, so d_n and
+    d_n[F] have the same rank, the same kernel and, having the same row
+    space, the same reduced echelon form.  With S a generating set of G
     (:func:`_reaching_subset`), rad K is the sum of (g-1)K over g in S,
     and restricting to the free rows is injective on K.  The heads come
     from the rank profile of rad K: row-reducing the vectors (g-1)e_j in
@@ -225,7 +232,9 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     reads (g-1)K in the coordinates of the K the elimination returned, so
     it needs that K to be closed under S, which the submodule products
     check.  Below the top, the rank comparison at the next degree
-    certifies the boundary whatever the heads were.
+    certifies the boundary whatever the heads were.  Neither argument
+    changes when the elimination runs on d_n[F]: it returns ker d_n
+    itself, by the composite check that d_n passed when it was built.
     """
     ctx = GroupAlgebraContext(group, table=table, budget=budget_order)
     p, m = ctx.p, ctx.m
@@ -246,6 +255,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     prev_dim = 1
     for beta in betti[:-1]:
         prev_dim = beta * m - prev_dim
+    free = None  # free rows of ker d_{n-1}; unknown for d_0 and a resumed top
     for n in range(len(boundaries), max_degree):
         beta_n = betti[-1]
         if beta_n * m > budget_matrix:
@@ -253,7 +263,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
                 f"matrix side {beta_n * m} exceeds budget {budget_matrix} "
                 f"at degree {n + 1}",
                 side=beta_n * m, budget=budget_matrix, degree=n + 1)
-        kern = cur.kernel()
+        kern = (cur if free is None else cur.row_select(free)).kernel()
         k = kern.cols
         if cur.cols - k != prev_dim:
             raise AssertionError(

@@ -2,8 +2,8 @@
 
 Abelian groups as extra resolution inputs, a reordered element table,
 the wreath action on mod-p vectors with the cyclic element it embeds,
-and the exterior algebra whose graded dimensions the block cohomology
-matches.
+an integer matrix built from its columns, and the exterior algebra
+whose graded dimensions the block cohomology matches.
 """
 
 from itertools import combinations
@@ -121,7 +121,14 @@ def wreath_action_matrix(params, q):
     for k in range(d):
         unit = tuple(1 if j == k else 0 for j in range(d))
         cols.append(wreath_act(params, q, unit))
-    return IntMatrix.from_columns(cols)
+    return int_matrix_from_columns(cols)
+
+
+def int_matrix_from_columns(columns):
+    """The IntMatrix whose j-th column is ``columns[j]``."""
+    columns = [tuple(int(x) for x in c) for c in columns]
+    rows = len(columns[0]) if columns else 0
+    return IntMatrix(tuple(tuple(c[i] for c in columns) for i in range(rows)))
 
 
 def embed_cyclic(params):

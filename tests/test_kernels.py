@@ -1,10 +1,11 @@
 """The blocked odd-p row reduction, the Four-Russians GF(2) kernels and
 the kernel basis against the plain-Python oracles, over shapes that
-cross the eliminations' panel, strip and word edges."""
+cross the eliminations' panel, chunk, strip and word edges."""
 
 import random
 
 import numpy as np
+import pytest
 
 from coclass import kernels
 from coclass.fpmat import FpMatrix, _pack_bits
@@ -85,6 +86,135 @@ def test_rref_u8_worst_case_growth_p251():
     assert_rref_matches_oracle(a, p)
     stacked = np.concatenate([a, a[:30]], axis=0)  # rows > rank
     assert_rref_matches_oracle(stacked, p)
+
+
+# not-yet-pivot row counts around the 64-row chunks of _panel_basis
+CHUNK_EDGE_ROWS = (63, 64, 65, 129)
+
+
+def test_rref_u8_panel_rows_cross_the_chunk_edge():
+    rng = random.Random(7)
+    for p in (3, 251):
+        for rows in CHUNK_EDGE_ROWS:
+            # the last row alone supplies the panel's last pivot: the rows
+            # above it span 10 dimensions
+            a = low_rank(rng, p, rows, 150, 10)
+            a[-1] = rand_matrix(rng, p, 1, 150)
+            assert_rref_matches_oracle(a, p)
+            # a full-rank first panel on 64 rows leaves ``rows`` free rows
+            # for the second one
+            b = np.concatenate([rand_matrix(rng, p, 64, 140),
+                                low_rank(rng, p, rows, 140, 40)])
+            b[64:, :64] = 0
+            assert_rref_matches_oracle(b, p)
+
+
+def test_rref_u8_every_chunk_adds_pivots():
+    rng = random.Random(11)
+    for p in (3, 251):
+        # four chunks of rank 15 each: every chunk's new pivots must be
+        # cleared from the basis of the chunks before it, and the next
+        # chunk is reduced against the result
+        a = np.concatenate([low_rank(rng, p, 64, 110, 15) for _ in range(4)])
+        assert_rref_matches_oracle(a, p)
+
+
+def test_rref_u8_chunk_that_adds_no_pivot():
+    rng = random.Random(8)
+    for p in (5, 251):
+        # three copies of 64 rows of rank 30: the second and third chunks
+        # reduce to zero against the first one's basis
+        block = low_rank(rng, p, 64, 100, 30)
+        assert_rref_matches_oracle(np.concatenate([block, block, (2 * block) % p]), p)
+        # the same with one new row at the end of the third chunk
+        tail = np.concatenate([block, block, block])
+        tail[-1] = rand_matrix(rng, p, 1, 100)
+        assert_rref_matches_oracle(tail, p)
+
+
+def test_rref_u8_first_chunk_zero_on_the_panel():
+    rng = random.Random(9)
+    for p in (3, 7):
+        # rows 0..63 start after column 70, so the first panel's rank
+        # comes from the second and third chunks only
+        a = rand_matrix(rng, p, 150, 130)
+        a[:64, :70] = 0
+        assert_rref_matches_oracle(a, p)
+        b = low_rank(rng, p, 140, 90, 50)
+        b[:64] = 0
+        b[:64, 80:] = rand_matrix(rng, p, 64, 10)
+        assert_rref_matches_oracle(b, p)
+
+
+def _float_dtypes_seen(monkeypatch):
+    seen = set()
+    real = kernels._mod
+
+    def spy(x, p):
+        seen.add(x.dtype)
+        return real(x, p)
+
+    monkeypatch.setattr(kernels, "_mod", spy)
+    return seen
+
+
+@pytest.mark.parametrize("rank, dtype", [(268, np.float32), (269, np.float64)])
+def test_rref_u8_dtype_edge_p251(rank, dtype, monkeypatch):
+    # 268 * 250^2 + 251 < 2^24 < 269 * 250^2 + 251: the largest rank for
+    # float32 at p = 251.  Entries of p - 1 maximise each update.
+    rng = random.Random(10 + rank)
+    p = 251
+    a = np.full((rank, rank + 12), p - 1, dtype=np.uint8)
+    for i in range(rank):
+        for j in rng.sample(range(rank + 12), 40):
+            a[i, j] = rng.randrange(p - 1)
+    seen = _float_dtypes_seen(monkeypatch)
+    work = a.copy()
+    piv = kernels.rref_u8(work, p)
+    assert seen == {np.dtype(dtype)}
+    assert len(piv) == rank
+    red, oracle_piv = naive_rref(a.tolist(), p)
+    assert piv.tolist() == oracle_piv
+    assert work.tolist() == red
+
+
+@pytest.mark.parametrize("inner, dtype", [(268, np.float32), (269, np.float64)])
+def test_matmul_u8_dtype_edge_p251(inner, dtype, monkeypatch):
+    p = 251
+    a = np.full((3, inner), p - 1, dtype=np.uint8)
+    b = np.full((inner, 4), p - 1, dtype=np.uint8)
+    b[0, 0] = 7
+    seen = _float_dtypes_seen(monkeypatch)
+    out = kernels.matmul_u8(a, b, p)
+    assert seen == {np.dtype(dtype)}
+    assert np.array_equal(out, (a.astype(np.int64) @ b.astype(np.int64)) % p)
+
+
+def test_rref_u8_refuses_a_wrong_panel_inverse(monkeypatch):
+    real = kernels._panel_basis
+
+    def off_by_one(panel, p):
+        chosen, piv, t = real(panel, p)
+        t = t.copy()
+        t[0, 0] = (t[0, 0] + 1) % p
+        return chosen, piv, t
+
+    monkeypatch.setattr(kernels, "_panel_basis", off_by_one)
+    a = rand_matrix(random.Random(12), 5, 10, 12)
+    with pytest.raises(AssertionError, match="panel inverse"):
+        kernels.rref_u8(a, 5)
+
+
+def test_float_mod_exact_up_to_2_pow_24():
+    rng = np.random.default_rng(13)
+    lim = 2**24 - 1024  # below 2^24 - p with room for the neighbours
+    ints = rng.integers(-lim, lim, size=4000)
+    for p in PRIMES:
+        near = (ints[:1000] // p) * p  # multiples of p and their neighbours
+        x = np.concatenate([ints, near - 1, near, near + 1, [-lim, lim]])
+        got = kernels._mod(x.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, x % p)
 
 
 def test_float_mod_exact_up_to_2_pow_53():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _models import int_matrix_from_columns
 from coclass.intmat import IntMatrix
 from coclass.lattice import (
     lattice_contains,
@@ -21,7 +22,7 @@ def test_scaled_identity_lattice():
 
 def test_permuted_columns_same_canonical_basis():
     a = IntMatrix([[2, 1, 0], [0, 3, 1], [0, 0, 4]])
-    perm = IntMatrix.from_columns([a.column(2), a.column(0), a.column(1)])
+    perm = int_matrix_from_columns([a.column(2), a.column(0), a.column(1)])
     assert lattice_from_columns(a) == lattice_from_columns(perm)
 
 

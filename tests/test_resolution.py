@@ -385,6 +385,35 @@ def test_corrupted_orbit_is_rejected_by_the_composite(monkeypatch):
         minimal_resolution(b3r(3), 3)
 
 
+def test_boundary_column_off_the_previous_kernel_is_refused(monkeypatch):
+    # d_2 is changed at one row a off the free rows F of K_1 (a pivot
+    # column of d_1), in a generator column.  d_2[F], which is all the
+    # kernel elimination of d_2 reads, is unchanged, but the column leaves
+    # span K_1 (d_1 e_a != 0), so d_2 = K_1 d_2[F] fails and the composite
+    # check must refuse d_2 before its kernel is taken
+    real_kernel = FpMatrix.kernel
+    kernels_taken = []
+
+    def kernel(self):
+        kern = real_kernel(self)
+        kernels_taken.append(kern.to_dense())
+        return kern
+
+    monkeypatch.setattr(FpMatrix, "kernel", kernel)
+
+    def bump_off_free(out, m):
+        kd = kernels_taken[-1]  # K_1
+        free = set((kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)).tolist())
+        a = min(set(range(kd.shape[0])) - free)
+        out[a, 0] = (out[a, 0] + 1) % 3
+
+    _corrupt_boundary(monkeypatch, 2, bump_off_free)
+    with pytest.raises(AssertionError,
+                       match="composite of consecutive boundaries is nonzero"):
+        minimal_resolution(b3r(3), 3)
+    assert len(kernels_taken) == 2  # ker d_0 and ker d_1[F], not ker d_2[F]
+
+
 def test_nonzero_augmentation_is_rejected():
     ctx = GroupAlgebraContext(b3r(3))
     vecs = np.zeros((2 * ctx.m, 1), dtype=np.uint8)
@@ -710,6 +739,28 @@ def test_extending_a_cached_entry_matches_a_cold_run(case, tmp_path, monkeypatch
     back = load_resolution(group.descriptor, str(tmp_path))
     assert back.max_degree == stop
     assert back.betti == cold.betti
+    assert [b.to_bytes() for b in back.boundaries] == \
+        [b.to_bytes() for b in cold.boundaries]
+
+
+def test_resume_eliminates_its_whole_top_then_the_free_rows(tmp_path, monkeypatch):
+    # a resumed run does not know the free rows of ker d_{N-1}, so its
+    # first kernel is taken on all of d_N; the later ones run on the free
+    # rows, as in a cold run, and the boundaries are byte-identical
+    group, start, stop = b3r(4), 3, 6
+    m = group.order
+    cold_shapes = _count_kernels(monkeypatch)
+    cold = minimal_resolution(group, stop)
+    monkeypatch.undo()
+    betti_numbers(group, start, cache_dir=str(tmp_path))
+    shapes = _count_kernels(monkeypatch)
+    assert betti_numbers(group, stop, cache_dir=str(tmp_path)) == cold.betti
+    assert shapes[0] == (cold.betti[start - 1] * m, cold.betti[start] * m)
+    assert cold_shapes[start][1] == shapes[0][1]
+    assert cold_shapes[start][0] < shapes[0][0]
+    assert shapes[1:] == cold_shapes[start + 1:]
+    assert cold_shapes[0] == (1, m)  # d_0, the augmentation, keeps its row
+    back = load_resolution(group.descriptor, str(tmp_path))
     assert [b.to_bytes() for b in back.boundaries] == \
         [b.to_bytes() for b in cold.boundaries]
 
