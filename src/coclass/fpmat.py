@@ -76,7 +76,12 @@ class FpMatrix:
             raise ValueError(f"p must be a prime <= 251, got {p}")
         arr = np.asarray(data)
         if arr.dtype == np.uint8:
-            arr = arr % np.uint8(p)
+            # a range check and a copy cost far less than a uint8 remainder;
+            # p = 2 packs into a fresh array without the copy
+            if arr.max(initial=0) >= p:
+                arr = arr % np.uint8(p)
+            elif p != 2:
+                arr = arr.copy()
         else:
             arr = (arr.astype(np.int64) % p).astype(np.uint8)
         if arr.ndim != 2:

@@ -7,9 +7,12 @@ are float matrix products, so the bulk of its work runs in BLAS.  Each
 call picks float32 when every integer it can form stays below 2^24,
 where float32 is exact, and float64 otherwise (``_float_dtype``, with
 the inner dimension of a product or min(rows, cols) of a row
-reduction).  The GF(2) kernels take columns in strips of 8, one
-byte of each packed row, and XOR in rows from a 256-entry Four-Russians
-table.
+reduction).  The heads of a resolution step, the positions where
+vectors of ker x first become nonzero, come from ``heads_u8`` with no
+row reduction: a triangular solve on one row per last-nonzero position,
+one product per dependency level, checked in every round.  The GF(2)
+kernels take columns in strips of 8, one byte of each packed row, and
+XOR in rows from a 256-entry Four-Russians table.
 
 Conventions shared by all kernels:
   * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
@@ -17,8 +20,9 @@ Conventions shared by all kernels:
     of word j // 64, with unused tail bits always zero (table entries
     are XORs of such rows);
   * rref_* operate in place and return the pivot column indices;
-  * results are reduced row echelon forms, which are unique, so they do
-    not depend on pivot-row choice, block size or BLAS threading.
+  * results are reduced row echelon forms or, for ``heads_u8``, a set of
+    positions fixed by the row space; both are unique, so they do not
+    depend on pivot-row choice, block size or BLAS threading.
 """
 
 from __future__ import annotations
@@ -229,6 +233,94 @@ def rref_u8(a, p):
         a[r0:r0 + len(chunk)] = _mod(work[chunk], p)
     a[rank:] = 0
     return np.asarray(pivot_cols, dtype=np.int64)
+
+
+def heads_u8(x, p):
+    """Positions where some vector of ker x (right kernel, mod p) has its
+    first nonzero entry, ascending, for a uint8 matrix x.
+
+    Equivalently, e_j lies outside rowspace(x) + span(e_i, i < j): a
+    functional vanishing on the row space with first nonzero entry at j
+    exists exactly then.  These are the complement of k-1-pivots of x
+    with its columns reversed, found here without a row reduction.
+
+    Each round takes one row of x per distinct *end* (last nonzero
+    position); these rows form L, triangular on the ends, so no end is a
+    head.  The other positions C are the candidates.  A vector phi of
+    ker L is fixed by phi[C]: the row ending at j gives phi_j from
+    phi_i, i < j.  ``_end_solve`` returns B (k x |C|) with B[C] = I and
+    L B = 0, so the columns of B are a basis of ker L, and the first
+    nonzero entry of B psi is that of psi (the entries at ends below it
+    are forced zero).  Hence heads(x) = C[heads(M)] for M = (the other
+    rows) B, and the next round runs on M; once no nonzero row is left,
+    every remaining candidate is a head.
+
+    The certificate: L B = 0 mod p is checked in every round
+    (AssertionError otherwise).  With B[C] = I, which holds by
+    construction, that proves the round's reduction, so the result is
+    exact whatever the solve did.  Products run in BLAS in the dtype of
+    ``_float_dtype(k, p)``: factors are residues and the inner dimension
+    is at most k.
+    """
+    pos = np.arange(x.shape[1])
+    dt = _float_dtype(x.shape[1], p)
+    # -1/a mod p, indexed by the residue a
+    neg_inv = np.zeros(p, dtype=dt)
+    neg_inv[1:] = [p - pow(a, p - 2, p) for a in range(1, p)]
+    while True:
+        nz = x != 0
+        live = nz.any(axis=1)
+        if not live.all():
+            x, nz = x[live], nz[live]
+        rows, k = x.shape
+        if rows == 0:
+            return pos
+        end = k - 1 - nz[:, ::-1].argmax(axis=1)
+        ends, keep = np.unique(end, return_index=True)
+        cand = np.setdiff1d(np.arange(k), ends, assume_unique=True)
+        b = _end_solve(x[keep], nz[keep], ends, cand, p, neg_inv)
+        xb = np.empty((rows, cand.size), dtype=dt)
+        step = max(1, (1 << 19) // k)  # rows per float copy of 2^19 entries
+        for r0 in range(0, rows, step):
+            xb[r0:r0 + step] = _mod(x[r0:r0 + step].astype(dt) @ b, p)
+        if xb[keep].any():
+            raise AssertionError("triangular solve does not vanish on its rows")
+        rest = np.ones(rows, dtype=bool)
+        rest[keep] = False
+        x = xb[rest].astype(np.uint8)
+        pos = pos[cand]
+
+
+def _end_solve(lrows, lnz, ends, cand, p, neg_inv):
+    """B with B[cand] = I and lrows @ B = 0 mod p, by forward substitution.
+
+    Row i of ``lrows`` (pattern ``lnz``) has its last nonzero at
+    ``ends[i]``, ascending, so it gives B[ends[i]] from the rows of B
+    at smaller positions.  A row's level is 1 + the highest level among
+    the ends it reads, taken from the nonzero pattern, and each level is
+    one product: B[ends] = -(rows @ B mod p) / pivot, reduced before it
+    is scaled so that the float stays exact.  The rows of B at ends of
+    the level and above are still zero, and no row of the level reads
+    them.
+    """
+    dt = neg_inv.dtype
+    b = np.zeros((lrows.shape[1], cand.size), dtype=dt)
+    b[cand, np.arange(cand.size)] = 1
+    scale = neg_inv[lrows[np.arange(ends.size), ends]][:, None]
+    reads = lnz[:, ends]
+    np.fill_diagonal(reads, False)
+    waiting = reads.sum(axis=1)  # ends each row reads that are not solved yet
+    read_by = np.ascontiguousarray(reads.T)
+    ready = np.flatnonzero(waiting == 0)
+    while ready.size:
+        cols = np.flatnonzero(lnz[ready].any(axis=0))
+        prod = _mod(lrows[ready][:, cols].astype(dt) @ b[cols], p)
+        prod *= scale[ready]
+        b[ends[ready]] = _mod(prod, p)
+        waiting -= read_by[ready].sum(axis=0)
+        waiting[ready] = -1
+        ready = np.flatnonzero(waiting == 0)
+    return b
 
 
 def matmul_u8(a, b, p):

@@ -4,13 +4,13 @@ For a p-group G the group algebra F_p[G] is local with the augmentation
 ideal as radical, so the trivial module has a minimal free resolution
 and the rank of its n-th term equals dim H^n(G; F_p).  The construction
 is the standard one: compute the kernel of the current boundary as a
-plain F_p-subspace, read a minimal generating set off the rank profile
-of its radical (the (g-1)-translates over a generating set of G, in the
-kernel's own coordinates), and let those generators define the next
-boundary.  Each degree is certified: the boundary is an F_p[G]-map, the
-composite is zero, the complex is exact below the top degree (at the
-top the kernel is a submodule) and every boundary entry lies in the
-augmentation ideal.
+plain F_p-subspace, read a minimal generating set off its radical (the
+(g-1)-translates over a generating set of G, in the kernel's own
+coordinates), and let those generators define the next boundary.  Each
+degree is certified: the boundary is an F_p[G]-map, the composite is
+zero, the complex is exact below the top degree (at the top the kernel
+is a submodule) and every boundary entry lies in the augmentation
+ideal.
 
 Free modules are row-indexed by (basis index, group element index) with
 the element order frozen by the canonical element table; boundary n is
@@ -33,6 +33,7 @@ import shutil
 
 import numpy as np
 
+from . import kernels
 from .errors import BudgetError
 from .fpmat import FpMatrix
 from .groups import enumerate_group
@@ -193,13 +194,20 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     d_n[F] have the same rank, the same kernel and, having the same row
     space, the same reduced echelon form.  With S a generating set of G
     (:func:`_reaching_subset`), rad K is the sum of (g-1)K over g in S,
-    and restricting to the free rows is injective on K.  The heads come
-    from the rank profile of rad K: row-reducing the vectors (g-1)e_j in
-    K-coordinates with the coordinates reversed puts the pivots at the
-    coordinates where some vector of rad K ends.  Basis vector e_j lies in
-    rad K + span(e_i, i < j) exactly when some vector of rad K ends at j,
-    so the other coordinates are the heads: they span K modulo rad K, and
-    they become the free generators of the next term.
+    and restricting to the free rows is injective on K.  The heads are
+    the coordinates j with e_j outside rad K + span(e_i, i < j): they
+    span K modulo rad K, and they become the free generators of the next
+    term.  Let R be the matrix whose rows are the vectors (g-1)e_j in
+    K-coordinates, so that rad K is its row space.  Read from the dual
+    side, j is a head exactly when some functional vanishing on rad K, a
+    vector of ker R, has its first nonzero entry at j.  For odd p,
+    :func:`kernels.heads_u8` finds these leading positions without a row
+    reduction: the rows of R that end at distinct coordinates form a
+    triangular system, whose solution B over the other coordinates C
+    carries the question to the smaller matrix (the remaining rows) B.
+    At p = 2 the packed elimination of R with its coordinates reversed
+    puts its pivots where some vector of rad K ends, which are the
+    coordinates that are not heads.
 
     Each fact is checked once, in the cheapest form that proves it:
 
@@ -218,6 +226,10 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
       gK off the free rows equal K's rows there times gK's free rows;
     * minimality: every entry of the new boundary has zero augmentation,
       which is what makes beta_n = dim H^n(G; F_p);
+    * heads (odd p): each round of :func:`kernels.heads_u8` checks
+      L B = 0 mod p for its triangular rows L, which with B[C] = I (true
+      by construction) proves that round's reduction, so the head set is
+      the exact one, at every degree;
     * a resumed top d_N is re-certified before it is extended: it must
       commute with S, d_{N-1} d_N must vanish on its generator columns
       (d_0 is the augmentation), and the rank comparison at degree N
@@ -228,11 +240,13 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     The top degree differs because the top boundary d_N gets no kernel,
     so its exactness is not compared (that would cost one more
     elimination).  There it follows from Nakayama's lemma: the heads span
-    K modulo rad K, so they generate K and im d_N = K.  That argument
-    reads (g-1)K in the coordinates of the K the elimination returned, so
-    it needs that K to be closed under S, which the submodule products
-    check.  Below the top, the rank comparison at the next degree
-    certifies the boundary whatever the heads were.  Neither argument
+    K modulo rad K, which the L B check proves for odd p (at p = 2 it
+    rests on the packed elimination), so they generate K and
+    im d_N = K.  That argument reads (g-1)K in the coordinates of the K
+    the elimination returned, so it needs that K to be closed under S,
+    which the submodule products check.  Below the top, the rank
+    comparison at the next degree certifies the boundary whatever the
+    heads were.  Neither argument
     changes when the elimination runs on d_n[F]: it returns ker d_n
     itself, by the composite check that d_n passed when it was built.
     """
@@ -276,9 +290,9 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
         perms = _translations(ctx, gens, beta_n)
         if n == max_degree - 1:
-            # the submodule products come before the head rref: the
-            # benchmark trace (perfbench/layers.py) takes the first product
-            # after the head to be the composite check
+            # the submodule products come before the heads: the benchmark
+            # trace (perfbench/layers.py) takes the first product after the
+            # p = 2 head rref to be the composite check
             rest = np.setdiff1d(np.arange(kd.shape[0]), free)
             kern_rest = kern.row_select(rest)
             for perm in perms:
@@ -288,12 +302,24 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         rad = np.stack([kd[perm[free]].T for perm in perms])
         diag = np.arange(k)
         rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
-        _red, piv = FpMatrix.from_dense(p, rad.reshape(-1, k)[:, ::-1]).rref()
-        sel = sorted(set(range(k)) - {k - 1 - c for c in piv})
+        sel = _heads(p, rad.reshape(-1, k))
         betti.append(len(sel))
         cur = _certified_boundary(ctx, cur, kd[:, sel], beta_n, perms, n + 1)
         boundaries.append(cur)
     return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
+
+
+def _heads(p, rad):
+    """The heads: positions j with e_j outside rad K + span(e_i, i < j),
+    for ``rad`` the stacked (g-1)e_j in K-coordinates.  Odd p reads them
+    off the kernel of ``rad`` (:func:`kernels.heads_u8`); p = 2 keeps the
+    packed elimination of ``rad`` with its columns reversed, whose pivots
+    sit where some vector of rad K ends."""
+    if p != 2:
+        return kernels.heads_u8(rad, p).tolist()
+    k = rad.shape[1]
+    _red, piv = FpMatrix.from_dense(p, rad[:, ::-1]).rref()
+    return sorted(set(range(k)) - {k - 1 - c for c in piv})
 
 
 def _translations(ctx, gens, beta):

@@ -228,6 +228,130 @@ def test_float_mod_exact_up_to_2_pow_53():
         assert np.array_equal(got, x % p)
 
 
+def oracle_heads(a, p):
+    """The rref rule for heads: the complement of k-1-pivots of ``a`` with
+    its columns reversed, where some vector of its row space ends."""
+    k = a.shape[1]
+    _red, piv = naive_rref(a[:, ::-1].tolist(), p)
+    return sorted(set(range(k)) - {k - 1 - c for c in piv})
+
+
+def chained(rng, p, rows, k, reach):
+    """Rows with a random end and nonzeros only within ``reach`` positions
+    before it: each end reads a few ends just below it, so the triangular
+    solve has long dependency chains, and repeated ends leave rows for
+    later rounds."""
+    a = np.zeros((rows, k), dtype=np.uint8)
+    for r in range(rows):
+        e = rng.randrange(k)
+        a[r, e] = rng.randrange(1, p)
+        lo = max(0, e - reach)
+        for j in rng.sample(range(lo, e), (e - lo + 1) // 2):
+            a[r, j] = rng.randrange(1, p)
+    return a
+
+
+def _spy_solve_depths(monkeypatch):
+    """Record the number of dependency levels of each round's solve,
+    counted independently from the pattern it is given."""
+    depths = []
+    real = kernels._end_solve
+
+    def spy(lrows, lnz, ends, cand, p, neg_inv):
+        level = {}
+        for i, e in enumerate(ends.tolist()):
+            reads = [level[j] for j in ends[lnz[i, ends]].tolist() if j != e]
+            level[e] = 1 + max(reads, default=0)
+        depths.append(max(level.values()))
+        return real(lrows, lnz, ends, cand, p, neg_inv)
+
+    monkeypatch.setattr(kernels, "_end_solve", spy)
+    return depths
+
+
+def assert_heads_match_oracle(a, p):
+    got = kernels.heads_u8(a, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_heads(a, p)
+
+
+def test_heads_u8_deep_chains_and_several_rounds(monkeypatch):
+    depths = _spy_solve_depths(monkeypatch)
+    rng = random.Random(31)
+    deepest, most_rounds = 0, 0
+    for p in PRIMES:
+        for rows, k, reach in ((60, 40, 3), (120, 60, 4), (90, 90, 2), (200, 80, 6)):
+            depths.clear()
+            assert_heads_match_oracle(chained(rng, p, rows, k, reach), p)
+            deepest = max(deepest, depths[0])
+            most_rounds = max(most_rounds, len(depths))
+    assert deepest >= 20 and most_rounds >= 3
+
+
+def test_heads_u8_sparse_and_dense(monkeypatch):
+    depths = _spy_solve_depths(monkeypatch)
+    rng = random.Random(32)
+    for p in PRIMES:
+        assert_heads_match_oracle(rand_matrix(rng, p, 70, 50, density=0.05), p)
+        assert_heads_match_oracle(rand_matrix(rng, p, 30, 60, density=0.1), p)
+        # dense rows of rank 20: almost every row ends at the last column,
+        # so the first round keeps few rows and leaves the rest to later ones
+        depths.clear()
+        assert_heads_match_oracle(low_rank(rng, p, 90, 50, 20), p)
+        assert len(depths) >= 3
+        assert_heads_match_oracle(rand_matrix(rng, p, 25, 40), p)
+
+
+def test_heads_u8_degenerate_shapes():
+    rng = random.Random(33)
+    for p in PRIMES:
+        for shape in ((0, 6), (5, 0), (0, 0), (4, 9)):
+            assert_heads_match_oracle(np.zeros(shape, dtype=np.uint8), p)
+        # full rank: every position is an end, so there is no head
+        full = rand_matrix(rng, p, 12, 12, density=0.3)
+        full[np.arange(12), np.arange(12)] = 1
+        assert kernels.heads_u8(np.tril(full), p).tolist() == []
+        assert_heads_match_oracle(rand_matrix(rng, p, 40, 15), p)
+        # zero rows between the live ones, and a single nonzero column
+        a = chained(rng, p, 50, 30, 3)
+        a[::3] = 0
+        assert_heads_match_oracle(a, p)
+        col = np.zeros((6, 8), dtype=np.uint8)
+        col[[1, 4], 5] = [1, p - 1]
+        assert kernels.heads_u8(col, p).tolist() == [0, 1, 2, 3, 4, 6, 7]
+
+
+@pytest.mark.parametrize("k, dtype", [(266, np.float32), (269, np.float64)])
+def test_heads_u8_products_reduced_before_scaling_p251(k, dtype, monkeypatch):
+    # at p = 251, k = 266 is float32 (266 * 250^2 + 251 < 2^24), and a
+    # level product of entries p - 1 is exact only while it is reduced
+    # mod p before the pivot inverse scales it; 269 takes float64
+    rng = random.Random(34 + k)
+    p = 251
+    a = chained(rng, p, 2 * k, k, 8)
+    a[a != 0] = p - 1
+    a[:40] = p - 1  # dense rows of p - 1 end at k - 1 and read every end
+    a[40:80, :k // 2] = 0
+    seen = _float_dtypes_seen(monkeypatch)
+    assert_heads_match_oracle(a, p)
+    assert seen == {np.dtype(dtype)}
+
+
+def test_heads_u8_refuses_a_wrong_solve(monkeypatch):
+    real = kernels._end_solve
+
+    def off_by_one(lrows, lnz, ends, cand, p, neg_inv):
+        b = real(lrows, lnz, ends, cand, p, neg_inv)
+        e = ends[-1]
+        b[e, 0] = (b[e, 0] + 1) % p
+        return b
+
+    monkeypatch.setattr(kernels, "_end_solve", off_by_one)
+    a = chained(random.Random(35), 5, 60, 40, 3)
+    with pytest.raises(AssertionError, match="triangular solve"):
+        kernels.heads_u8(a, 5)
+
+
 def test_kernel_matches_naive_kernel_many_free_columns():
     rng = random.Random(5)
     for p in (2, 3, 7):
