@@ -1,10 +1,11 @@
 """Dense matrices over F_p with packed storage.
 
-p = 2 packs rows into uint64 words (64 columns per word, column j in bit
-j % 64 of word j // 64, tail bits zero); odd p stores one byte per
-residue.  Values are immutable after construction; every operation
-returns a fresh matrix.  Row reduction and products go through the
-kernels in :mod:`coclass.kernels`.
+p = 2 packs rows into uint64 words (64 columns per word, tail bits
+zero); odd p stores one byte per residue.  The word layout lives in
+:mod:`coclass.kernels`, whose ``_row_bytes`` and ``_row_words`` are the
+only conversions between words and row bytes.  Values are immutable
+after construction; every operation returns a fresh matrix.  Row
+reduction and products go through the kernels in :mod:`coclass.kernels`.
 
 The on-disk format (shared with the resolution cache) is:
 
@@ -26,30 +27,22 @@ _MAGIC = b"FPMX"
 _VERSION = 1
 
 
-def _words(cols):
-    return (cols + 63) // 64
+def _prime(p):
+    p = int(p)
+    if p > 251 or not is_prime(p):
+        raise ValueError(f"p must be a prime <= 251, got {p}")
+    return p
 
 
 def _pack_bits(dense):
     """uint8 0/1 matrix -> uint64 word matrix (little-endian bit order)."""
     rows, cols = dense.shape
-    nw = _words(cols)
-    packed_bytes = np.packbits(dense, axis=1, bitorder="little")
-    padded = np.zeros((rows, nw * 8), dtype=np.uint8)
-    padded[:, : packed_bytes.shape[1]] = packed_bytes
-    return np.ascontiguousarray(
-        np.frombuffer(padded.tobytes(), dtype="<u8").reshape(rows, nw)
-    )
+    return kernels._row_words(np.packbits(dense, axis=1, bitorder="little"), rows, cols)
 
 
 def _unpack_bits(words, cols):
-    rows = words.shape[0]
-    if cols == 0:
-        return np.zeros((rows, 0), dtype=np.uint8)
-    as_bytes = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8)
-    as_bytes = as_bytes.reshape(rows, words.shape[1] * 8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return np.ascontiguousarray(bits[:, :cols])
+    return np.unpackbits(kernels._row_bytes(words, cols), axis=1, count=cols,
+                         bitorder="little")
 
 
 def _freeze(arr):
@@ -71,9 +64,7 @@ class FpMatrix:
 
     @classmethod
     def from_dense(cls, p, data):
-        p = int(p)
-        if p > 251 or not is_prime(p):
-            raise ValueError(f"p must be a prime <= 251, got {p}")
+        p = _prime(p)
         arr = np.asarray(data)
         if arr.dtype == np.uint8:
             # a range check and a copy cost far less than a uint8 remainder;
@@ -125,10 +116,8 @@ class FpMatrix:
     def __sub__(self, other):
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("dimension mismatch")
-        if self.p == 2:
-            return FpMatrix(2, self.rows, self.cols, self._d ^ other._d)
-        diff = (self._d.astype(np.int16) - other._d.astype(np.int16)) % self.p
-        return FpMatrix(self.p, self.rows, self.cols, diff.astype(np.uint8))
+        diff = self.to_dense().astype(np.int16) - other.to_dense()
+        return FpMatrix.from_dense(self.p, diff)
 
     def row_select(self, indices):
         idx = np.asarray(indices, dtype=np.int64)
@@ -137,12 +126,8 @@ class FpMatrix:
     @staticmethod
     def hstack(mats):
         mats = list(mats)
-        p = mats[0].p
-        if p != 2:
-            data = np.concatenate([m._d for m in mats], axis=1)
-            return FpMatrix(p, data.shape[0], data.shape[1], data)
         dense = np.concatenate([m.to_dense() for m in mats], axis=1)
-        return FpMatrix.from_dense(p, dense)
+        return FpMatrix.from_dense(mats[0].p, dense)
 
     def is_zero(self):
         return not self._d.any()
@@ -171,63 +156,36 @@ class FpMatrix:
         free = [c for c in range(self.cols) if c not in pivset]
         k = np.zeros((self.cols, len(free)), dtype=np.uint8)
         if free:
-            vals = self._pivot_rows_at(red, len(piv), free)
+            pivot_rows = red._d[:len(piv)]
+            if self.p == 2:
+                pivot_rows = _unpack_bits(pivot_rows, self.cols)
             k[free, np.arange(len(free))] = 1
-            k[list(piv), :] = (self.p - vals) % self.p
+            k[list(piv), :] = (self.p - pivot_rows[:, free]) % self.p
         data = _pack_bits(k) if self.p == 2 else k
         return FpMatrix(self.p, self.cols, len(free), data)
-
-    @staticmethod
-    def _pivot_rows_at(red, npiv, cols):
-        """Entries red[r, c] for r < npiv, c in cols, without unpacking."""
-        cols = np.asarray(cols, dtype=np.int64)
-        if red.p == 2:
-            wi = cols >> 6
-            sh = (cols & 63).astype(np.uint64)
-            sub = red._d[:npiv][:, wi]
-            return ((sub >> sh) & np.uint64(1)).astype(np.uint8)
-        return red._d[:npiv][:, cols]
 
     # -- serialization ---------------------------------------------------
 
     def to_bytes(self):
         head = _MAGIC + struct.pack("<BBQQ", _VERSION, self.p, self.rows, self.cols)
         if self.p == 2:
-            rowbytes = (self.cols + 7) // 8
-            as_bytes = np.frombuffer(self._d.astype("<u8").tobytes(), dtype=np.uint8)
-            as_bytes = as_bytes.reshape(self.rows, self._d.shape[1] * 8)
-            payload = as_bytes[:, :rowbytes].tobytes()
-        else:
-            payload = self._d.tobytes()
-        return head + payload
+            return head + kernels._row_bytes(self._d, self.cols).tobytes()
+        return head + self._d.tobytes()
 
     @classmethod
     def from_bytes(cls, buf):
-        if buf[:4] != _MAGIC:
-            raise ValueError("bad magic")
+        if buf[:4] != _MAGIC or len(buf) < 22:
+            raise ValueError("bad magic or short header")
         version, p, rows, cols = struct.unpack("<BBQQ", buf[4:22])
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
-        rowbytes = (cols + 7) // 8 if p == 2 else cols
-        payload = buf[22:]
-        if len(payload) != rows * rowbytes:
-            raise ValueError("payload size mismatch")
+        p = _prime(p)
+        payload = memoryview(buf)[22:]
         if p == 2:
-            nw = _words(cols)
-            padded = np.zeros((rows, nw * 8), dtype=np.uint8)
-            if rowbytes:
-                raw = np.frombuffer(payload, dtype=np.uint8).reshape(rows, rowbytes)
-                padded[:, :rowbytes] = raw
-            words = np.ascontiguousarray(
-                np.frombuffer(padded.tobytes(), dtype="<u8").reshape(rows, nw)
-            )
-            if cols % 64 and nw:
-                mask = np.uint64((1 << (cols % 64)) - 1)
-                if ((words[:, -1] & ~mask) != 0).any():
-                    raise ValueError("nonzero padding bits")
-            return cls(2, rows, cols, words)
+            return cls(2, rows, cols, kernels._row_words(payload, rows, cols))
+        if len(payload) != rows * cols:
+            raise ValueError("payload size mismatch")
         arr = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols).copy()
         if arr.size and int(arr.max(initial=0)) >= p:
             raise ValueError("residue out of range")
         return cls(p, rows, cols, arr)
-

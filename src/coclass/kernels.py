@@ -18,7 +18,10 @@ Conventions shared by all kernels:
   * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
   * GF(2) matrices are uint64 word arrays, column j living in bit j % 64
     of word j // 64, with unused tail bits always zero (table entries
-    are XORs of such rows);
+    are XORs of such rows); ``_row_bytes`` and ``_row_words`` are the
+    one codec between these words and little-endian row bytes (column j
+    in bit j % 8 of byte j // 8), the form that ``matmul_b2`` reads
+    strips from and the .fpmx files of :mod:`coclass.fpmat` store;
   * rref_* operate in place and return the pivot column indices;
   * results are reduced row echelon forms or, for ``heads_u8``, a set of
     positions fixed by the row space; both are unique, so they do not
@@ -335,6 +338,37 @@ def matmul_u8(a, b, p):
     return _mod(a.astype(dt) @ b.astype(dt), p).astype(np.uint8)
 
 
+def _row_bytes(words, cols):
+    """The little-endian row bytes of a packed GF(2) matrix: column j in
+    bit j % 8 of byte j // 8, (cols + 7) // 8 bytes per row.
+
+    A view of ``words`` on a little-endian host; a big-endian host reads
+    a byte-swapped copy.
+    """
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return as_bytes[:, :(cols + 7) // 8]
+
+
+def _row_words(data, rows, cols):
+    """Packed words from row bytes, the inverse of ``_row_bytes``.
+
+    ``data`` is a buffer of ``rows`` rows of (cols + 7) // 8 bytes each;
+    the result is a fresh (rows, (cols + 63) // 64) uint64 array with
+    zero tail bits.  ValueError if the size is wrong or a bit at a
+    column >= cols is set.
+    """
+    rowbytes = (cols + 7) // 8
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size != rows * rowbytes:
+        raise ValueError("payload size mismatch")
+    raw = raw.reshape(rows, rowbytes)
+    if cols % 8 and (raw[:, -1] >> cols % 8).any():
+        raise ValueError("nonzero padding bits")
+    padded = np.zeros((rows, (cols + 63) // 64 * 8), dtype=np.uint8)
+    padded[:, :rowbytes] = raw
+    return padded.view("<u8").astype(np.uint64, copy=False)
+
+
 def _xor_table(table, rows):
     """Fill ``table[b]`` with the XOR of ``rows[t]`` over the set bits t of b.
 
@@ -459,10 +493,9 @@ def matmul_b2(aw, bw, a_cols):
     out = np.zeros((rows, nw), dtype=np.uint64)
     if rows == 0 or a_cols == 0:
         return out
-    a_bytes = np.ascontiguousarray(aw, dtype="<u8").view(np.uint8)
     table = np.zeros((256, nw), dtype=np.uint64)
-    for c0 in range(0, a_cols, 8):
-        _xor_table(table, bw[c0:c0 + 8])
+    for run, strip in enumerate(_row_bytes(aw, a_cols).T):
+        _xor_table(table, bw[8 * run:8 * run + 8])
         # zero tail bits keep a short last run's bytes inside its table
-        out ^= table[a_bytes[:, c0 // 8]]
+        out ^= table[strip]
     return out

@@ -293,7 +293,10 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
             # the submodule products come before the heads: the benchmark
             # trace (perfbench/layers.py) takes the first product after the
             # p = 2 head rref to be the composite check
-            rest = np.setdiff1d(np.arange(kd.shape[0]), free)
+            # a mask, not np.setdiff1d, whose np.unique imports numpy.ma
+            rest = np.ones(kd.shape[0], dtype=bool)
+            rest[free] = False
+            rest = np.flatnonzero(rest)
             kern_rest = kern.row_select(rest)
             for perm in perms:
                 if kern_rest @ kern.row_select(perm[free]) != kern.row_select(perm[rest]):
@@ -378,15 +381,16 @@ def _cache_paths(cache_dir, key):
 
 
 def _read_manifest(path):
-    """The manifest at ``path``, or None unless it is a dict listing
-    beta_0..beta_maxDegree as JSON integers (not floats such as 1.0, not
-    booleans), with beta_0 = 1 and none negative."""
+    """The manifest at ``path``, or None unless it is a dict of this
+    ``CACHE_VERSION`` listing beta_0..beta_maxDegree as JSON integers
+    (not floats such as 1.0, not booleans), with beta_0 = 1 and none
+    negative."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if not isinstance(manifest, dict):
+    if not isinstance(manifest, dict) or manifest.get("version") != CACHE_VERSION:
         return None
     betti, max_degree = manifest.get("betti"), manifest.get("maxDegree")
     if (not isinstance(betti, list) or type(max_degree) is not int
@@ -442,13 +446,13 @@ def save_resolution(res, cache_dir, *, first=1):
 
 def load_resolution(descriptor, cache_dir):
     """Reload a cached resolution, or None if absent, corrupt or
-    inconsistent: the manifest must list beta_0..beta_maxDegree as
-    integers (see :func:`_read_manifest`) and
+    inconsistent: the manifest must be of this version and list
+    beta_0..beta_maxDegree as integers (see :func:`_read_manifest`), and
     boundary n must have shape (beta_{n-1}*|G|, beta_n*|G|)."""
     key = resolution_cache_key(descriptor)
     base, manifest_path, _ = _cache_paths(cache_dir, key)
     manifest = _read_manifest(manifest_path)
-    if manifest is None or manifest.get("version") != CACHE_VERSION:
+    if manifest is None:
         return None
     betti, max_degree = manifest["betti"], manifest["maxDegree"]
     p, order = descriptor["p"], descriptor["order"]

@@ -156,8 +156,46 @@ def test_fpmx_rejects_garbage():
     buf = a.to_bytes()
     with pytest.raises(ValueError, match="magic"):
         FpMatrix.from_bytes(b"XXXX" + buf[4:])
+    with pytest.raises(ValueError, match="magic"):
+        FpMatrix.from_bytes(buf[:21])
     with pytest.raises(ValueError, match="size"):
         FpMatrix.from_bytes(buf + b"\x00")
+    # a header p that is not a prime <= 251 is refused, whatever the payload
+    for p in (0, 1, 4, 255):
+        with pytest.raises(ValueError, match="prime"):
+            FpMatrix.from_bytes(buf[:5] + bytes([p]) + buf[6:])
+    with pytest.raises(ValueError, match="version"):
+        FpMatrix.from_bytes(buf[:4] + b"\x02" + buf[5:])
+    # column 3 of a 3-column row is a padding bit
+    with pytest.raises(ValueError, match="padding"):
+        FpMatrix.from_bytes(buf[:22] + bytes([buf[22] | 0b1000]))
+    odd = FpMatrix.from_dense(5, [[1, 4, 0]]).to_bytes()
+    with pytest.raises(ValueError, match="residue"):
+        FpMatrix.from_bytes(odd[:-1] + b"\x05")
+
+
+def _fpmx(p, dense):
+    """An .fpmx file built from its format description alone."""
+    rows, cols = dense.shape
+    head = (b"FPMX" + bytes([1, p])
+            + rows.to_bytes(8, "little") + cols.to_bytes(8, "little"))
+    if p == 2:
+        return head + b"".join(np.packbits(row, bitorder="little").tobytes()
+                               for row in dense)
+    return head + dense.tobytes()
+
+
+def test_fpmx_bytes_on_disk():
+    # round trips pass for any format that reads back what it writes;
+    # this pins the bytes themselves
+    rng = np.random.default_rng(5)
+    shapes = [(0, 70)] + [(3, cols) for cols in (0, 1, 7, 8, 9, 63, 64, 65, 70)]
+    for p, (rows, cols) in [(2, shape) for shape in shapes] + [(5, (4, 9))]:
+        dense = rng.integers(0, p, size=(rows, cols)).astype(np.uint8)
+        want = _fpmx(p, dense)
+        mat = FpMatrix.from_dense(p, dense)
+        assert mat.to_bytes() == want
+        assert FpMatrix.from_bytes(want) == mat
 
 
 def test_prime_validation():

@@ -387,7 +387,7 @@ def assert_rref_b2_matches_oracle(a):
     """rref_b2 on the packed copy of a 0/1 matrix equals the packed oracle
     RREF, tail bits included, and reduces in place."""
     rows, cols = a.shape
-    work = _pack_bits(a).copy()  # _pack_bits returns a read-only array
+    work = _pack_bits(a)
     piv = kernels.rref_b2(work, cols)
     red, oracle_piv = naive_rref(a.tolist(), 2)
     assert piv.dtype == np.int64

@@ -864,7 +864,9 @@ def test_cache_list_skips_malformed_manifests(tmp_path):
     betti_numbers(abelian_group([2]), 2, cache_dir=str(tmp_path))
     for name, manifest in (("abc", {"version": 2}),
                            ("def", {"betti": [1, 1], "maxDegree": 3}),
-                           ("ghi", [1, 2])):
+                           ("ghi", [1, 2]),
+                           # well formed, but of another cache version
+                           ("jkl", {"betti": [1, 1], "maxDegree": 1, "version": 1})):
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
     assert [e["betti"] for e in list_cache(str(tmp_path))] == [[1, 1, 1]]
