@@ -14,6 +14,7 @@ is fixed by requiring (q1*q2).f = q1.(q2.f) to hold on the nose.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -49,13 +50,9 @@ def index_point(p, dim, idx):
 
 def _matrix_point_perm(p, dim, mat):
     """Index permutation of F_p^dim induced by a linear map (rows mod p)."""
-    q = p ** dim
-    perm = np.empty(q, dtype=np.int64)
-    for idx in range(q):
-        v = index_point(p, dim, idx)
-        w = tuple(sum(mat[r][c] * v[c] for c in range(dim)) % p for r in range(dim))
-        perm[idx] = point_index(p, w)
-    return perm
+    digits = p ** np.arange(dim, dtype=np.int64)
+    points = np.arange(p ** dim, dtype=np.int64)[:, None] // digits % p
+    return points @ np.asarray(mat, dtype=np.int64).reshape(dim, dim).T % p @ digits
 
 
 class Cochain:
@@ -99,9 +96,8 @@ class Cochain:
     def random_normalized(cls, p, dim, degree, rng):
         q = p ** dim
         cls._require_budget(q, degree)  # before drawing q^degree values
-        flat = [rng.randrange(p) for _ in range(q ** degree)]
-        table = np.asarray(flat, dtype=np.uint8).reshape((q,) * degree)
-        return cls(p, dim, degree, table)
+        draw = np.random.default_rng(rng.getrandbits(64))
+        return cls(p, dim, degree, draw.integers(0, p, (q,) * degree, dtype=np.uint8))
 
     def eval(self, args):
         if len(args) != self.degree:
@@ -184,9 +180,15 @@ def act_on_point(params, q, point):
     p = params.p
     a, sig = q
     sig_inv = _invert_perm(sig)
-    pows = _block_action_pows(params)
-    perms = [_matrix_point_perm(p, p - 1, pows[e % p]) for e in range(p)]
+    perms = _block_point_perms(params)
     return tuple(int(perms[a[j] % p][point[sig_inv[j]]]) for j in range(len(point)))
+
+
+@functools.lru_cache(maxsize=None)
+def _block_point_perms(params):
+    """Point permutations of F_p^(p-1) under each power of the block action."""
+    return tuple(_matrix_point_perm(params.p, params.p - 1, mat)
+                 for mat in _block_action_pows(params))
 
 
 def check_eta_equivariance(params, degree, trials, seed):

@@ -5,11 +5,13 @@ unimodular bookkeeping in HNF/SNF can never overflow silently.  The
 matrices involved here are small (dimension is the degree of a
 cyclotomic polynomial, rarely above 6); all the heavy mod-p work lives
 elsewhere.
+
+One elimination, :func:`hnf`, answers every exact question: an inverse
+(:func:`inverse_unimodular`), an index [Z^d : AZ^d] = |det A| (the
+Hermite diagonal) and integrality of k*A^-1 (kZ^d inside AZ^d).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def xgcd(a, b):
@@ -129,32 +131,6 @@ class IntMatrix:
     def is_zero(self):
         return all(all(a == 0 for a in row) for row in self.data)
 
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("square matrices only")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def to_lists(self):
         return [list(r) for r in self.data]
 
@@ -267,41 +243,17 @@ def snf(a):
     return IntMatrix(d), IntMatrix(s)
 
 
-def _rational_inverse(a):
-    if a.rows != a.cols:
-        raise ValueError("square matrices only")
-    n = a.rows
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a.data)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        f = m[c][c]
-        m[c] = [x / f for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                g = m[i][c]
-                m[i] = [x - g * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
-
-
 def inverse_unimodular(a):
-    """Exact inverse of a unimodular integer matrix, as an IntMatrix."""
-    inv = _rational_inverse(a)
-    if any(x.denominator != 1 for row in inv for x in row):
+    """Exact inverse of a unimodular integer matrix, as an IntMatrix.
+
+    The column operations that bring ``a`` to its Hermite form I bring
+    the identity stacked above it to a^-1; the lower block coming out as
+    exactly I certifies a @ a^-1 = I."""
+    eye = IntMatrix.identity(a.cols)
+    h = hnf(IntMatrix(eye.data + a.data))
+    if h.data[a.cols:] != eye.data:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix([[int(x) for x in row] for row in inv])
-
-
-def scaled_inverse(a, scalar):
-    """scalar * a^-1, which must be integral (e.g. scalar = det(a))."""
-    inv = _rational_inverse(a)
-    out = [[x * scalar for x in row] for row in inv]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("scaled inverse is not integral")
-    return IntMatrix([[int(x) for x in row] for row in out])
+    return IntMatrix(h.data[:a.cols])
 
 
 def poly_eval_matrix(coeffs, a):

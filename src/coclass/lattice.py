@@ -8,6 +8,8 @@ lattices literal equality of basis matrices.
 
 from __future__ import annotations
 
+import math
+
 from .intmat import IntMatrix, hnf
 
 
@@ -38,20 +40,13 @@ def lattice_from_columns(a):
     if a.cols < d:
         raise ValueError("not full rank")
     h = hnf(a)
-    basis_rows = []
-    off = h.cols - d
-    for i in range(d):
-        row = h.data[i][off:]
-        basis_rows.append(row)
-    basis = IntMatrix(basis_rows)
-    det = 1
-    for i in range(d):
-        if basis.data[i][i] <= 0:
-            raise ValueError("not full rank")
-        det *= basis.data[i][i]
     # the leading columns of a rank-deficient HNF are zero; full rank
-    # leaves none, which the positive-diagonal check above guarantees
-    return Lattice(basis, det)
+    # leaves none, which a positive diagonal guarantees
+    basis = IntMatrix(row[h.cols - d:] for row in h.data)
+    diag = [basis.data[i][i] for i in range(d)]
+    if any(v <= 0 for v in diag):
+        raise ValueError("not full rank")
+    return Lattice(basis, math.prod(diag))
 
 
 def lattice_contains(lat, vec):

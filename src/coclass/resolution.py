@@ -483,17 +483,18 @@ def list_cache(cache_dir):
 
 
 def clear_cache(cache_dir):
+    """Remove every entry directory, each under its key's lock, so a run
+    that holds an entry finishes with it first.  Lock files stay: a waiter
+    and a newcomer must lock the same file."""
     removed = 0
     if not os.path.isdir(cache_dir):
         return removed
     for name in sorted(os.listdir(cache_dir)):
-        path = os.path.join(cache_dir, name)
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
+        base, _manifest, lock_path = _cache_paths(cache_dir, name)
+        if os.path.isdir(base):
+            with _cache_lock(lock_path):
+                shutil.rmtree(base, ignore_errors=True)
             removed += 1
-        elif name.endswith(".lock"):
-            with contextlib.suppress(OSError):
-                os.unlink(path)
     return removed
 
 
@@ -505,7 +506,8 @@ def betti_numbers(group, max_degree, *, cache_dir=None,
 
     The entry is loaded once, under the key's lock: if it is deep enough
     it is the answer, otherwise the resolution continues from it (from
-    degree 0 when there is none) and the deeper entry replaces it."""
+    degree 0 when there is none) and the deeper entry replaces it.  A
+    directory that cannot be created or locked is a ValueError."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if cache_dir is None:
@@ -514,8 +516,12 @@ def betti_numbers(group, max_degree, *, cache_dir=None,
             budget_matrix=budget_matrix).betti
     _base, _manifest, lock_path = _cache_paths(
         cache_dir, resolution_cache_key(group.descriptor))
-    os.makedirs(cache_dir, exist_ok=True)
-    with _cache_lock(lock_path):
+    with contextlib.ExitStack() as held:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            held.enter_context(_cache_lock(lock_path))
+        except OSError as exc:
+            raise ValueError(f"unusable cache directory {cache_dir}: {exc}") from exc
         cached = load_resolution(group.descriptor, cache_dir)
         if cached is not None and cached.max_degree >= max_degree:
             return cached.betti[:max_degree + 1]

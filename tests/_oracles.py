@@ -1,14 +1,15 @@
 """Independent reference computations the tests check the package against.
 
 The textbook oracles (row reduction, kernels, multiplication tables, the
-dense bar complex, rational solves, the characteristic polynomial) are
-deliberately plain Python on lists, so they share no code path with the
-package implementations (the dense bar reference borrows only the
-canonical element order of ``enumerate_group``).  The low-degree
-cohomology oracles (Frattini rank, generator-row bar cochains) and
-``naive_minimal_resolution`` run on the package's group tables and
-``FpMatrix``: they cross-check the resolution step, not the elimination
-kernels.
+dense bar complex, rational solves and inverses, the Bareiss determinant,
+point permutations, the characteristic polynomial) are deliberately plain
+Python on lists, so they share no code path with the package
+implementations (the dense bar reference borrows only the canonical
+element order of ``enumerate_group``).
+The low-degree cohomology oracles (Frattini rank, generator-row bar
+cochains) and ``naive_minimal_resolution`` run on the package's group
+tables and ``FpMatrix``: they cross-check the resolution step, not the
+elimination kernels.
 """
 
 from fractions import Fraction
@@ -301,8 +302,9 @@ def frattini_rank(group):
     return rank
 
 
-def rational_solve_integral(a_rows, b_cols):
-    """Is A^-1 B integral?  A square nonsingular over the rationals."""
+def rational_solve(a_rows, b_cols):
+    """A^-1 B as rows of Fractions, by Gauss-Jordan elimination.  A is
+    square nonsingular over the rationals."""
     n = len(a_rows)
     width = len(b_cols[0])
     aug = [[Fraction(x) for x in row] + [Fraction(b_cols[i][j]) for j in range(width)]
@@ -316,8 +318,58 @@ def rational_solve_integral(a_rows, b_cols):
             if i != c and aug[i][c]:
                 g = aug[i][c]
                 aug[i] = [x - g * y for x, y in zip(aug[i], aug[c])]
-    return all(aug[i][n + j].denominator == 1
-               for i in range(n) for j in range(width))
+    return [row[n:] for row in aug]
+
+
+def rational_solve_integral(a_rows, b_cols):
+    """Is A^-1 B integral?  A square nonsingular over the rationals."""
+    return all(x.denominator == 1 for row in rational_solve(a_rows, b_cols)
+               for x in row)
+
+
+def rational_inverse(a):
+    """A^-1 of a square nonsingular IntMatrix, as rows of Fractions."""
+    return rational_solve(a.data, [[int(i == j) for j in range(a.rows)]
+                                   for i in range(a.rows)])
+
+
+def det(a):
+    """Determinant of a square IntMatrix by fraction-free (Bareiss)
+    elimination."""
+    if a.rows != a.cols:
+        raise ValueError("square matrices only")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def point_perm(p, dim, mat):
+    """Index permutation of F_p^dim under the linear map ``mat``, one point
+    at a time (first coordinate = least significant digit)."""
+    perm = []
+    for idx in range(p ** dim):
+        v = [idx // p ** k % p for k in range(dim)]
+        w = [sum(mat[r][c] * v[c] for c in range(dim)) % p for r in range(dim)]
+        perm.append(sum(x * p ** k for k, x in enumerate(w)))
+    return perm
 
 
 def charpoly(a):

@@ -141,6 +141,28 @@ def test_cache_list_and_clear(capsys, tmp_path):
     assert json.loads(out)["removed"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "--p", "2", "--x", "1", "--i", "0", "--max-degree", "3"],
+    ["theorem", "--p", "2", "--x", "1", "--i-max", "1", "--max-degree", "3"],
+])
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_unusable_cache_dir_is_a_usage_error(capsys, monkeypatch, tmp_path, argv,
+                                             under_a_file):
+    from coclass import resolution
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolved with an unusable cache directory")
+
+    monkeypatch.setattr(resolution, "minimal_resolution", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = str(blocker / "sub" if under_a_file else blocker)
+    code, out, err = run(capsys, argv + ["--cache-dir", cache_dir])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unusable cache directory {cache_dir}: ")
+    assert err.count("\n") == 1
+
+
 def test_cache_list_skips_a_manifest_without_betti(capsys, tmp_path):
     run(capsys, ["betti", "--p", "2", "--x", "1", "--i", "0", "--max-degree",
                  "2", "--cache-dir", str(tmp_path)])

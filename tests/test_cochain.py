@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from _models import ExteriorAlgebra, exterior_dims
+from _oracles import point_perm
 from coclass.cochain import (
     Cochain,
+    _matrix_point_perm,
     ElementaryTensor,
     act_on_cochain,
     act_on_point,
@@ -35,6 +37,14 @@ def test_point_index_round_trip():
     for p, dim in [(2, 1), (3, 2), (5, 4)]:
         for idx in range(p ** dim):
             assert point_index(p, index_point(p, dim, idx)) == idx
+
+
+def test_matrix_point_perm_matches_pointwise_reference():
+    rng = random.Random(3)
+    for p, dim in [(2, 1), (2, 3), (3, 2), (5, 4), (7, 2), (3, 6)]:
+        for _ in range(3):
+            mat = [[rng.randrange(-p, 2 * p) for _ in range(dim)] for _ in range(dim)]
+            assert _matrix_point_perm(p, dim, mat).tolist() == point_perm(p, dim, mat)
 
 
 def test_cochain_normalization_enforced():

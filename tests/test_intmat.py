@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from coclass.intmat import IntMatrix, hnf, snf, xgcd
+from coclass.intmat import IntMatrix, hnf, inverse_unimodular, snf, xgcd
 
-from _oracles import charpoly, rational_solve_integral
+from _oracles import charpoly, det, rational_inverse, rational_solve_integral
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -36,7 +36,7 @@ def test_xgcd_basics():
 def assert_smith(a, d, s):
     """d = s @ a @ t for some unimodular t: s unimodular, d diagonal with
     each entry dividing the next, and s @ a spanning the columns of d."""
-    assert abs(s.det()) == 1
+    assert abs(det(s)) == 1
     k = min(a.rows, a.cols)
     diag = [d.data[i][i] for i in range(k)]
     for i in range(d.rows):
@@ -68,11 +68,11 @@ def test_hnf_factorization_and_unimodularity():
     done = 0
     while done < 30:
         a = rand_matrix(rng, 4, 4)
-        if a.det() == 0:
+        if det(a) == 0:
             continue
         h = hnf(a)
         assert rational_solve_integral(a.to_lists(), h.to_lists())
-        assert abs(h.det()) == abs(a.det())
+        assert abs(det(h)) == abs(det(a))
         done += 1
 
 
@@ -82,7 +82,7 @@ def test_hnf_column_span_preserved_mutual_membership():
     done = 0
     while done < 15:
         a = rand_matrix(rng, 4, 4)
-        if a.det() == 0:
+        if det(a) == 0:
             continue
         h = hnf(a)
         a_rows = a.to_lists()
@@ -106,7 +106,7 @@ def test_hnf_shape_canonicality():
     done = 0
     while done < 10:
         a = rand_matrix(rng, 4, 4)
-        if a.det() == 0:
+        if det(a) == 0:
             continue
         h = hnf(a)
         for i in range(4):
@@ -149,7 +149,7 @@ def test_snf_random_recomposition_and_divisibility():
         d, s = snf(a)
         assert_smith(a, d, s)
         prod = d.data[0][0] * d.data[1][1] * d.data[2][2]
-        assert prod == abs(a.det())
+        assert prod == abs(det(a))
 
 
 def test_snf_rectangular():
@@ -195,13 +195,56 @@ def test_snf_transform_is_pinned_for_negative_pivots(a, d, s):
     assert snf(IntMatrix(a)) == (IntMatrix(d), IntMatrix(s))
 
 
+# the Smith transforms s of chain levels 0..5 fix the coordinates of every
+# quotient; s^-1 lifts them back to Z^d
+@pytest.mark.parametrize("p, x", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                  (5, 1), (7, 1), (3, 3)])
+def test_inverse_unimodular_of_chain_smith_transforms(p, x):
+    from coclass.spacegroup import SpaceGroupParams, filtration_lattices
+    params = SpaceGroupParams(p, x)
+    eye = IntMatrix.identity(params.dim)
+    for lat in filtration_lattices(params, 5):
+        _d, s = snf(lat.basis)
+        inv = inverse_unimodular(s)
+        assert s @ inv == eye and inv @ s == eye
+        assert inv.to_lists() == rational_inverse(s)
+
+
+def test_inverse_unimodular_of_random_unimodular():
+    rng = random.Random(23)
+    for _ in range(20):
+        u = IntMatrix.identity(4)
+        for _ in range(8):
+            # a transvection, or a swap of two rows (determinant -1)
+            i, j = rng.sample(range(4), 2)
+            e = [[int(r == c) for c in range(4)] for r in range(4)]
+            if rng.random() < 0.25:
+                e[i], e[j] = e[j], e[i]
+            else:
+                e[i][j] = rng.randint(-4, 4)
+            u = IntMatrix(e) @ u
+        assert inverse_unimodular(u).to_lists() == rational_inverse(u)
+
+
+@pytest.mark.parametrize("a", [
+    [[2, 0], [0, 1]],                 # determinant 2
+    [[1, 2], [2, 4]],                 # singular
+    [[0]],
+    [[1, 0, 0], [0, 1, 0]],           # not square
+    [[1, 0], [0, 1], [0, 0]],
+])
+def test_inverse_unimodular_rejects_non_unimodular(a):
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(IntMatrix(a))
+
+
 def test_det_bareiss_vs_charpoly_constant():
     rng = random.Random(17)
     for _ in range(10):
         a = rand_matrix(rng, 4, 4, -5, 5)
         cp = charpoly(a)
         # constant coefficient is (-1)^n det
-        assert cp[-1] == a.det()
+        assert cp[-1] == det(a)
 
 
 def test_matrix_power_and_apply():

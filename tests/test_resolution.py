@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -574,6 +575,35 @@ def test_cache_list_and_clear(tmp_path):
     assert entries[0]["betti"] == [1, 1, 1, 1]
     assert clear_cache(str(tmp_path)) == 1
     assert list_cache(str(tmp_path)) == []
+
+
+def test_cache_clear_waits_for_an_entry_lock_and_keeps_it(tmp_path):
+    g = abelian_group([2])
+    betti_numbers(g, 2, cache_dir=str(tmp_path))
+    key = resolution_cache_key(g.descriptor)
+    lock = tmp_path / (key + ".lock")
+    held, release, cleared = threading.Event(), threading.Event(), []
+
+    def holder():  # a run that holds the entry
+        with _cache_lock(str(lock)):
+            held.set()
+            release.wait(60)
+
+    threads = [threading.Thread(target=holder),
+               threading.Thread(target=lambda: cleared.append(clear_cache(str(tmp_path))))]
+    threads[0].start()
+    assert held.wait(60)
+    threads[1].start()
+    try:
+        threads[1].join(0.5)
+        assert cleared == [] and (tmp_path / key / "manifest.json").exists()
+    finally:
+        release.set()
+        for t in threads:
+            t.join(60)
+    assert cleared == [1]
+    assert not (tmp_path / key).exists()
+    assert lock.exists()
 
 
 def test_cache_fpmx_files_exist(tmp_path):

@@ -10,10 +10,10 @@ from _models import (
     wreath_act,
     wreath_action_matrix,
 )
-from _oracles import charpoly, perturb_filtration_level
+from _oracles import charpoly, det, perturb_filtration_level, rational_solve_integral
 from coclass import spacegroup
 from coclass.errors import BudgetError
-from coclass.intmat import IntMatrix, poly_eval_matrix, scaled_inverse
+from coclass.intmat import IntMatrix, poly_eval_matrix
 from coclass.lattice import apply_matrix, lattice_from_columns, scale_lattice
 from coclass.spacegroup import (
     SpaceGroupParams,
@@ -58,7 +58,7 @@ def test_companion_invariants(p, x):
     d = params.dim
     assert c ** params.point_order == IntMatrix.identity(d)
     assert poly_eval_matrix(cyclotomic_pp(p, x), c).is_zero()
-    assert abs((c - IntMatrix.identity(d)).det()) == p
+    assert abs(det(c - IntMatrix.identity(d))) == p
 
 
 def test_companion_order_exact():
@@ -87,7 +87,7 @@ def test_maximal_class_shift_power_divisible(p):
     n = (m - IntMatrix.identity(p - 1)) ** (p - 1)
     assert all(v % p == 0 for row in n.data for v in row)
     over_p = IntMatrix([[v // p for v in row] for row in n.data])
-    assert over_p.det() % p != 0
+    assert det(over_p) % p != 0
 
 
 def test_filtration_base_level():
@@ -111,7 +111,7 @@ def test_filtration_negative_level():
 def test_commutator_matrix_2_1():
     d = IntMatrix.identity(1) - companion_cyclotomic(SpaceGroupParams(2, 1))
     assert d == IntMatrix([[2]])
-    assert d.det() == 2
+    assert det(d) == 2
 
 
 def test_commutator_image_and_scaled_inverse():
@@ -120,7 +120,7 @@ def test_commutator_image_and_scaled_inverse():
         d = IntMatrix.identity(params.dim) - companion_cyclotomic(params)
         c = companion_cyclotomic(params)
         assert d @ c == c @ d
-        scaled_inverse(d, p)  # raises if p * d^-1 is not integral
+        assert rational_solve_integral(d.data, (p * IntMatrix.identity(params.dim)).data)
         lats = filtration_lattices(params, 7)
         for i in range(6):
             assert apply_matrix(d, lats[i]) == lats[i + 1]
@@ -144,6 +144,31 @@ def test_verify_filtration_tamper_negative_control(monkeypatch):
     assert rep["failures"] > 0
     failing = {c["name"] for c in rep["checks"] if not c["passed"]}
     assert "successive-index-p" in failing
+
+
+# a level off by one entry fails every check that reads the chain; the
+# checks on I-C alone (index, commutation, p(I-C)^-1) still pass
+_PERTURBED_FAILING = {
+    "commutator-image-is-next-level",
+    "p-scaling-climbs-dim-levels",
+    "point-shift-maps-level-to-next",
+    "projection-commutes-with-commutator",
+    "strict-containment",
+    "successive-index-p",
+}
+
+
+@pytest.mark.parametrize("p, x", [(3, 1), (2, 2), (2, 1)])
+@pytest.mark.parametrize("level", range(5))
+def test_verify_filtration_perturbed_level_failures_are_pinned(monkeypatch, p, x,
+                                                               level):
+    perturb_filtration_level(monkeypatch, level)
+    rep = verify_filtration(SpaceGroupParams(p, x), 4, trials=20, seed=1)
+    failing = {c["name"] for c in rep["checks"] if not c["passed"]}
+    base = {"base-level-is-p-times-ambient"} if level == 0 else set()
+    assert failing == _PERTURBED_FAILING | base
+    det_check = next(c for c in rep["checks"] if c["name"] == "commutator-determinant")
+    assert det_check["detail"] == p
 
 
 def test_delta_equivariance_report():
