@@ -37,7 +37,9 @@ def _prime(p):
 def _pack_bits(dense):
     """uint8 0/1 matrix -> uint64 word matrix (little-endian bit order)."""
     rows, cols = dense.shape
-    return kernels._row_words(np.packbits(dense, axis=1, bitorder="little"), rows, cols)
+    # packbits keeps the input's memory order, and the codec reads C order
+    packed = np.ascontiguousarray(np.packbits(dense, axis=1, bitorder="little"))
+    return kernels._row_words(packed, rows, cols)
 
 
 def _unpack_bits(words, cols):

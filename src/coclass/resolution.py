@@ -13,9 +13,12 @@ is a submodule) and every boundary entry lies in the augmentation
 ideal.
 
 Free modules are row-indexed by (basis index, group element index) with
-the element order frozen by the canonical element table; boundary n is
-stored as the F_p-matrix of shape (beta_{n-1}*|G|, beta_n*|G|) acting on
-column vectors.
+the element order frozen by the canonical element table.  Boundary n acts
+on column vectors and is an F_p[G]-map, so it is fixed by the images of
+its beta_n free generators: it is stored as those generator columns, the
+F_p-matrix of shape (beta_{n-1}*|G|, beta_n).  The rows of the whole
+(beta_{n-1}*|G|, beta_n*|G|) matrix that an elimination reads are
+assembled from them by :func:`_assemble_boundary`.
 
 Resolutions are cached on disk (one directory per group, boundaries as
 ``.fpmx`` files plus a manifest), and :func:`verify_theorem` compares
@@ -41,13 +44,16 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class GroupAlgebraContext:
-    """Multiplication tables and index gathers for F_p[G] computations."""
+    """Multiplication tables and index gathers for F_p[G] computations.
 
-    __slots__ = ("p", "m", "mul", "inv", "gen_idx", "gather")
+    ``gens`` is the generating set S of :func:`_reaching_subset`, and
+    ``gather`` is certified against it by :func:`_check_gather`."""
+
+    __slots__ = ("p", "m", "mul", "inv", "gen_idx", "gens", "gather")
 
     def __init__(self, group, table=None, budget=RESOLUTION_ORDER_BUDGET):
         if budget is not None and group.order > budget:
@@ -68,6 +74,8 @@ class GroupAlgebraContext:
         # gather[r, g] = index of g^-1 * r: left translation by g sends the
         # coefficient at g^-1*r to position r
         self.gather = np.ascontiguousarray(mul[inv].T)
+        self.gens = tuple(_reaching_subset(self))
+        _check_gather(self.gather, self.gens)
 
 
 def _group_tables(group, table):
@@ -122,6 +130,35 @@ def _group_tables(group, table):
     return mul, inv
 
 
+def _check_gather(gather, gens):
+    """Raise AssertionError unless gather[gather[r, g], gather[c, g]] =
+    gather[r, c] for all r, c and each g in ``gens``, i.e.
+    (g^-1 c)^-1 (g^-1 r) = c^-1 r: |gens|*|G|^2 comparisons, in chunks of
+    rows.
+
+    This is equivariance, certified once per group instead of once per
+    boundary.  :func:`_assemble_boundary` puts vecs[b*m + gather[r, c], t]
+    at (b*m + r, t*m + c), and left translation by g moves row b*m + r to
+    b*m + gather[r, g] and column t*m + c to t*m + gather[c, g] (the
+    permutations of :func:`_translations`).  Translated, the entry at
+    (b*m + r, t*m + c) is vecs[b*m + gather[gather[r, g], gather[c, g]], t],
+    which the equation makes the entry itself.  So every boundary
+    assembled from any generator columns commutes with each g in
+    ``gens``; they generate G, so it is an F_p[G]-map and its kernel a
+    submodule.
+    """
+    m = len(gather)
+    step = max(1, (1 << 20) // m)
+    for g in gens:
+        col = gather[:, g]
+        for r0 in range(0, m, step):
+            if not np.array_equal(gather[col[r0:r0 + step, None], col],
+                                  gather[r0:r0 + step]):
+                raise AssertionError(
+                    f"gather does not commute with translation by element {g}, "
+                    "so assembled boundaries would not be F_p[G]-linear")
+
+
 def _reaching_subset(ctx):
     """The table generators with each one dropped that the others still
     generate without.
@@ -153,8 +190,9 @@ def _reaching_subset(ctx):
 
 
 class Resolution:
-    """Betti numbers beta_0..beta_N plus the boundary matrices d_1..d_N
-    (``boundaries[n - 1]`` is d_n)."""
+    """Betti numbers beta_0..beta_N plus the boundaries d_1..d_N, each
+    stored as its generator columns (``boundaries[n - 1]`` is the
+    (beta_{n-1}*|G|, beta_n) matrix of d_n)."""
 
     __slots__ = ("key", "p", "max_degree", "betti", "boundaries")
 
@@ -192,8 +230,13 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     column of d_n in K_{n-1}, and K_{n-1} is the identity on F, so
     d_n = K_{n-1} d_n[F].  K_{n-1} has full column rank, so d_n and
     d_n[F] have the same rank, the same kernel and, having the same row
-    space, the same reduced echelon form.  With S a generating set of G
-    (:func:`_reaching_subset`), rad K is the sum of (g-1)K over g in S,
+    space, the same reduced echelon form.  Those rows are all of d_n that
+    is ever built: the resolution keeps each boundary as its generator
+    columns, and :func:`_assemble_boundary` makes d_n[F] from them, so
+    the top boundary of a run is never assembled (a resumed run assembles
+    its loaded top in full, because its first kernel keeps every row).
+    With S a generating set of G (:func:`_reaching_subset`), rad K is the
+    sum of (g-1)K over g in S,
     and restricting to the free rows is injective on K.  The heads are
     the coordinates j with e_j outside rad K + span(e_i, i < j): they
     span K modulo rad K, and they become the free generators of the next
@@ -211,31 +254,38 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
 
     Each fact is checked once, in the cheapest form that proves it:
 
-    * equivariance: each assembled d_{n+1} commutes with left translation
-      by every g in S (a comparison of gathered entries, one column block
-      at a time); S generates G, so every boundary is an F_p[G]-map and
-      every ker d_n a submodule;
+    * equivariance: once per group, when the context is built
+      (:func:`_check_gather`), which makes every boundary assembled from
+      generator columns commute with left translation by each g in S; S
+      generates G, so every boundary is an F_p[G]-map and every ker d_n
+      a submodule;
     * composite: for F_p[G]-maps, d_n d_{n+1} = 0 exactly when it holds on
-      the beta_{n+1} generator columns of d_{n+1} (the identity is element
-      0), a product |G| times smaller than the whole one;
+      the beta_{n+1} generator columns of d_{n+1}, a product |G| times
+      smaller than the whole one.  It is taken with d_n[F], the matrix
+      whose kernel was just computed: the previous degree's certificate
+      gives d_n = K_{n-1} d_n[F], and K_{n-1} has full column rank, so
+      d_n v = 0 exactly when d_n[F] v = 0;
     * exactness below the top: rank d_n = cols - dim K must equal
       dim ker d_{n-1} (1 for the augmentation, whose image is F_p); with
       the composite this gives im d_n = ker d_{n-1}, however the heads
       were picked;
     * submodule at the top: gK lies in K for each g in S, i.e. the rows of
       gK off the free rows equal K's rows there times gK's free rows;
-    * minimality: every entry of the new boundary has zero augmentation,
-      which is what makes beta_n = dim H^n(G; F_p);
+    * minimality: every generator column has zero augmentation in each
+      block of |G| rows, and so has every translate of one, i.e. every
+      entry of the boundary, which is what makes
+      beta_n = dim H^n(G; F_p);
     * heads (odd p): each round of :func:`kernels.heads_u8` checks
       L B = 0 mod p for its triangular rows L, which with B[C] = I (true
       by construction) proves that round's reduction, so the head set is
       the exact one, at every degree;
-    * a resumed top d_N is re-certified before it is extended: it must
-      commute with S, d_{N-1} d_N must vanish on its generator columns
-      (d_0 is the augmentation), and the rank comparison at degree N
-      checks it against dim ker d_{N-1}, which exactness of the
-      certified lower degrees gives as k_{-1} = 1 (the image of the
-      augmentation) and k_j = beta_j |G| - k_{j-1}.
+    * a resumed top d_N is re-certified before it is extended: d_{N-1},
+      assembled in full (d_0 is the augmentation), must vanish on the
+      generator columns of d_N, which must have zero augmentation, and
+      the rank comparison at degree N checks d_N against
+      dim ker d_{N-1}, which exactness of the certified lower degrees
+      gives as k_{-1} = 1 (the image of the augmentation) and
+      k_j = beta_j |G| - k_{j-1}.  Its equivariance is the context's.
 
     The top degree differs because the top boundary d_N gets no kernel,
     so its exactness is not compared (that would cost one more
@@ -252,24 +302,24 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     """
     ctx = GroupAlgebraContext(group, table=table, budget=budget_order)
     p, m = ctx.p, ctx.m
-    gens = _reaching_subset(ctx)
     betti = [1] if start is None else list(start.betti)
     boundaries = [] if start is None else list(start.boundaries)
     if len(boundaries) > max_degree:
         raise ValueError(f"cannot resolve through degree {max_degree} "
                          f"from degree {len(boundaries)}")
-    chain = [FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8)), *boundaries]
+    cur = FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8))
     if boundaries:
         # a loaded top is re-certified; its exactness is the rank
         # comparison at the loop's first degree
-        _check_module_map(ctx, chain[-2], chain[-1].to_dense(),
-                          _translations(ctx, gens, betti[-2]), len(boundaries))
-    cur = chain[-1]
+        vecs = boundaries[-1].to_dense()
+        if len(boundaries) > 1:
+            cur = _assemble_boundary(ctx, boundaries[-2].to_dense())
+        _certified_columns(ctx, cur, vecs)
+        cur = _assemble_boundary(ctx, vecs)
     # dim ker d_{N-1} by exactness of the certified degrees below N
     prev_dim = 1
     for beta in betti[:-1]:
         prev_dim = beta * m - prev_dim
-    free = None  # free rows of ker d_{n-1}; unknown for d_0 and a resumed top
     for n in range(len(boundaries), max_degree):
         beta_n = betti[-1]
         if beta_n * m > budget_matrix:
@@ -277,7 +327,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
                 f"matrix side {beta_n * m} exceeds budget {budget_matrix} "
                 f"at degree {n + 1}",
                 side=beta_n * m, budget=budget_matrix, degree=n + 1)
-        kern = (cur if free is None else cur.row_select(free)).kernel()
+        kern = cur.kernel()
         k = kern.cols
         if cur.cols - k != prev_dim:
             raise AssertionError(
@@ -288,8 +338,9 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         # a basis vector's 1 is its last nonzero entry: the others sit at
         # pivot columns to its left
         free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
-        perms = _translations(ctx, gens, beta_n)
-        if n == max_degree - 1:
+        perms = _translations(ctx, ctx.gens, beta_n)
+        top = n == max_degree - 1
+        if top:
             # the submodule products come before the heads: the benchmark
             # trace (perfbench/layers.py) takes the first product after the
             # p = 2 head rref to be the composite check
@@ -307,8 +358,10 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
         sel = _heads(p, rad.reshape(-1, k))
         betti.append(len(sel))
-        cur = _certified_boundary(ctx, cur, kd[:, sel], beta_n, perms, n + 1)
-        boundaries.append(cur)
+        vecs = kd[:, sel]
+        boundaries.append(_certified_columns(ctx, cur, vecs))
+        if not top:
+            cur = _assemble_boundary(ctx, vecs, free)
     return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
 
 
@@ -331,45 +384,43 @@ def _translations(ctx, gens, beta):
     return [(np.arange(beta)[:, None] * ctx.m + ctx.gather[:, g]).ravel() for g in gens]
 
 
-def _certified_boundary(ctx, cur, vecs, beta_n, perms, n):
-    """d_n assembled from the kernel vectors ``vecs`` of ``cur`` = d_{n-1}
-    and checked by :func:`_check_module_map`.  Kept apart from the loop so
-    that the dense d is freed before the next kernel elimination."""
-    d = _assemble_boundary(ctx, vecs, beta_n)
-    nxt = FpMatrix.from_dense(ctx.p, d)
-    _check_module_map(ctx, cur, d, perms, n)
-    return nxt
-
-
-def _check_module_map(ctx, prev, d, perms, n):
-    """Raise AssertionError unless d_{n-1} d_n vanishes on the generator
-    columns of the dense d_n ``d`` (``prev`` = d_{n-1}) and d_n commutes
-    with each left translation in ``perms`` (row permutations over
-    beta_{n-1} blocks; within one block they are the column permutations
-    too)."""
-    if not (prev @ FpMatrix.from_dense(ctx.p, d[:, ::ctx.m])).is_zero():
+def _certified_columns(ctx, prev, vecs):
+    """The generator columns ``vecs`` of d_n as an :class:`FpMatrix`.
+    Raises AssertionError unless ``prev`` @ vecs = 0, with ``prev`` d_{n-1}
+    or its rows F (see :func:`minimal_resolution`), and unless every
+    vector has zero augmentation in each block of |G| rows, i.e. d_n is
+    minimal."""
+    cols = FpMatrix.from_dense(ctx.p, vecs)
+    if not (prev @ cols).is_zero():
         raise AssertionError("composite of consecutive boundaries is nonzero")
-    for perm in perms:
-        for t in range(0, d.shape[1], ctx.m):
-            block = d[:, t:t + ctx.m]
-            if not np.array_equal(block.take(perm, 0).take(perm[:ctx.m], 1), block):
-                raise AssertionError(f"d_{n} is not F_p[G]-linear, so its "
-                                     "kernel is not a submodule")
-
-
-def _assemble_boundary(ctx, vecs, beta_n):
-    """Dense d_{n+1}: column block t holds the left translates of the
-    kernel vector ``vecs[:, t]`` (beta_n blocks of |G| rows), so the
-    boundary is the F_p[G]-map sending generator t to that vector.
-    Raises AssertionError unless every vector has zero augmentation in
-    each block, i.e. the boundary is minimal."""
-    m = ctx.m
-    blocks = vecs.reshape(beta_n, m, vecs.shape[1])
+    blocks = vecs.reshape(vecs.shape[0] // ctx.m, ctx.m, vecs.shape[1])
     if (blocks.sum(axis=1) % ctx.p).any():
         raise AssertionError("boundary entry with nonzero augmentation")
-    # out[b*m + r, t*m + c] = vecs[b*m + gather[r, c], t]
-    out = blocks[:, ctx.gather, :].transpose(0, 1, 3, 2)
-    return np.ascontiguousarray(out).reshape(beta_n * m, vecs.shape[1] * m)
+    return cols
+
+
+def _assemble_boundary(ctx, vecs, rows=None):
+    """Rows ``rows`` (all of them when None) of the F_p[G]-map whose
+    generator columns are ``vecs`` (beta blocks of |G| rows), as an
+    :class:`FpMatrix`: column block t holds the left translates of
+    vecs[:, t], so entry (b*m + r, t*m + c) is vecs[b*m + gather[r, c], t].
+    The rows are gathered a chunk at a time into their final layout, so
+    that layout is the one full-size temporary (which
+    :meth:`FpMatrix.from_dense` copies for odd p and packs for p = 2), and
+    the index and gathered chunks stay near 2^16 entries."""
+    m = ctx.m
+    cols = vecs.shape[1]
+    rows = np.arange(vecs.shape[0]) if rows is None else np.asarray(rows)
+    block, r = np.divmod(rows, m)
+    vt = np.ascontiguousarray(vecs.T)
+    out = np.empty((len(rows), cols, m), dtype=np.uint8)
+    step = max(1, (1 << 16) // m)
+    for i in range(0, len(rows), step):
+        j = slice(i, i + step)
+        # idx[i, c] = b*m + gather[r, c] for row i = b*m + r
+        idx = ctx.gather[r[j]] + block[j, None] * m
+        out[j] = vt.take(idx, axis=1).transpose(1, 0, 2)
+    return FpMatrix.from_dense(ctx.p, out.reshape(len(rows), cols * m))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +499,8 @@ def load_resolution(descriptor, cache_dir):
     """Reload a cached resolution, or None if absent, corrupt or
     inconsistent: the manifest must be of this version and list
     beta_0..beta_maxDegree as integers (see :func:`_read_manifest`), and
-    boundary n must have shape (beta_{n-1}*|G|, beta_n*|G|)."""
+    boundary n must have the shape (beta_{n-1}*|G|, beta_n) of its
+    generator columns."""
     key = resolution_cache_key(descriptor)
     base, manifest_path, _ = _cache_paths(cache_dir, key)
     manifest = _read_manifest(manifest_path)
@@ -461,8 +513,7 @@ def load_resolution(descriptor, cache_dir):
         for n in range(1, max_degree + 1):
             with open(os.path.join(base, f"{n}.fpmx"), "rb") as fh:
                 mat = FpMatrix.from_bytes(fh.read())
-            if (mat.p, mat.rows, mat.cols) != (p, betti[n - 1] * order,
-                                               betti[n] * order):
+            if (mat.p, mat.rows, mat.cols) != (p, betti[n - 1] * order, betti[n]):
                 return None
             boundaries.append(mat)
     except (OSError, ValueError):

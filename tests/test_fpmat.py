@@ -103,17 +103,18 @@ def test_from_dense_reduces_every_dtype():
 def test_from_dense_uint8_residues_are_copied_not_shared():
     # residues already below p skip the remainder: the matrix must still
     # own its bytes, leave the caller's array writable, and accept views
+    # and column-major arrays
     rng = np.random.default_rng(4)
     for p in (2, 3, 251):
         raw = rng.integers(0, p, size=(6, 70)).astype(np.uint8)
-        for src in (raw, raw[:, ::-1], raw[::2], raw[:, :0]):
+        for src in (raw, raw[:, ::-1], raw[::2], raw[:, :0], np.asfortranarray(raw)):
             want = src.copy()
             mat = FpMatrix.from_dense(p, src)
             assert src.flags.writeable
             raw[:] = (raw.astype(np.int64) + 1) % p
             assert np.array_equal(mat.to_dense(), want)
-            wide = FpMatrix.from_dense(p, want.astype(np.int64))
-            assert mat.to_bytes() == wide.to_bytes()
+            for wide in (want.astype(np.int64), np.asfortranarray(want, dtype=np.int64)):
+                assert mat.to_bytes() == FpMatrix.from_dense(p, wide).to_bytes()
         # one entry at p or above sends the whole matrix through the remainder
         raw[0, 0] = p
         assert FpMatrix.from_dense(p, raw).to_dense()[0, 0] == 0

@@ -88,9 +88,10 @@ def test_quotients_2_1_level0_vs_level1_identical():
 
 
 def test_boundary_shapes_composites_and_minimality():
-    # the resolution checks composites on generator columns and
-    # equivariance over a generating subset; here both are checked in full:
-    # whole products, and every table generator through the reference table
+    # the resolution stores generator columns, checks composites on them
+    # and equivariance once per group; here each d_n is assembled from its
+    # columns and both are checked in full: whole products, and every
+    # table generator through the reference table
     for g, degree in ((quotient_group(SpaceGroupParams(3, 1), 0), 4),
                       (quotient_group(SpaceGroupParams(2, 2), 1), 5),
                       (b3r(4), 4)):
@@ -98,15 +99,19 @@ def test_boundary_shapes_composites_and_minimality():
         m = g.order
         table = enumerate_group(g)
         mul, inv = naive_mul_table(g, table)
+        ctx = GroupAlgebraContext(g, table=table)
         assert res.betti[0] == 1
         for n in range(1, degree + 1):
             bd = res.boundaries[n - 1]
             assert bd.rows == res.betti[n - 1] * m
-            assert bd.cols == res.betti[n] * m
+            assert bd.cols == res.betti[n]
+        full = [resolution._assemble_boundary(ctx, bd.to_dense())
+                for bd in res.boundaries]
         for n in range(1, degree):
-            assert (res.boundaries[n - 1] @ res.boundaries[n]).is_zero()
+            assert (full[n - 1] @ full[n]).is_zero()
         for n in range(1, degree + 1):
-            dense = res.boundaries[n - 1].to_dense()
+            dense = full[n - 1].to_dense()
+            assert np.array_equal(dense[:, ::m], res.boundaries[n - 1].to_dense())
             # minimality: every group-algebra entry has zero augmentation
             for bi in range(res.betti[n - 1]):
                 block = dense[bi * m:(bi + 1) * m]
@@ -267,8 +272,11 @@ def test_resolution_matches_full_height_head_step(case):
     res = minimal_resolution(group, degree, table=table)
     betti, boundaries = naive_minimal_resolution(group, degree, table=table)
     assert res.betti == betti
+    # the reference assembles every boundary in full; its generator
+    # columns are what the resolution keeps
     assert [b.to_bytes() for b in res.boundaries] == \
-        [b.to_bytes() for b in boundaries]
+        [FpMatrix.from_dense(b.p, b.to_dense()[:, ::group.order]).to_bytes()
+         for b in boundaries]
 
 
 def test_generating_subset_has_frattini_rank_size():
@@ -281,63 +289,79 @@ def test_generating_subset_has_frattini_rank_size():
         assert len(_reaching_subset(ctx)) == frattini_rank(group) == rank
 
 
-def _corrupt_boundary(monkeypatch, degree, corrupt):
-    """Make the assembled d_degree pass through ``corrupt`` (in place)."""
-    real = resolution._assemble_boundary
+def _corrupt_columns(monkeypatch, degree, corrupt):
+    """Make the generator columns of d_degree pass through ``corrupt`` (in
+    place) as they are certified, so the stored d_degree and the rows of it
+    that the next kernel reads both carry the fault."""
+    real = resolution._certified_columns
     built = []
 
-    def assemble(ctx, vecs, beta_n):
-        out = real(ctx, vecs, beta_n)
-        built.append(out)
+    def certify(ctx, prev, vecs):
+        built.append(vecs)
         if len(built) == degree:
-            corrupt(out, ctx.m)
-        return out
+            corrupt(vecs, ctx.m)
+        return real(ctx, prev, vecs)
 
-    monkeypatch.setattr(resolution, "_assemble_boundary", assemble)
+    monkeypatch.setattr(resolution, "_certified_columns", certify)
 
 
-def test_non_equivariant_boundary_is_not_a_submodule(monkeypatch):
-    # swapping two columns inside one translate block keeps d_1 d_2 = 0
-    # and the augmentation, but d_2 is no longer F_p[G]-linear
-    def swap(out, m):
-        out[:, [3, 5]] = out[:, [5, 3]]
+def _swap_in_column(gather, col):
+    """``gather`` with the entries of rows 0 and 1 of column ``col`` swapped."""
+    bad = gather.copy()
+    bad[[0, 1], col] = bad[[1, 0], col]
+    return bad
 
-    _corrupt_boundary(monkeypatch, 2, swap)
-    with pytest.raises(AssertionError, match="kernel is not a submodule"):
-        minimal_resolution(b3r(3), 3)
+
+def test_gather_with_two_entries_of_one_column_swapped_is_refused():
+    # boundaries are assembled through gather, so a wrong gather would give
+    # maps that are not F_p[G]-linear; the once-per-group certificate
+    # refuses it, for a column of a generator in S and for one outside S
+    ctx = GroupAlgebraContext(b3r(3))
+    resolution._check_gather(ctx.gather, ctx.gens)
+    for col in (ctx.gens[0], ctx.gens[1], ctx.m - 1):
+        with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
+            resolution._check_gather(_swap_in_column(ctx.gather, col), ctx.gens)
+
+
+def test_context_with_a_non_equivariant_gather_is_refused(monkeypatch):
+    # the same fault arriving through the tables: gather[r, c] is
+    # mul[inv[c], r], so two entries of one row of mul swapped are two
+    # entries of one column of gather; the context, and so the
+    # resolution, is refused before any boundary is built
+    real = resolution._group_tables
+
+    def tables(group, table):
+        mul, inv = real(group, table)
+        gather = _swap_in_column(np.ascontiguousarray(mul[inv].T), 2)
+        return np.ascontiguousarray(gather.T[inv]), inv
+
+    monkeypatch.setattr(resolution, "_group_tables", tables)
+    kernels = _count_kernels(monkeypatch)
+    with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
+        minimal_resolution(b3r(3), 4)
+    assert kernels == []
 
 
 def test_zeroed_generator_block_breaks_exactness(monkeypatch):
-    # d_2 with generator 1's block zeroed is still a module map with
+    # d_2 with generator 1 sent to zero is still a module map with
     # d_1 d_2 = 0 and a submodule kernel, but its image misses ker d_1
-    def zero(out, m):
-        out[:, m:2 * m] = 0
+    def zero(vecs, m):
+        vecs[:, 1] = 0
 
-    _corrupt_boundary(monkeypatch, 2, zero)
+    _corrupt_columns(monkeypatch, 2, zero)
     with pytest.raises(AssertionError, match="not exact at degree 1"):
         minimal_resolution(b3r(3), 3)
 
 
 def test_nonzero_composite_is_rejected(monkeypatch):
     # one entry of d_2 off by one: d_1 d_2 picks up a nonzero column of d_1
-    def bump(out, m):
-        out[0, 0] = (out[0, 0] + 1) % 3
+    def bump(vecs, m):
+        vecs[0, 0] = (vecs[0, 0] + 1) % 3
 
-    _corrupt_boundary(monkeypatch, 2, bump)
+    _corrupt_columns(monkeypatch, 2, bump)
     with pytest.raises(AssertionError,
                        match="composite of consecutive boundaries is nonzero"):
         minimal_resolution(b3r(3), 3)
-
-
-def test_non_equivariant_boundary_below_the_top_is_rejected(monkeypatch):
-    # the same swap with d_2 below the top: the submodule products run at
-    # the top degree only, so the equivariance check must catch it
-    def swap(out, m):
-        out[:, [3, 5]] = out[:, [5, 3]]
-
-    _corrupt_boundary(monkeypatch, 2, swap)
-    with pytest.raises(AssertionError, match=r"d_2 is not F_p\[G\]-linear"):
-        minimal_resolution(b3r(3), 4)
 
 
 def test_wrong_top_kernel_is_not_a_submodule(monkeypatch):
@@ -366,21 +390,14 @@ def test_wrong_top_kernel_is_not_a_submodule(monkeypatch):
 
 
 def test_corrupted_orbit_is_rejected_by_the_composite(monkeypatch):
-    # one kernel vector changed before assembly: d_2 is still an
+    # one kernel vector changed before it is stored: d_2 is still an
     # F_p[G]-map with zero augmentation, but its second generator no
     # longer lands in ker d_1
-    real = resolution._assemble_boundary
-    calls = []
+    def shift(vecs, m):
+        vecs[1, 1] = (vecs[1, 1] + 1) % 3
+        vecs[2, 1] = (vecs[2, 1] + 2) % 3
 
-    def assemble(ctx, vecs, beta_n):
-        calls.append(beta_n)
-        if len(calls) == 2:
-            vecs = vecs.copy()
-            vecs[1, 1] = (vecs[1, 1] + 1) % 3
-            vecs[2, 1] = (vecs[2, 1] + 2) % 3
-        return real(ctx, vecs, beta_n)
-
-    monkeypatch.setattr(resolution, "_assemble_boundary", assemble)
+    _corrupt_columns(monkeypatch, 2, shift)
     with pytest.raises(AssertionError,
                        match="composite of consecutive boundaries is nonzero"):
         minimal_resolution(b3r(3), 3)
@@ -388,10 +405,9 @@ def test_corrupted_orbit_is_rejected_by_the_composite(monkeypatch):
 
 def test_boundary_column_off_the_previous_kernel_is_refused(monkeypatch):
     # d_2 is changed at one row a off the free rows F of K_1 (a pivot
-    # column of d_1), in a generator column.  d_2[F], which is all the
-    # kernel elimination of d_2 reads, is unchanged, but the column leaves
-    # span K_1 (d_1 e_a != 0), so d_2 = K_1 d_2[F] fails and the composite
-    # check must refuse d_2 before its kernel is taken
+    # column of d_1[F]), in a generator column.  The column leaves span
+    # K_1 (d_1 e_a != 0), so d_2 = K_1 d_2[F] fails, and the composite,
+    # taken with d_1[F], must refuse d_2 before its kernel is taken
     real_kernel = FpMatrix.kernel
     kernels_taken = []
 
@@ -402,13 +418,13 @@ def test_boundary_column_off_the_previous_kernel_is_refused(monkeypatch):
 
     monkeypatch.setattr(FpMatrix, "kernel", kernel)
 
-    def bump_off_free(out, m):
+    def bump_off_free(vecs, m):
         kd = kernels_taken[-1]  # K_1
         free = set((kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)).tolist())
         a = min(set(range(kd.shape[0])) - free)
-        out[a, 0] = (out[a, 0] + 1) % 3
+        vecs[a, 0] = (vecs[a, 0] + 1) % 3
 
-    _corrupt_boundary(monkeypatch, 2, bump_off_free)
+    _corrupt_columns(monkeypatch, 2, bump_off_free)
     with pytest.raises(AssertionError,
                        match="composite of consecutive boundaries is nonzero"):
         minimal_resolution(b3r(3), 3)
@@ -419,9 +435,44 @@ def test_nonzero_augmentation_is_rejected():
     ctx = GroupAlgebraContext(b3r(3))
     vecs = np.zeros((2 * ctx.m, 1), dtype=np.uint8)
     vecs[ctx.m + 4, 0] = 1  # block 1 sums to 1
+    # a zero d_1 passes the composite, so only minimality can refuse it
+    prev = FpMatrix.from_dense(3, np.zeros((ctx.m, 2 * ctx.m), dtype=np.uint8))
     with pytest.raises(AssertionError,
                        match="boundary entry with nonzero augmentation"):
-        resolution._assemble_boundary(ctx, vecs, 2)
+        resolution._certified_columns(ctx, prev, vecs)
+
+
+def _assembly_cases():
+    # order 243 takes two chunks of rows for two row blocks
+    for group in (b3r(3), b3r(5), quotient_group(SpaceGroupParams(2, 2), 1)):
+        ctx = GroupAlgebraContext(group)
+        rng = np.random.default_rng(group.order)
+        for beta, cols in ((2, 3), (0, 2), (3, 0), (1, 1)):
+            vecs = rng.integers(0, group.p, (beta * ctx.m, cols), dtype=np.uint8)
+            for rows in (np.arange(beta * ctx.m),
+                         np.sort(rng.choice(beta * ctx.m, beta * ctx.m // 3,
+                                            replace=False)),
+                         np.arange(0)):
+                yield ctx, vecs, rows
+
+
+def test_assembled_rows_are_the_rows_of_the_whole_boundary():
+    # rows F built alone equal the rows F of the whole boundary, which
+    # equals the block-by-block reference assembly, at p = 2 and odd p,
+    # with no row block, no column and no row
+    for ctx, vecs, rows in _assembly_cases():
+        m = ctx.m
+        whole = resolution._assemble_boundary(ctx, vecs).to_dense()
+        assert whole.shape == (vecs.shape[0], vecs.shape[1] * m)
+        want = np.zeros_like(whole)
+        for t in range(vecs.shape[1]):
+            for b in range(vecs.shape[0] // m):
+                want[b * m:(b + 1) * m, t * m:(t + 1) * m] = \
+                    vecs[b * m:(b + 1) * m, t][ctx.gather]
+        assert np.array_equal(whole, want)
+        part = resolution._assemble_boundary(ctx, vecs, rows)
+        assert (part.p, part.rows, part.cols) == (ctx.p, len(rows), whole.shape[1])
+        assert np.array_equal(part.to_dense(), whole[rows])
 
 
 # --- cache ------------------------------------------------------------------
@@ -814,10 +865,10 @@ def test_start_beyond_max_degree_is_rejected():
 
 
 def _extend_tampered_top(tmp_path, group, degree, tamper):
-    """Cache ``group`` through ``degree``, pass the dense top boundary
-    through ``tamper`` (in place) and write it back, then ask for one
-    degree more.  Shape and residue range are kept, so the entry still
-    loads."""
+    """Cache ``group`` through ``degree``, pass the generator columns of
+    the top boundary through ``tamper`` (in place) and write them back,
+    then ask for one degree more.  Shape and residue range are kept, so
+    the entry still loads."""
     betti_numbers(group, degree, cache_dir=str(tmp_path))
     path = tmp_path / resolution_cache_key(group.descriptor) / f"{degree}.fpmx"
     top = FpMatrix.from_bytes(path.read_bytes()).to_dense()
@@ -828,25 +879,26 @@ def _extend_tampered_top(tmp_path, group, degree, tamper):
 
 
 def test_resumed_top_with_one_changed_residue_is_rejected(tmp_path):
-    # column 1 is not a generator column, so the composite (checked on
-    # generator columns) cannot see the change
+    # every stored entry is a generator column: one residue changed moves
+    # the image of generator 1 off ker d_2
     def bump(top, ctx):
         top[0, 1] = (top[0, 1] + 1) % ctx.p
 
-    with pytest.raises(AssertionError, match=r"d_3 is not F_p\[G\]-linear"):
+    with pytest.raises(AssertionError,
+                       match="composite of consecutive boundaries is nonzero"):
         _extend_tampered_top(tmp_path, b3r(3), 3, bump)
 
 
-def test_resumed_top_after_a_row_operation_is_not_equivariant(tmp_path):
-    # adding a row that vanishes on the generator columns to another row
-    # is invertible, so d_3 keeps its kernel, its rank and d_2 d_3 = 0 on
-    # the generator columns: only equivariance tells it from the real d_3
+def test_resumed_top_after_a_row_operation_is_rejected(tmp_path):
+    # a row operation on the dense top was invertible and only broke
+    # equivariance; on the generator columns it defines another F_p[G]-map,
+    # whose columns leave ker d_2
     def add_row(top, ctx):
-        s = next(i for i in range(top.shape[0])
-                 if top[i].any() and not top[i, ::ctx.m].any())
+        s = next(i for i in range(1, top.shape[0]) if top[i].any())
         top[s - 1] = (top[s - 1] + top[s]) % ctx.p
 
-    with pytest.raises(AssertionError, match=r"d_3 is not F_p\[G\]-linear"):
+    with pytest.raises(AssertionError,
+                       match="composite of consecutive boundaries is nonzero"):
         _extend_tampered_top(tmp_path, b3r(3), 3, add_row)
 
 
@@ -869,13 +921,44 @@ def test_resumed_top_with_a_smaller_image_is_not_exact(tmp_path):
     # is smaller than ker d_2, which the rank comparison at degree 3 sees
     def shrink(top, ctx):
         beta = top.shape[0] // ctx.m
-        vecs = top[:, ::ctx.m].copy()
         perm = resolution._translations(ctx, ctx.gen_idx[:1], beta)[0]
-        vecs[:, 5] = (vecs[perm, 5].astype(np.int16) - vecs[:, 5]) % ctx.p
-        top[:] = resolution._assemble_boundary(ctx, vecs, beta)
+        top[:, 5] = (top[perm, 5].astype(np.int16) - top[:, 5]) % ctx.p
 
     with pytest.raises(AssertionError, match="not exact at degree 2"):
         _extend_tampered_top(tmp_path, b3r(3), 3, shrink)
+
+
+def test_version_2_entry_is_recomputed_as_version_3(tmp_path, monkeypatch):
+    # a version-2 entry holds every boundary dense: it is refused by its
+    # version, never read as generator columns, recomputed from degree 0
+    # and rewritten as a version-3 entry
+    g = abelian_group([3, 3])
+    betti, dense = naive_minimal_resolution(g, 3)
+    base = tmp_path / resolution_cache_key(g.descriptor)
+    base.mkdir()
+    for n, mat in enumerate(dense, start=1):
+        (base / f"{n}.fpmx").write_bytes(mat.to_bytes())
+    (base / "manifest.json").write_text(json.dumps(
+        {"betti": betti, "maxDegree": 3, "version": 2}))
+    assert load_resolution(g.descriptor, str(tmp_path)) is None
+    assert list_cache(str(tmp_path)) == []
+    starts = []
+    real = resolution.minimal_resolution
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolution, "minimal_resolution", counted)
+    assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == [1, 2, 3, 4, 5]
+    assert starts == [None]
+    monkeypatch.undo()
+    assert json.loads((base / "manifest.json").read_text())["version"] == 3
+    cold = minimal_resolution(g, 4)
+    for n in range(1, 5):
+        mat = FpMatrix.from_bytes((base / f"{n}.fpmx").read_bytes())
+        assert (mat.rows, mat.cols) == (cold.betti[n - 1] * 9, cold.betti[n])
+        assert mat == cold.boundaries[n - 1]
 
 
 def test_negative_degrees_and_levels_are_rejected(tmp_path):
