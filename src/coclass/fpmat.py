@@ -147,9 +147,6 @@ class FpMatrix:
             piv = kernels.rref_u8(work, self.p)
         return FpMatrix(self.p, self.rows, self.cols, work), tuple(int(c) for c in piv)
 
-    def rank(self):
-        return len(self.rref()[1])
-
     def kernel(self):
         """Right kernel: columns form the standard F_p-basis of
         {x : self @ x = 0} read off the reduced echelon form."""

@@ -3,8 +3,11 @@
 The translation part T is Z^d with d = (p-1)*p^(x-1), acted on by the
 companion matrix C of the p^x-th cyclotomic polynomial.  The invariant
 sublattice chain is N_i = p*(C-I)^i * Z^d; the finite quotients are the
-groups (T/N_i) x| C_{p^x}.  A separate block/wreath model carries the
-permutation action that the cyclic group sits inside.
+groups (T/N_i) x| C_{p^x}.  The chain is built one level at a time from
+T_0 = Z^d by T_{j+1} = (C-I)T_j, so every Hermite basis stays reduced
+below its index; N_i = T_{d+i} because (C-I)^d Z^d = pZ^d.  A separate
+block/wreath model carries the permutation action that the cyclic group
+sits inside.
 
 Group elements are plain tuples, so they hash, compare and sort without
 ceremony: quotient elements are (y_1, ..., y_d, s) in Smith coordinates,
@@ -101,30 +104,26 @@ def maximal_class_matrix(p):
     return IntMatrix(rows)
 
 
-def _filtration_lattice(p, cmat, i):
-    d = cmat.rows
-    step = cmat - IntMatrix.identity(d)
-    return lattice_from_columns(p * step ** i)
+def _lattice_chain(cmat, top):
+    """The lattices T_0, ..., T_top with T_0 = Z^d and T_{j+1} = (C-I)T_j,
+    so T_j = (C-I)^j Z^d.  Filtration level i is N_i = T_{d+i}."""
+    step = cmat - IntMatrix.identity(cmat.rows)
+    chain = [lattice_from_columns(IntMatrix.identity(cmat.rows))]
+    for _ in range(top):
+        chain.append(apply_matrix(step, chain[-1]))
+    return chain
 
 
 def filtration(params, i):
     """Level i of the invariant chain: the lattice N_i spanned by p*(C-I)^i."""
     if i < 0:
         raise ValueError(f"level must be >= 0, got {i}")
-    return _filtration_lattice(params.p, companion_cyclotomic(params), i)
+    return _lattice_chain(companion_cyclotomic(params), params.dim + i)[-1]
 
 
 def filtration_lattices(params, i_max):
-    """Levels 0..i_max in one pass (each level reuses the previous power)."""
-    cmat = companion_cyclotomic(params)
-    d = cmat.rows
-    step = cmat - IntMatrix.identity(d)
-    power = IntMatrix.identity(d)
-    out = []
-    for i in range(i_max + 1):
-        out.append(lattice_from_columns(params.p * power))
-        power = step @ power
-    return out
+    """Levels N_0..N_{i_max}, read off the one chain T_j = (C-I)^j Z^d."""
+    return _lattice_chain(companion_cyclotomic(params), params.dim + i_max)[params.dim:]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def _quotient_from_action(params, cmat, level, model, budget):
         raise BudgetError(
             f"group order {order} exceeds enumeration budget {budget}",
             order=order, budget=budget, level=level)
-    lat = _filtration_lattice(params.p, cmat, level)
+    lat = _lattice_chain(cmat, params.dim + level)[-1]
     coords = QuotientCoords(params, cmat, lat)
     px = params.point_order
     if coords.subgroup_order * px != order:
@@ -381,8 +380,10 @@ def _block_action_pows(params):
 def verify_filtration(params, i_max, trials=200, seed=0):
     """Run every lattice-chain identity up to level i_max and report.
 
-    Checks: the base level is p*Z^d; successive indices are exactly p;
-    (C-I) maps each level onto the next (equivalently I-C does);
+    Checks: the base level, (C-I)^d Z^d, is p*Z^d; successive indices are
+    exactly p; (C-I) maps each level into the next with index p, hence
+    onto it (and the Hermite form of (I-C)N_i is N_{i+1}) -- with the base
+    level this proves N_i = p*(C-I)^i Z^d from the definition;
     multiplication by p climbs dim levels; C has order p^x and is killed
     by the cyclotomic polynomial; [Z^d : (I-C)Z^d] = |det(I-C)| = p; I-C
     commutes with C; pZ^d lies in (I-C)Z^d (p*(I-C)^{-1} is integral); and
@@ -420,9 +421,18 @@ def verify_filtration(params, i_max, trials=200, seed=0):
     indices = [index(i) for i in range(i_max + 1)]
     check("successive-index-p", all(k == p for k in indices))
     check("strict-containment", all(k > 1 for k in indices))
+    step = cmat - IntMatrix.identity(d)
+
+    def maps_onto_next(i):
+        # (C-I)N_i lies in N_{i+1} and both have index p*det N_i in Z^d
+        # (|det(C-I)| = p), so containment is equality
+        image = step @ lats[i].basis
+        return (lats[i + 1].det == p * lats[i].det
+                and all(lattice_contains(lats[i + 1], image.column(j))
+                        for j in range(d)))
+
     check("point-shift-maps-level-to-next",
-          all(apply_matrix(cmat - IntMatrix.identity(d), lats[i]) == lats[i + 1]
-              for i in range(i_max + 1)))
+          all(maps_onto_next(i) for i in range(i_max + 1)))
     check("commutator-image-is-next-level",
           all(apply_matrix(delta, lats[i]) == lats[i + 1]
               for i in range(i_max + 1)))

@@ -9,7 +9,9 @@ element order of ``enumerate_group``).
 The low-degree cohomology oracles (Frattini rank, generator-row bar
 cochains) and ``naive_minimal_resolution`` run on the package's group
 tables and ``FpMatrix``: they cross-check the resolution step, not the
-elimination kernels.
+elimination kernels.  The filtration reference reduces p*(C-I)^i with the
+package's Hermite form in one step, where the package builds the same
+lattice level by level.
 """
 
 from fractions import Fraction
@@ -19,6 +21,8 @@ import numpy as np
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
 from coclass.groups import enumerate_group
+from coclass.intmat import IntMatrix
+from coclass.lattice import lattice_from_columns
 from coclass.resolution import GroupAlgebraContext, _reaching_subset
 
 
@@ -69,6 +73,11 @@ def naive_kernel(rows, p):
 
 def naive_rank(rows, p):
     return len(naive_rref(rows, p)[1])
+
+
+def rank(m):
+    """Rank of an ``FpMatrix``: its number of reduced-echelon pivots."""
+    return len(m.rref()[1])
 
 
 def naive_mul_table(group, table, rows=None):
@@ -181,7 +190,7 @@ def _z1_dim(ctx):
         block[np.flatnonzero(hit), prod[hit] - 1] -= 1          # -f(g1*a)
         rows.append(block % p)
     mat = FpMatrix.from_dense(p, np.concatenate(rows))
-    return mat.cols - mat.rank()
+    return mat.cols - rank(mat)
 
 
 def _z2_dim_transport(ctx):
@@ -227,7 +236,7 @@ def _z2_dim_transport(ctx):
                 rel = rel - A[h]
             blocks.append(rel % p)
     mat = FpMatrix.from_dense(p, np.concatenate(blocks))
-    return P - mat.rank()
+    return P - rank(mat)
 
 
 def _row_relation(ctx, A, g1, a):
@@ -442,13 +451,18 @@ def naive_minimal_resolution(group, max_degree, table=None):
     return betti, boundaries
 
 
+def filtration_reference(p, cmat, i):
+    """N_i = p*(C-I)^i Z^d from the definition: the Hermite form of the
+    i-th power, reduced from scratch with no chain of earlier levels."""
+    step = cmat - IntMatrix.identity(cmat.rows)
+    return lattice_from_columns(p * step ** i)
+
+
 def perturb_filtration_level(monkeypatch, level):
     """Make ``spacegroup.filtration_lattices`` return level ``level`` with
     one basis entry off by one (negative control for the filtration
     checks)."""
     from coclass import spacegroup
-    from coclass.intmat import IntMatrix
-    from coclass.lattice import lattice_from_columns
 
     real = spacegroup.filtration_lattices
 

@@ -10,7 +10,13 @@ from _models import (
     wreath_act,
     wreath_action_matrix,
 )
-from _oracles import charpoly, det, perturb_filtration_level, rational_solve_integral
+from _oracles import (
+    charpoly,
+    det,
+    filtration_reference,
+    perturb_filtration_level,
+    rational_solve_integral,
+)
 from coclass import spacegroup
 from coclass.errors import BudgetError
 from coclass.intmat import IntMatrix, poly_eval_matrix
@@ -97,6 +103,21 @@ def test_filtration_base_level():
             lattice_from_columns(p * IntMatrix.identity(params.dim))
 
 
+@pytest.mark.parametrize("p,x", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1), (2, 3)])
+def test_filtration_chain_matches_the_definition(p, x):
+    params = SpaceGroupParams(p, x)
+    cmat = companion_cyclotomic(params)
+    lats = filtration_lattices(params, 12)
+    assert lats == [filtration_reference(p, cmat, i) for i in range(13)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_maximal_class_chain_matches_the_definition(p):
+    m = maximal_class_matrix(p)
+    lats = spacegroup._lattice_chain(m, m.rows + 8)[m.rows:]
+    assert lats == [filtration_reference(p, m, i) for i in range(9)]
+
+
 def test_filtration_scaling_law_p3():
     lats = filtration_lattices(SpaceGroupParams(3, 1), 9)
     for i in range(7):
@@ -136,6 +157,32 @@ def test_verify_filtration_minimal_depth():
     rep = verify_filtration(SpaceGroupParams(3, 1), 0, trials=10, seed=0)
     assert rep["failures"] == 0
     assert rep["checks"][0]["name"] == "base-level-is-p-times-ambient"
+
+
+@pytest.mark.parametrize("wrong_step", [
+    lambda step: step @ step,   # (C-I)N_i is not inside N_{i+1}
+    lambda step: IntMatrix.identity(step.rows),   # inside, but index 1
+], ids=["squared", "identity"])
+def test_verify_filtration_wrong_chain_step_fails(monkeypatch, wrong_step):
+    real = spacegroup._lattice_chain
+
+    def wrong(cmat, top):
+        eye = IntMatrix.identity(cmat.rows)
+        return real(eye + wrong_step(cmat - eye), top)
+
+    monkeypatch.setattr(spacegroup, "_lattice_chain", wrong)
+    for p, x in [(3, 1), (2, 2)]:
+        rep = verify_filtration(SpaceGroupParams(p, x), 3, trials=0)
+        failing = {c["name"] for c in rep["checks"] if not c["passed"]}
+        assert "point-shift-maps-level-to-next" in failing
+
+
+@pytest.mark.parametrize("p,x", [(5, 2), (2, 5)])
+def test_verify_filtration_reaches_dimension_16_and_20(p, x):
+    rep = verify_filtration(SpaceGroupParams(p, x), 0, trials=0)
+    assert rep["failures"] == 0, [c for c in rep["checks"] if not c["passed"]]
+    det_check = next(c for c in rep["checks"] if c["name"] == "commutator-determinant")
+    assert det_check["detail"] == p
 
 
 def test_verify_filtration_tamper_negative_control(monkeypatch):
@@ -232,7 +279,7 @@ def test_over_budget_quotient_is_refused_before_the_lattice(monkeypatch):
     def unreachable(*args):
         raise AssertionError("lattice built for a refused group")
 
-    monkeypatch.setattr(spacegroup, "_filtration_lattice", unreachable)
+    monkeypatch.setattr(spacegroup, "_lattice_chain", unreachable)
     with pytest.raises(BudgetError, match="exceeds enumeration budget"):
         quotient_group(SpaceGroupParams(251, 1), 0)
     with pytest.raises(BudgetError):
@@ -241,9 +288,9 @@ def test_over_budget_quotient_is_refused_before_the_lattice(monkeypatch):
 
 def test_quotient_order_is_certified_against_the_built_lattice(monkeypatch):
     # a lattice one level too deep gives a group p times too large
-    real = spacegroup._filtration_lattice
-    monkeypatch.setattr(spacegroup, "_filtration_lattice",
-                        lambda p, cmat, i: real(p, cmat, i + 1))
+    real = spacegroup._lattice_chain
+    monkeypatch.setattr(spacegroup, "_lattice_chain",
+                        lambda cmat, top: real(cmat, top + 1)[1:])
     with pytest.raises(AssertionError, match="quotient order mismatch"):
         quotient_group(SpaceGroupParams(3, 1), 1)
 
