@@ -26,9 +26,27 @@ Conventions shared by all kernels:
   * results are reduced row echelon forms or, for ``heads_u8``, a set of
     positions fixed by the row space; both are unique, so they do not
     depend on pivot-row choice, block size or BLAS threading.
+
+BLAS threads: ``rref_u8``, ``heads_u8`` and ``matmul_u8`` make many
+small float products, and between them an idle OpenBLAS worker thread
+spins, which nearly doubles the cpu time of a call for little gain in
+wall time.  So a call whose largest operand has fewer than
+``_THREADED_ENTRIES`` entries runs on one BLAS thread and restores the
+caller's thread count on exit, also when it raises; a larger call keeps
+the count it was entered with, because two threads still pay off there.
+The count is only ever lowered, so ``OPENBLAS_NUM_THREADS`` still caps
+it.  The library's own setter is found through ``ctypes`` among the
+process's mapped libraries at the first call that needs it; with no
+OpenBLAS found (MKL, Accelerate, a system without ``/proc/self/maps``)
+the policy does nothing.  The count is global to the process, and the
+package calls its kernels from one thread only.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
 
 import numpy as np
 
@@ -40,6 +58,66 @@ USE_NUMBA = False
 _PANEL = 64
 # Rows per chunk when _panel_basis reads the not-yet-pivot rows of a panel.
 _CHUNK = 64
+# Entries of the largest operand from which a kernel call keeps its BLAS
+# threads; smaller calls run on one.  On inputs captured from the order-729
+# quotient (BENCH_blas_threads.json), two threads cut wall time by 6-43% on
+# its largest inputs, of 4.8M-9.6M entries, and by nothing on its 2.1M-entry
+# ones (rref_u8 730 x 2916).  Every input of B(3,r) to degree 7 and of
+# orders up to 729 to degree 2 has at most 1.1M entries; there a second
+# thread saves at most 5 ms of wall per call and costs more cpu than that.
+_THREADED_ENTRIES = 1 << 22
+# Symbol pairs (setter, getter) of the thread count, tried in this order.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) for the thread count of a BLAS library mapped into this
+    process that exports one of ``_OPENBLAS_THREADS``, or () if none.
+    Looked up at the first call and kept."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6 and "blas" in os.path.basename(fields[5]).lower()}
+    except OSError:
+        return ()
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREADS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                get, put = getattr(lib, getter), getattr(lib, setter)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return ()
+
+
+def _small_on_one_thread(kernel):
+    """Run ``kernel`` on one BLAS thread when its largest array argument
+    has fewer than ``_THREADED_ENTRIES`` entries, restoring the thread
+    count it found on exit; otherwise leave the count alone."""
+
+    @functools.wraps(kernel)
+    def run(*args):
+        size = max(a.size for a in args if isinstance(a, np.ndarray))
+        threads = _blas_threads() if size < _THREADED_ENTRIES else ()
+        before = threads[0]() if threads else 1
+        if before <= 1:
+            return kernel(*args)
+        threads[1](1)
+        try:
+            return kernel(*args)
+        finally:
+            threads[1](before)
+
+    return run
 
 
 def _float_dtype(n, p):
@@ -178,6 +256,7 @@ def _panel_basis(panel, p):
     return chosen, piv, coef
 
 
+@_small_on_one_thread
 def rref_u8(a, p):
     """In-place RREF of a uint8 matrix mod p; returns pivot columns.
 
@@ -238,6 +317,7 @@ def rref_u8(a, p):
     return np.asarray(pivot_cols, dtype=np.int64)
 
 
+@_small_on_one_thread
 def heads_u8(x, p):
     """Positions where some vector of ker x (right kernel, mod p) has its
     first nonzero entry, ascending, for a uint8 matrix x.
@@ -326,6 +406,7 @@ def _end_solve(lrows, lnz, ends, cand, p, neg_inv):
     return b
 
 
+@_small_on_one_thread
 def matmul_u8(a, b, p):
     """(a @ b) mod p for uint8 operands.
 

@@ -130,6 +130,11 @@ def filtration_lattices(params, i_max):
 # finite quotients
 
 
+def _rows_mod(mat, moduli):
+    """``mat`` with row k reduced modulo ``moduli[k]``."""
+    return IntMatrix(tuple(a % m for a in row) for row, m in zip(mat.data, moduli))
+
+
 class QuotientCoords:
     """Smith-coordinate chart for T/N_i together with the reduced action.
 
@@ -150,15 +155,18 @@ class QuotientCoords:
         self.invariants = invariants
         self.s = s
         self.s_inv = inverse_unimodular(s)
-        act = s @ cmat @ self.s_inv
+        # C preserves the lattice, so A preserves diag(invariants) Z^d, and
+        # reducing row k of A and of every power modulo invariants[k] keeps
+        # the action on coordinates while the entries stay below the
+        # invariants, however large the Smith transform's are
+        act = _rows_mod(s @ cmat @ self.s_inv, invariants)
         pows = []
         cur = IntMatrix.identity(d)
         for _ in range(params.point_order):
-            pows.append(tuple(
-                tuple(cur.data[k][j] % invariants[k] for j in range(d))
-                for k in range(d)
-            ))
-            cur = act @ cur
+            pows.append(cur.data)
+            cur = _rows_mod(act @ cur, invariants)
+        if cur != IntMatrix.identity(d):
+            raise AssertionError("A^(p^x) is not I modulo the invariant factors")
         self.point_pows = tuple(pows)
         order = 1
         for inv in invariants:

@@ -352,6 +352,105 @@ def test_heads_u8_refuses_a_wrong_solve(monkeypatch):
         kernels.heads_u8(a, 5)
 
 
+@pytest.fixture
+def two_blas_threads():
+    """The (get, set) pair of numpy's OpenBLAS, with the count set to 2 for
+    the test and put back after it; skips without an OpenBLAS setter."""
+    threads = kernels._blas_threads()
+    if not threads:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    get, put = threads
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+def _spy_thread_counts(monkeypatch, threads):
+    """Record the BLAS thread count at every reduction inside a kernel."""
+    seen = set()
+    real = kernels._mod
+
+    def spy(x, p):
+        if threads:
+            seen.add(threads[0]())
+        return real(x, p)
+
+    monkeypatch.setattr(kernels, "_mod", spy)
+    return seen
+
+
+def _product_cases():
+    """(name, args) for the three float kernels: shapes whose GEMMs OpenBLAS
+    splits over threads, and at p = 251 ranks and inner dimensions above
+    268, which take float64."""
+    rng = np.random.default_rng(41)
+    for p in (3, 251):
+        left = rng.integers(0, p, (300, 290)).astype(np.int64)
+        wide = (left @ rng.integers(0, p, (290, 330)) % p).astype(np.uint8)
+        yield "rref_u8", (wide, p)
+        yield "rref_u8", (np.ascontiguousarray(wide[:, :280]), p)
+        tall = (rng.random((600, 300)) < 0.05) * rng.integers(1, p, (600, 300))
+        tall[np.arange(300), np.arange(300)] = 0  # leave heads to find
+        yield "heads_u8", (tall.astype(np.uint8), p)
+        a = rng.integers(0, p, (280, 300), dtype=np.uint8)
+        yield "matmul_u8", (a, rng.integers(0, p, (300, 310), dtype=np.uint8), p)
+
+
+@pytest.mark.parametrize("name, args", list(_product_cases()),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_float_kernels_do_not_depend_on_blas_threads(name, args, monkeypatch):
+    # cut-off 0: every product on the caller's threads; a huge cut-off:
+    # every product on one thread.  The outputs agree byte for byte, and
+    # each call leaves the thread count as it found it.
+    threads = kernels._blas_threads()
+    seen = _spy_thread_counts(monkeypatch, threads)
+    outputs = {}
+    for cut in (0, 1 << 62):
+        monkeypatch.setattr(kernels, "_THREADED_ENTRIES", cut)
+        before = threads[0]() if threads else None
+        work = [x.copy() if isinstance(x, np.ndarray) else x for x in args]
+        result = getattr(kernels, name)(*work)
+        outputs[cut] = [np.asarray(result).tobytes()]
+        outputs[cut] += [x.tobytes() for x in work if isinstance(x, np.ndarray)]
+        if threads:
+            assert threads[0]() == before
+            assert seen == ({before} if cut == 0 else {1})
+        seen.clear()
+    assert outputs[0] == outputs[1 << 62]
+
+
+def test_small_calls_run_on_one_thread_large_ones_keep_theirs(two_blas_threads, monkeypatch):
+    get, put = two_blas_threads
+    seen = _spy_thread_counts(monkeypatch, two_blas_threads)
+    rng = np.random.default_rng(42)
+    a = rng.integers(0, 5, (40, 50), dtype=np.uint8)
+    b = rng.integers(0, 5, (50, 30), dtype=np.uint8)
+    calls = [lambda: kernels.rref_u8(a.copy(), 5), lambda: kernels.heads_u8(a, 5),
+             lambda: kernels.matmul_u8(a, b, 5)]
+    # a = 2000 entries is the largest operand of every call
+    for cut, inside in ((2000, 2), (2001, 1)):
+        monkeypatch.setattr(kernels, "_THREADED_ENTRIES", cut)
+        for call in calls:
+            seen.clear()
+            call()
+            assert seen == {inside} and get() == 2
+    # a count the caller lowered to 1 (say by OPENBLAS_NUM_THREADS) stays 1
+    put(1)
+    seen.clear()
+    for call in calls:
+        call()
+    assert seen == {1} and get() == 1
+
+
+def test_thread_count_restored_when_a_kernel_raises(two_blas_threads, monkeypatch):
+    get, _ = two_blas_threads
+    test_rref_u8_refuses_a_wrong_panel_inverse(monkeypatch)
+    assert get() == 2
+    test_heads_u8_refuses_a_wrong_solve(monkeypatch)
+    assert get() == 2
+
+
 def test_kernel_matches_naive_kernel_many_free_columns():
     rng = random.Random(5)
     for p in (2, 3, 7):

@@ -22,6 +22,7 @@ from coclass.errors import BudgetError
 from coclass.intmat import IntMatrix, poly_eval_matrix
 from coclass.lattice import apply_matrix, lattice_from_columns, scale_lattice
 from coclass.spacegroup import (
+    QuotientCoords,
     SpaceGroupParams,
     b3r,
     check_delta_equivariance,
@@ -313,6 +314,31 @@ def test_translation_subgroup_matches_snf(p, x, i):
     from coclass.groups import order_census as oc
     model = abelian_group(g.descriptor["snf"])
     assert census == oc(model)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_quotient_coords_reduced_powers_match_the_unreduced_ones(level):
+    # the unreduced powers of A = S C S^-1, reduced row by row modulo the
+    # invariant factors only at the end, against the loop that reduces A
+    # and every power
+    params = SpaceGroupParams(5, 2)
+    cmat = companion_cyclotomic(params)
+    coords = QuotientCoords(params, cmat, filtration(params, level))
+    act = coords.s @ cmat @ coords.s_inv
+    cur = IntMatrix.identity(params.dim)
+    for got in coords.point_pows:
+        assert got == tuple(tuple(a % inv for a in row)
+                            for row, inv in zip(cur.data, coords.invariants))
+        cur = act @ cur
+    assert len(coords.point_pows) == params.point_order
+
+
+def test_quotient_coords_certifies_the_point_order():
+    # -I preserves every lattice, but (-I)^3 is not I modulo 3
+    params = SpaceGroupParams(3, 1)
+    minus_one = IntMatrix.identity(params.dim) * -1
+    with pytest.raises(AssertionError, match="not I modulo the invariant"):
+        QuotientCoords(params, minus_one, filtration(params, 0))
 
 
 def test_b3r_family():
