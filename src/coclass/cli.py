@@ -43,10 +43,12 @@ def _emit_betti_csv(rows):
 
 def _build_group(args):
     budget = args.budget_order if args.budget_order else sg.DEFAULT_ENUM_BUDGET
-    if getattr(args, "family", None) == "b3r":
-        if args.r is None:
-            raise ValueError("--r is required with --family b3r")
+    if args.family == "b3r":
+        if args.r is None or (args.p, args.x, args.i) != (None, None, None):
+            raise ValueError("--family b3r takes --r and none of --p, --x, --i")
         return sg.b3r(args.r, budget=budget)
+    if args.r is not None:
+        raise ValueError("--r needs --family b3r")
     if args.p is None or args.x is None or args.i is None:
         raise ValueError("--p, --x and --i are required (or use --family b3r --r)")
     return sg.quotient_group(sg.SpaceGroupParams(args.p, args.x), args.i,
@@ -101,7 +103,7 @@ def _cmd_betti(args):
             "p": p,
             "x": x,
             "i": level,
-            "family": getattr(args, "family", None),
+            "family": args.family,
             "order": group.order,
             "maxDegree": args.max_degree,
             "betti": betti,
@@ -111,11 +113,13 @@ def _cmd_betti(args):
 
 def _cmd_theorem(args):
     if args.family == "b3r":
-        if args.r_max is None:
-            raise ValueError("--r-max is required with --family b3r")
+        if args.r_max is None or (args.p, args.x, args.i_max) != (None, None, None):
+            raise ValueError("--family b3r takes --r-max and none of --p, --x, --i-max")
         i_max = args.r_max - 3
         params = None  # verify_theorem fixes p = 3, x = 1 for the family
     else:
+        if args.r_max is not None:
+            raise ValueError("--r-max needs --family b3r")
         if args.p is None or args.x is None or args.i_max is None:
             raise ValueError("--p, --x and --i-max are required "
                              "(or use --family b3r --r-max)")

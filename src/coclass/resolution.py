@@ -48,12 +48,15 @@ CACHE_VERSION = 3
 
 
 class GroupAlgebraContext:
-    """Multiplication tables and index gathers for F_p[G] computations.
+    """The one m x m table of F_p[G] computations, gather[r, g] = index of
+    g^-1 * r: left translation by g sends the coefficient at g^-1*r to
+    position r.  :func:`_group_tables` builds it from the enumeration's
+    products, so the group law is read once per (element, generator) pair.
 
     ``gens`` is the generating set S of :func:`_reaching_subset`, and
     ``gather`` is certified against it by :func:`_check_gather`."""
 
-    __slots__ = ("p", "m", "mul", "inv", "gen_idx", "gens", "gather")
+    __slots__ = ("p", "m", "gen_idx", "gens", "gather")
 
     def __init__(self, group, table=None, budget=RESOLUTION_ORDER_BUDGET):
         if budget is not None and group.order > budget:
@@ -65,28 +68,23 @@ class GroupAlgebraContext:
             raise ValueError(f"order {group.order} is not a power of p={p}")
         if table is None:
             table = enumerate_group(group, budget)
-        mul, inv = _group_tables(group, table)
         self.p = p
         self.m = len(table)
-        self.mul = mul
-        self.inv = inv
         self.gen_idx = tuple(table.index[g] for g in table.generators)
-        # gather[r, g] = index of g^-1 * r: left translation by g sends the
-        # coefficient at g^-1*r to position r
-        self.gather = np.ascontiguousarray(mul[inv].T)
-        self.gens = tuple(_reaching_subset(self))
+        self.gather = _group_tables(group, table)
+        self.gens = tuple(_reaching_subset(table))
         _check_gather(self.gather, self.gens)
 
 
 def _group_tables(group, table):
-    """Certified ``(mul, inv)`` index tables of ``group`` in ``table``'s
-    element order: mul[a, b] = index of a*b, inv[a] = index of a^-1.
+    """Certified gather[r, g] = index of g^-1 * r in ``table``'s order.
 
-    Only right multiplication by the generators goes through the group
-    law: right[k][a] = index of a*g_k, m*|gens| calls.  Walking the
-    elements breadth-first from the identity over those columns, each
-    newly reached b = a*g_k gets its whole column in one gather,
-    mul[:, b] = right[k][mul[:, a]], because x*(a*g) = (x*a)*g.
+    The products right[k][a] = index of a*g_k are the enumeration's
+    (``table.right``): the law is read here only for the m inverses.
+    Walking the elements breadth-first from the identity over those
+    columns, each newly reached b = a*g_k gets its whole column in one
+    gather, mul[:, b] = right[k][mul[:, a]], because x*(a*g) = (x*a)*g.
+    That table, held as mul_t[b, a] = a*b, is freed once gather is taken.
 
     The certificate raises AssertionError unless every element was
     reached, every row is a permutation, a*(b*g) = (a*b)*g holds for all
@@ -94,14 +92,10 @@ def _group_tables(group, table):
     the walk took and is the group the columns generate), and a*a^-1 is
     the identity for the law's inverses.
     """
-    elements, index = table.elements, table.index
+    elements, index, right = table.elements, table.index, table.right
     m = len(elements)
-    right = np.array([[index[group.mul(a, g)] for a in elements]
-                      for g in table.generators], dtype=np.int32)
     inv = np.array([index[group.inv(a)] for a in elements], dtype=np.int32)
     e = index[group.identity]
-    # mul_t[b, a] = a*b: the table is built and checked transposed, so
-    # that each column of mul is a contiguous row
     mul_t = np.empty((m, m), dtype=np.int32)
     mul_t[e] = np.arange(m, dtype=np.int32)
     reached = np.zeros(m, dtype=bool)
@@ -126,8 +120,7 @@ def _group_tables(group, table):
             raise AssertionError("a*(b*g) != (a*b)*g for a generator g")
     if (mul_t[inv, rows] != e).any():
         raise AssertionError("a*inv(a) is not the identity")
-    mul = np.ascontiguousarray(mul_t.T)
-    return mul, inv
+    return np.take(mul_t, inv, axis=1)
 
 
 def _check_gather(gather, gens):
@@ -159,9 +152,9 @@ def _check_gather(gather, gens):
                     "so assembled boundaries would not be F_p[G]-linear")
 
 
-def _reaching_subset(ctx):
-    """The table generators with each one dropped that the others still
-    generate without.
+def _reaching_subset(table):
+    """The indices of the table generators with each one dropped that the
+    others still generate without (walking the columns of ``table.right``).
 
     The result is an irredundant generating set, so for a p-group it has
     d(G) = Frattini rank elements (Burnside basis theorem).  The
@@ -169,24 +162,19 @@ def _reaching_subset(ctx):
     generating set, and equivariance under a generating set makes a map
     F_p[G]-linear.
     """
-    def reaches(sub):
-        seen = {0}
-        queue = [0]
-        while queue:
-            g1 = queue.pop()
-            for a in sub:
-                h = int(ctx.mul[g1, a])
+    right = table.right.tolist()
+    ks = list(range(len(right)))  # they reach every element: the table is certified
+    for k in range(len(right)):
+        rest = [j for j in ks if j != k]
+        seen, queue = {0}, [0]
+        for a in queue:
+            for h in (right[j][a] for j in rest):
                 if h not in seen:
                     seen.add(h)
                     queue.append(h)
-        return len(seen) == ctx.m
-
-    gens = list(ctx.gen_idx)  # they reach every element: the table is certified
-    for g in ctx.gen_idx:
-        rest = [a for a in gens if a != g]
-        if reaches(rest):
-            gens = rest
-    return gens
+        if len(seen) == len(table):
+            ks = rest
+    return [table.index[table.generators[k]] for k in ks]
 
 
 class Resolution:

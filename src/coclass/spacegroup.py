@@ -251,14 +251,13 @@ def _quotient_from_action(params, cmat, level, model, budget):
     for k in range(d):
         gens.append(tuple(1 if j == k else 0 for j in range(d)) + (0,))
     gens.append((0,) * d + (1,))
-    nontrivial = [inv_f for inv_f in invariants if inv_f > 1]
     descriptor = {
         "model": model,
         "p": params.p,
         "x": params.x,
         "i": level,
         "order": order,
-        "snf": nontrivial,
+        "snf": list(invariants),
         "matrixC": cmat.to_lists(),
     }
     return FiniteGroup(descriptor, order, params.p, identity, gens, mul, inv)

@@ -9,6 +9,8 @@ whose graded dimensions the block cohomology matches.
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from coclass.groups import ElementTable
 from coclass.intmat import IntMatrix
 from coclass.spacegroup import (
@@ -61,12 +63,16 @@ def _smallest_prime_factor(n):
 
 def permuted(group, table, perm):
     """``table`` with the non-identity elements reordered by ``perm`` (a
-    permutation of 1..n-1).  Index 0 stays the identity."""
+    permutation of 1..n-1).  Index 0 stays the identity, and the generator
+    products ``right`` are remapped with the elements."""
     n = len(table.elements)
     if sorted(perm) != list(range(1, n)):
         raise ValueError("perm must rearrange indices 1..n-1")
-    reordered = [table.elements[0]] + [table.elements[k] for k in perm]
-    return ElementTable(group, reordered, table.generators)
+    order = [0] + list(perm)  # new index j holds old element order[j]
+    reordered = [table.elements[k] for k in order]
+    new_index = np.argsort(order).astype(np.int32)
+    return ElementTable(group, reordered, table.generators,
+                        new_index[table.right[:, order]])
 
 
 # ---------------------------------------------------------------------------

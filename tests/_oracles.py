@@ -23,7 +23,7 @@ from coclass.fpmat import FpMatrix
 from coclass.groups import enumerate_group
 from coclass.intmat import IntMatrix
 from coclass.lattice import lattice_from_columns
-from coclass.resolution import GroupAlgebraContext, _reaching_subset
+from coclass.resolution import GroupAlgebraContext
 
 
 def naive_rref(rows, p):
@@ -171,13 +171,16 @@ def bar_cohomology_dim(group, n, *, budget=BAR_DIM_BUDGET):
             f"cochain dimension {(group.order - 1) ** n} exceeds budget {budget}",
             budget=budget)
     ctx = GroupAlgebraContext(group, budget=None)
-    z1 = _z1_dim(ctx)
+    # mul[a, b] = index of a*b, read off gather[r, g] = index of g^-1 * r:
+    # row 0 of gather holds the inverses, as index 0 is the identity
+    mul = ctx.gather[:, ctx.gather[0]].T
+    z1 = _z1_dim(ctx, mul)
     if n == 1:
         return z1
-    return _z2_dim_transport(ctx) - ((ctx.m - 1) - z1)
+    return _z2_dim_transport(ctx, mul) - ((ctx.m - 1) - z1)
 
 
-def _z1_dim(ctx):
+def _z1_dim(ctx, mul):
     """dim Z^1: the cocycle rows (g1, a) for the table generators a."""
     m, p = ctx.m, ctx.p
     rows = []
@@ -185,7 +188,7 @@ def _z1_dim(ctx):
         block = np.zeros((m - 1, m - 1), dtype=np.int16)
         block[np.arange(m - 1), np.arange(m - 1)] += 1          # f(g1)
         block[np.arange(m - 1), a - 1] += 1                     # f(a)
-        prod = ctx.mul[1:, a]
+        prod = mul[1:, a]
         hit = prod != 0
         block[np.flatnonzero(hit), prod[hit] - 1] -= 1          # -f(g1*a)
         rows.append(block % p)
@@ -193,12 +196,12 @@ def _z1_dim(ctx):
     return mat.cols - rank(mat)
 
 
-def _z2_dim_transport(ctx):
+def _z2_dim_transport(ctx, mul):
     """Cocycle table dimension via row transport onto generator rows (one
-    parameter block per generator of :func:`_reaching_subset`)."""
+    parameter block per generator of ``ctx.gens``)."""
     m, p = ctx.m, ctx.p
     mm = m - 1
-    gens = _reaching_subset(ctx)
+    gens = ctx.gens
     P = len(gens) * mm
     work = mm * len(gens) * mm * P * P
     if work > _TRANSPORT_WORK_BUDGET:
@@ -219,10 +222,10 @@ def _z2_dim_transport(ctx):
         g1 = queue[pos]
         pos += 1
         for a in gens:
-            h = int(ctx.mul[g1, a])
+            h = int(mul[g1, a])
             if h == 0 or defined[h]:
                 continue
-            A[h] = _row_relation(ctx, A, g1, a)
+            A[h] = _row_relation(ctx.p, mul, A, g1, a)
             defined[h] = True
             queue.append(h)
     if not defined.all():
@@ -230,8 +233,8 @@ def _z2_dim_transport(ctx):
     blocks = []
     for g1 in range(1, m):
         for a in gens:
-            rel = _row_relation(ctx, A, g1, a).astype(np.int16)
-            h = int(ctx.mul[g1, a])
+            rel = _row_relation(ctx.p, mul, A, g1, a).astype(np.int16)
+            h = int(mul[g1, a])
             if h != 0:
                 rel = rel - A[h]
             blocks.append(rel % p)
@@ -239,10 +242,9 @@ def _z2_dim_transport(ctx):
     return P - rank(mat)
 
 
-def _row_relation(ctx, A, g1, a):
+def _row_relation(p, mul, A, g1, a):
     """r_a[g3] + r_g1[a*g3] - r_g1[a], as parameter-matrix rows mod p."""
-    p = ctx.p
-    prod = ctx.mul[a, 1:]
+    prod = mul[a, 1:]
     gathered = np.zeros_like(A[a], dtype=np.int16)
     hit = prod != 0
     gathered[np.flatnonzero(hit)] = A[g1][prod[hit] - 1]

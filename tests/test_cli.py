@@ -210,6 +210,39 @@ def test_negative_degree_or_level_is_a_usage_error(capsys, tmp_path, argv, messa
     assert not (tmp_path / "cc").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["theorem", "--p", "2", "--x", "1", "--i-max", "1", "--family", "b3r",
+      "--r-max", "3", "--max-degree", "1"],
+     "--family b3r takes --r-max and none of --p, --x, --i-max"),
+    (["theorem", "--family", "b3r", "--r-max", "3", "--x", "1", "--max-degree", "1"],
+     "--family b3r takes --r-max and none of --p, --x, --i-max"),
+    (["theorem", "--family", "b3r", "--r-max", "3", "--i-max", "0",
+      "--max-degree", "1"], "--family b3r takes --r-max and none of --p, --x, --i-max"),
+    (["theorem", "--p", "2", "--x", "1", "--i-max", "1", "--r-max", "3",
+      "--max-degree", "1"], "--r-max needs --family b3r"),
+    (["betti", "--family", "b3r", "--r", "3", "--p", "5", "--x", "2",
+      "--max-degree", "1"], "--family b3r takes --r and none of --p, --x, --i"),
+    (["betti", "--family", "b3r", "--r", "3", "--i", "0", "--max-degree", "1"],
+     "--family b3r takes --r and none of --p, --x, --i"),
+    (["betti", "--p", "2", "--x", "1", "--i", "0", "--r", "5", "--max-degree", "1"],
+     "--r needs --family b3r"),
+    (["group", "build", "--family", "b3r", "--r", "3", "--p", "3"],
+     "--family b3r takes --r and none of --p, --x, --i"),
+    (["group", "census", "--p", "2", "--x", "1", "--i", "0", "--r", "4"],
+     "--r needs --family b3r"),
+])
+def test_conflicting_group_flags_are_a_usage_error(capsys, tmp_path, argv, message):
+    # a b3r model and a quotient's parameters name two different groups;
+    # neither is picked silently
+    if argv[0] in ("betti", "theorem"):
+        argv = argv + ["--cache-dir", str(tmp_path / "cc")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "cc").exists()
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["equivariance", "eta", "--p", "3", "--x", "1"], 2),
     (["equivariance", "inflation", "--p", "3", "--x", "1"], 2),

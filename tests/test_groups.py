@@ -33,6 +33,10 @@ def test_permuted_table():
     t2 = permuted(g, t, [3, 1, 2])
     assert t2.elements[0] == g.identity
     assert sorted(t2.elements) == sorted(t.elements)
+    # the generator products follow the elements to their new indices
+    for t_ in (t, t2):
+        assert t_.right.tolist() == [[t_.index[g.mul(a, gen)] for a in t_.elements]
+                                     for gen in t_.generators]
     with pytest.raises(ValueError):
         permuted(g, t, [0, 1, 2])
 
@@ -40,10 +44,10 @@ def test_permuted_table():
 def test_table_generators_exclude_identity_and_repeats():
     g = abelian_group([2, 2])
     t = enumerate_group(g)
-    assert ElementTable(g, t.elements, t.generators).generators == t.generators
+    assert ElementTable(g, t.elements, t.generators, t.right).generators == t.generators
     for gens in (t.generators + (g.identity,), t.generators * 2):
         with pytest.raises(AssertionError, match="generators repeat"):
-            ElementTable(g, t.elements, gens)
+            ElementTable(g, t.elements, gens, t.right)
 
 
 def test_table_puts_the_identity_first():
@@ -52,7 +56,7 @@ def test_table_puts_the_identity_first():
     t = enumerate_group(g)
     assert t.elements[0] == g.identity
     with pytest.raises(AssertionError, match="identity is not element 0"):
-        ElementTable(g, t.elements[1:] + t.elements[:1], t.generators)
+        ElementTable(g, t.elements[1:] + t.elements[:1], t.generators, t.right)
 
 
 def test_subgroup_closure_trivial_and_full():

@@ -174,11 +174,10 @@ def test_context_tables_match_naive_products(group):
     table = enumerate_group(group)
     ctx = GroupAlgebraContext(group, table=table, budget=None)
     mul, inv = naive_mul_table(group, table)
-    assert ctx.mul.tolist() == mul
-    assert ctx.inv.tolist() == inv
     # gather[r, g] = index of g^-1 * r
-    assert ctx.gather.tolist() == [[mul[inv[g]][r] for g in range(ctx.m)]
-                                   for r in range(ctx.m)]
+    gather = [[mul[inv[g]][r] for g in range(ctx.m)] for r in range(ctx.m)]
+    assert ctx.gather.tolist() == gather
+    assert resolution._group_tables(group, table).tolist() == gather
 
 
 def test_context_tables_match_naive_products_permuted_order():
@@ -189,20 +188,44 @@ def test_context_tables_match_naive_products_permuted_order():
         table = permuted(group, enumerate_group(group), perm)
         ctx = GroupAlgebraContext(group, table=table)
         mul, inv = naive_mul_table(group, table)
-        assert ctx.mul.tolist() == mul
-        assert ctx.inv.tolist() == inv
+        gather = [[mul[inv[g]][r] for g in range(ctx.m)] for r in range(ctx.m)]
+        assert ctx.gather.tolist() == gather
+        assert resolution._group_tables(group, table).tolist() == gather
 
 
 def test_context_tables_match_naive_products_order_3125():
     # p=5, x=1, i=0: 3125^2 law calls would take minutes, so the reference
-    # covers 40 random rows (every column) and every inverse
+    # covers 40 random rows of mul, which are the columns of gather at
+    # their inverses, and every inverse, which is row 0 of gather
     group = quotient_group(SpaceGroupParams(5, 1), 0, budget=None)
     table = enumerate_group(group, budget=None)
     ctx = GroupAlgebraContext(group, table=table, budget=None)
     rows = sorted(random.Random(5).sample(range(group.order), 40))
     mul, inv = naive_mul_table(group, table, rows=rows)
-    assert ctx.mul[rows].tolist() == mul
-    assert ctx.inv.tolist() == inv
+    assert ctx.gather[:, [inv[a] for a in rows]].T.tolist() == mul
+    assert ctx.gather[0].tolist() == inv
+
+
+def test_context_reads_the_law_once_per_generator_product():
+    # the enumeration evaluates a*g once for each element a and table
+    # generator g and keeps its index; the tables take every product from
+    # there and only the inverses from the law
+    for group in (b3r(4), quotient_group(SpaceGroupParams(2, 2), 1),
+                  _c2_4_with_redundant_generator()):
+        calls = {"mul": 0, "inv": 0}
+
+        def mul(a, b, law=group.mul):
+            calls["mul"] += 1
+            return law(a, b)
+
+        def inv(a, law=group.inv):
+            calls["inv"] += 1
+            return law(a)
+
+        ctx = GroupAlgebraContext(_tampered(group, mul=mul, inv=inv))
+        assert calls == {"mul": ctx.m * len(ctx.gen_idx), "inv": ctx.m}
+        assert ctx.gather.tolist() == \
+            GroupAlgebraContext(group).gather.tolist()
 
 
 def _tampered(group, mul=None, inv=None):
@@ -211,6 +234,8 @@ def _tampered(group, mul=None, inv=None):
 
 
 def test_context_certificate_rejects_a_corrupted_law():
+    # the bad product reaches the tables through the enumeration, which
+    # evaluates every product the tables read
     group = b3r(3)
     table = enumerate_group(group)
     a, g = table.elements[5], table.generators[1]
@@ -221,13 +246,13 @@ def test_context_certificate_rejects_a_corrupted_law():
         return wrong if (x, y) == (a, g) else group.mul(x, y)
 
     with pytest.raises(AssertionError):
-        GroupAlgebraContext(_tampered(group, mul=bad_mul), table=table)
+        GroupAlgebraContext(_tampered(group, mul=bad_mul))
 
     def bad_inv(x):
         return wrong if x == a else group.inv(x)
 
     with pytest.raises(AssertionError):
-        GroupAlgebraContext(_tampered(group, inv=bad_inv), table=table)
+        GroupAlgebraContext(_tampered(group, inv=bad_inv))
 
 
 def _c2_4_with_redundant_generator():
@@ -284,9 +309,9 @@ def test_generating_subset_has_frattini_rank_size():
                                 (quotient_group(SpaceGroupParams(3, 1), 3), 3, 2),
                                 (b3r(5), 3, 2),
                                 (_c2_4_with_redundant_generator(), 5, 4)):
-        ctx = GroupAlgebraContext(group)
-        assert len(ctx.gen_idx) == n_gens
-        assert len(_reaching_subset(ctx)) == frattini_rank(group) == rank
+        table = enumerate_group(group)
+        assert len(table.generators) == n_gens
+        assert len(_reaching_subset(table)) == frattini_rank(group) == rank
 
 
 def _corrupt_columns(monkeypatch, degree, corrupt):
@@ -331,9 +356,7 @@ def test_context_with_a_non_equivariant_gather_is_refused(monkeypatch):
     real = resolution._group_tables
 
     def tables(group, table):
-        mul, inv = real(group, table)
-        gather = _swap_in_column(np.ascontiguousarray(mul[inv].T), 2)
-        return np.ascontiguousarray(gather.T[inv]), inv
+        return _swap_in_column(real(group, table), 2)
 
     monkeypatch.setattr(resolution, "_group_tables", tables)
     kernels = _count_kernels(monkeypatch)
@@ -908,7 +931,8 @@ def test_resumed_top_off_the_kernel_is_rejected_by_the_composite(tmp_path):
     # translation: d_3 stays an F_p[G]-map with the same kernel and rank,
     # but its image leaves ker d_2
     def right_translate(top, ctx):
-        top[ctx.mul[:, ctx.gen_idx[0]]] = top[:ctx.m].copy()
+        # gather[g, inv[a]] = index of a*g, and gather[0] = inv
+        top[ctx.gather[ctx.gen_idx[0], ctx.gather[0]]] = top[:ctx.m].copy()
 
     with pytest.raises(AssertionError,
                        match="composite of consecutive boundaries is nonzero"):
