@@ -7,15 +7,17 @@ are float matrix products, so the bulk of its work runs in BLAS.  Each
 call picks float32 when every integer it can form stays below 2^24,
 where float32 is exact, and float64 otherwise (``_float_dtype``, with
 the inner dimension of a product or min(rows, cols) of a row
-reduction).  The heads of a resolution step, the positions where
-vectors of ker x first become nonzero, come from ``heads_u8`` with no
-row reduction: a triangular solve on one row per last-nonzero position,
-one product per dependency level, checked in every round.  The GF(2)
-kernels take columns in strips of 8, one byte of each packed row, and
-XOR in rows from a 256-entry Four-Russians table.
+reduction).  The heads of a resolution step at every p, 2 included,
+the positions where vectors of ker x first become nonzero, come from
+``heads_u8`` with no row reduction: a triangular solve on one row per
+last-nonzero position, one product per dependency level, checked in
+every round.  The GF(2) kernels, which take the kernels of p = 2
+boundaries, read columns in strips of 8, one byte of each packed row,
+and XOR in rows from a 256-entry Four-Russians table.
 
 Conventions shared by all kernels:
-  * odd-p matrices are C-contiguous uint8 arrays of residues in [0, p);
+  * odd-p matrices, and the input of ``heads_u8`` at any p, are
+    C-contiguous uint8 arrays of residues in [0, p);
   * GF(2) matrices are uint64 word arrays, column j living in bit j % 64
     of word j // 64, with unused tail bits always zero (table entries
     are XORs of such rows); ``_row_bytes`` and ``_row_words`` are the
@@ -58,6 +60,8 @@ USE_NUMBA = False
 _PANEL = 64
 # Rows per chunk when _panel_basis reads the not-yet-pivot rows of a panel.
 _CHUNK = 64
+# Entries per chunk when heads_u8 and _end_solve read rows of their input.
+_CHUNK_ENTRIES = 1 << 19
 # Entries of the largest operand from which a kernel call keeps its BLAS
 # threads; smaller calls run on one.  On inputs captured from the order-729
 # quotient (BENCH_blas_threads.json), two threads cut wall time by 6-43% on
@@ -320,7 +324,7 @@ def rref_u8(a, p):
 @_small_on_one_thread
 def heads_u8(x, p):
     """Positions where some vector of ker x (right kernel, mod p) has its
-    first nonzero entry, ascending, for a uint8 matrix x.
+    first nonzero entry, ascending, for a uint8 matrix x and any prime p.
 
     Equivalently, e_j lies outside rowspace(x) + span(e_i, i < j): a
     functional vanishing on the row space with first nonzero entry at j
@@ -343,7 +347,9 @@ def heads_u8(x, p):
     construction, that proves the round's reduction, so the result is
     exact whatever the solve did.  Products run in BLAS in the dtype of
     ``_float_dtype(k, p)``: factors are residues and the inner dimension
-    is at most k.
+    is at most k.  x is read in place through its nonzero rows, a chunk
+    of ``_CHUNK_ENTRIES`` at a time: a round makes no copy of x, and M is
+    kept in uint8.
     """
     pos = np.arange(x.shape[1])
     dt = _float_dtype(x.shape[1], p)
@@ -351,56 +357,58 @@ def heads_u8(x, p):
     neg_inv = np.zeros(p, dtype=dt)
     neg_inv[1:] = [p - pow(a, p - 2, p) for a in range(1, p)]
     while True:
-        nz = x != 0
-        live = nz.any(axis=1)
-        if not live.all():
-            x, nz = x[live], nz[live]
-        rows, k = x.shape
-        if rows == 0:
+        live = np.flatnonzero(x.any(axis=1))
+        if live.size == 0:
             return pos
-        end = k - 1 - nz[:, ::-1].argmax(axis=1)
-        ends, keep = np.unique(end, return_index=True)
+        k = x.shape[1]
+        step = max(1, _CHUNK_ENTRIES // k)
+        end = np.concatenate([k - 1 - (x[live[r0:r0 + step], ::-1] != 0).argmax(axis=1)
+                              for r0 in range(0, live.size, step)])
+        ends, first = np.unique(end, return_index=True)
         cand = np.setdiff1d(np.arange(k), ends, assume_unique=True)
-        b = _end_solve(x[keep], nz[keep], ends, cand, p, neg_inv)
-        xb = np.empty((rows, cand.size), dtype=dt)
-        step = max(1, (1 << 19) // k)  # rows per float copy of 2^19 entries
-        for r0 in range(0, rows, step):
-            xb[r0:r0 + step] = _mod(x[r0:r0 + step].astype(dt) @ b, p)
-        if xb[keep].any():
+        b = _end_solve(x, live[first], ends, cand, p, neg_inv)
+        xb = np.empty((live.size, cand.size), dtype=np.uint8)
+        for r0 in range(0, live.size, step):
+            xb[r0:r0 + step] = _mod(x[live[r0:r0 + step]].astype(dt) @ b, p)
+        if xb[first].any():
             raise AssertionError("triangular solve does not vanish on its rows")
-        rest = np.ones(rows, dtype=bool)
-        rest[keep] = False
-        x = xb[rest].astype(np.uint8)
+        # the rows of L are zero in M, so the next round drops them
+        x = xb
         pos = pos[cand]
 
 
-def _end_solve(lrows, lnz, ends, cand, p, neg_inv):
-    """B with B[cand] = I and lrows @ B = 0 mod p, by forward substitution.
+def _end_solve(x, keep, ends, cand, p, neg_inv):
+    """B with B[cand] = I and x[keep] @ B = 0 mod p, by forward substitution.
 
-    Row i of ``lrows`` (pattern ``lnz``) has its last nonzero at
-    ``ends[i]``, ascending, so it gives B[ends[i]] from the rows of B
-    at smaller positions.  A row's level is 1 + the highest level among
-    the ends it reads, taken from the nonzero pattern, and each level is
+    Row ``keep[i]`` of ``x`` has its last nonzero at ``ends[i]``,
+    ascending, so it gives B[ends[i]] from the rows of B at smaller
+    positions.  A row's level is 1 + the highest level among the ends it
+    reads, taken from its nonzero pattern at the ends, and each level is
     one product: B[ends] = -(rows @ B mod p) / pivot, reduced before it
     is scaled so that the float stays exact.  The rows of B at ends of
     the level and above are still zero, and no row of the level reads
-    them.
+    them.  The rows are read from ``x`` through ``keep``, and the
+    pattern is built ``_CHUNK_ENTRIES`` entries at a time, so no copy of
+    the rows is made.
     """
     dt = neg_inv.dtype
-    b = np.zeros((lrows.shape[1], cand.size), dtype=dt)
+    b = np.zeros((x.shape[1], cand.size), dtype=dt)
     b[cand, np.arange(cand.size)] = 1
-    scale = neg_inv[lrows[np.arange(ends.size), ends]][:, None]
-    reads = lnz[:, ends]
+    scale = neg_inv[x[keep, ends]][:, None]
+    reads = np.empty((ends.size, ends.size), dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // ends.size)
+    for r0 in range(0, ends.size, step):
+        reads[r0:r0 + step] = x[keep[r0:r0 + step, None], ends] != 0
     np.fill_diagonal(reads, False)
     waiting = reads.sum(axis=1)  # ends each row reads that are not solved yet
-    read_by = np.ascontiguousarray(reads.T)
     ready = np.flatnonzero(waiting == 0)
     while ready.size:
-        cols = np.flatnonzero(lnz[ready].any(axis=0))
-        prod = _mod(lrows[ready][:, cols].astype(dt) @ b[cols], p)
+        lrows = x[keep[ready]]
+        cols = np.flatnonzero(lrows.any(axis=0))
+        prod = _mod(lrows[:, cols].astype(dt) @ b[cols], p)
         prod *= scale[ready]
         b[ends[ready]] = _mod(prod, p)
-        waiting -= read_by[ready].sum(axis=0)
+        waiting -= reads[:, ready].sum(axis=1)
         waiting[ready] = -1
         ready = np.flatnonzero(waiting == 0)
     return b

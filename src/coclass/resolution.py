@@ -231,14 +231,12 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     term.  Let R be the matrix whose rows are the vectors (g-1)e_j in
     K-coordinates, so that rad K is its row space.  Read from the dual
     side, j is a head exactly when some functional vanishing on rad K, a
-    vector of ker R, has its first nonzero entry at j.  For odd p,
-    :func:`kernels.heads_u8` finds these leading positions without a row
-    reduction: the rows of R that end at distinct coordinates form a
-    triangular system, whose solution B over the other coordinates C
-    carries the question to the smaller matrix (the remaining rows) B.
-    At p = 2 the packed elimination of R with its coordinates reversed
-    puts its pivots where some vector of rad K ends, which are the
-    coordinates that are not heads.
+    vector of ker R, has its first nonzero entry at j.
+    :func:`kernels.heads_u8` finds these leading positions, at every p,
+    without a row reduction: the rows of R that end at distinct
+    coordinates form a triangular system, whose solution B over the other
+    coordinates C carries the question to the smaller matrix (the
+    remaining rows) B.
 
     Each fact is checked once, in the cheapest form that proves it:
 
@@ -263,10 +261,10 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
       block of |G| rows, and so has every translate of one, i.e. every
       entry of the boundary, which is what makes
       beta_n = dim H^n(G; F_p);
-    * heads (odd p): each round of :func:`kernels.heads_u8` checks
-      L B = 0 mod p for its triangular rows L, which with B[C] = I (true
-      by construction) proves that round's reduction, so the head set is
-      the exact one, at every degree;
+    * heads: each round of :func:`kernels.heads_u8` checks L B = 0 mod p
+      for its triangular rows L, which with B[C] = I (true by
+      construction) proves that round's reduction, so the head set is the
+      exact one, at every degree and for every p;
     * a resumed top d_N is re-certified before it is extended: d_{N-1},
       assembled in full (d_0 is the augmentation), must vanish on the
       generator columns of d_N, which must have zero augmentation, and
@@ -278,8 +276,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     The top degree differs because the top boundary d_N gets no kernel,
     so its exactness is not compared (that would cost one more
     elimination).  There it follows from Nakayama's lemma: the heads span
-    K modulo rad K, which the L B check proves for odd p (at p = 2 it
-    rests on the packed elimination), so they generate K and
+    K modulo rad K, which the L B check proves, so they generate K and
     im d_N = K.  That argument reads (g-1)K in the coordinates of the K
     the elimination returned, so it needs that K to be closed under S,
     which the submodule products check.  Below the top, the rank
@@ -324,14 +321,15 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         prev_dim = k
         kd = kern.to_dense()
         # a basis vector's 1 is its last nonzero entry: the others sit at
-        # pivot columns to its left
-        free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
+        # pivot columns to its left; read in blocks of about 2^19 entries
+        step = max(1, (1 << 19) // kd.shape[0])
+        free = np.empty(k, dtype=np.intp)
+        for c0 in range(0, k, step):
+            last = np.argmax(kd[::-1, c0:c0 + step] != 0, axis=0)
+            free[c0:c0 + step] = kd.shape[0] - 1 - last
         perms = _translations(ctx, ctx.gens, beta_n)
         top = n == max_degree - 1
         if top:
-            # the submodule products come before the heads: the benchmark
-            # trace (perfbench/layers.py) takes the first product after the
-            # p = 2 head rref to be the composite check
             # a mask, not np.setdiff1d, whose np.unique imports numpy.ma
             rest = np.ones(kd.shape[0], dtype=bool)
             rest[free] = False
@@ -340,30 +338,22 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
             for perm in perms:
                 if kern_rest @ kern.row_select(perm[free]) != kern.row_select(perm[rest]):
                     raise AssertionError("kernel is not a submodule")
-        # row j of block g: (g-1)e_j in K-coordinates
-        rad = np.stack([kd[perm[free]].T for perm in perms])
+        # row j of block g: (g-1)e_j in K-coordinates, filled a block at a
+        # time: one C-contiguous matrix, no full-size copy
+        rad = np.empty((len(perms), k, k), dtype=np.uint8)
+        for g, perm in enumerate(perms):
+            src = perm[free]
+            for c0 in range(0, k, step):
+                rad[g, :, c0:c0 + step] = kd[src[c0:c0 + step]].T
         diag = np.arange(k)
         rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
-        sel = _heads(p, rad.reshape(-1, k))
+        sel = kernels.heads_u8(rad.reshape(-1, k), p)
         betti.append(len(sel))
         vecs = kd[:, sel]
         boundaries.append(_certified_columns(ctx, cur, vecs))
         if not top:
             cur = _assemble_boundary(ctx, vecs, free)
     return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
-
-
-def _heads(p, rad):
-    """The heads: positions j with e_j outside rad K + span(e_i, i < j),
-    for ``rad`` the stacked (g-1)e_j in K-coordinates.  Odd p reads them
-    off the kernel of ``rad`` (:func:`kernels.heads_u8`); p = 2 keeps the
-    packed elimination of ``rad`` with its columns reversed, whose pivots
-    sit where some vector of rad K ends."""
-    if p != 2:
-        return kernels.heads_u8(rad, p).tolist()
-    k = rad.shape[1]
-    _red, piv = FpMatrix.from_dense(p, rad[:, ::-1]).rref()
-    return sorted(set(range(k)) - {k - 1 - c for c in piv})
 
 
 def _translations(ctx, gens, beta):

@@ -22,10 +22,10 @@ def rand_matrix(rng, p, rows, cols, density=1.0):
                     dtype=np.uint8).reshape(rows, cols)
 
 
-def low_rank(rng, p, rows, cols, rank):
+def low_rank(rng, p, rows, cols, rank, density=1.0):
     """A rows x cols product of random rows x rank and rank x cols factors."""
-    left = rand_matrix(rng, p, rows, rank).astype(np.int64)
-    right = rand_matrix(rng, p, rank, cols).astype(np.int64)
+    left = rand_matrix(rng, p, rows, rank, density).astype(np.int64)
+    right = rand_matrix(rng, p, rank, cols, density).astype(np.int64)
     return ((left @ right) % p).astype(np.uint8)
 
 
@@ -257,13 +257,14 @@ def _spy_solve_depths(monkeypatch):
     depths = []
     real = kernels._end_solve
 
-    def spy(lrows, lnz, ends, cand, p, neg_inv):
+    def spy(x, keep, ends, cand, p, neg_inv):
+        lnz = x[keep] != 0
         level = {}
         for i, e in enumerate(ends.tolist()):
             reads = [level[j] for j in ends[lnz[i, ends]].tolist() if j != e]
             level[e] = 1 + max(reads, default=0)
         depths.append(max(level.values()))
-        return real(lrows, lnz, ends, cand, p, neg_inv)
+        return real(x, keep, ends, cand, p, neg_inv)
 
     monkeypatch.setattr(kernels, "_end_solve", spy)
     return depths
@@ -279,7 +280,7 @@ def test_heads_u8_deep_chains_and_several_rounds(monkeypatch):
     depths = _spy_solve_depths(monkeypatch)
     rng = random.Random(31)
     deepest, most_rounds = 0, 0
-    for p in PRIMES:
+    for p in PRIMES + (2,):
         for rows, k, reach in ((60, 40, 3), (120, 60, 4), (90, 90, 2), (200, 80, 6)):
             depths.clear()
             assert_heads_match_oracle(chained(rng, p, rows, k, reach), p)
@@ -291,20 +292,21 @@ def test_heads_u8_deep_chains_and_several_rounds(monkeypatch):
 def test_heads_u8_sparse_and_dense(monkeypatch):
     depths = _spy_solve_depths(monkeypatch)
     rng = random.Random(32)
-    for p in PRIMES:
+    for p in PRIMES + (2,):
+        dense = 0.5 if p == 2 else 1.0  # all nonzero at p = 2 is all ones
         assert_heads_match_oracle(rand_matrix(rng, p, 70, 50, density=0.05), p)
         assert_heads_match_oracle(rand_matrix(rng, p, 30, 60, density=0.1), p)
         # dense rows of rank 20: almost every row ends at the last column,
         # so the first round keeps few rows and leaves the rest to later ones
         depths.clear()
-        assert_heads_match_oracle(low_rank(rng, p, 90, 50, 20), p)
+        assert_heads_match_oracle(low_rank(rng, p, 90, 50, 20, dense), p)
         assert len(depths) >= 3
-        assert_heads_match_oracle(rand_matrix(rng, p, 25, 40), p)
+        assert_heads_match_oracle(rand_matrix(rng, p, 25, 40, dense), p)
 
 
 def test_heads_u8_degenerate_shapes():
     rng = random.Random(33)
-    for p in PRIMES:
+    for p in PRIMES + (2,):
         for shape in ((0, 6), (5, 0), (0, 0), (4, 9)):
             assert_heads_match_oracle(np.zeros(shape, dtype=np.uint8), p)
         # full rank: every position is an end, so there is no head
@@ -340,8 +342,8 @@ def test_heads_u8_products_reduced_before_scaling_p251(k, dtype, monkeypatch):
 def test_heads_u8_refuses_a_wrong_solve(monkeypatch):
     real = kernels._end_solve
 
-    def off_by_one(lrows, lnz, ends, cand, p, neg_inv):
-        b = real(lrows, lnz, ends, cand, p, neg_inv)
+    def off_by_one(x, keep, ends, cand, p, neg_inv):
+        b = real(x, keep, ends, cand, p, neg_inv)
         e = ends[-1]
         b[e, 0] = (b[e, 0] + 1) % p
         return b

@@ -412,6 +412,38 @@ def test_wrong_top_kernel_is_not_a_submodule(monkeypatch):
         minimal_resolution(b3r(3), 3)
 
 
+def test_p2_resolution_runs_one_elimination_per_degree(monkeypatch):
+    # the heads come from the triangular solve at p = 2 as at odd p, so
+    # the packed elimination runs once per degree, for its kernel
+    real = resolution.kernels.rref_b2
+    calls = []
+
+    def counted(w, ncols):
+        calls.append(ncols)
+        return real(w, ncols)
+
+    monkeypatch.setattr(resolution.kernels, "rref_b2", counted)
+    res = minimal_resolution(quotient_group(SpaceGroupParams(2, 2), 1), 5)
+    assert res.betti == [1, 2, 4, 6, 9, 12]
+    assert len(calls) == 5
+
+
+def test_p2_heads_are_checked_by_the_triangular_solve(monkeypatch):
+    # a solve whose B misses the kernel of its triangular rows by one
+    # entry is refused inside a p = 2 resolution, as at odd p
+    real = resolution.kernels._end_solve
+
+    def off_by_one(x, keep, ends, cand, p, neg_inv):
+        b = real(x, keep, ends, cand, p, neg_inv)
+        b[ends[-1], 0] = (b[ends[-1], 0] + 1) % p
+        return b
+
+    monkeypatch.setattr(resolution.kernels, "_end_solve", off_by_one)
+    with pytest.raises(AssertionError,
+                       match="^triangular solve does not vanish on its rows$"):
+        minimal_resolution(quotient_group(SpaceGroupParams(2, 2), 1), 3)
+
+
 def test_corrupted_orbit_is_rejected_by_the_composite(monkeypatch):
     # one kernel vector changed before it is stored: d_2 is still an
     # F_p[G]-map with zero augmentation, but its second generator no
