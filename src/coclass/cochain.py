@@ -24,7 +24,6 @@ from .spacegroup import (
     QuotientCoords,
     _block_action_pows,
     companion_cyclotomic,
-    filtration,
     wreath_group,
     wreath_inv,
     _invert_perm,
@@ -262,7 +261,7 @@ def _require_trials(trials):
 
 def inflate_eval(f, coords, z):
     """Evaluate a level-0 cochain on level-i arguments through the
-    canonical projection (lift the Smith coordinates, reduce mod p)."""
+    canonical projection (lift the pi-adic coordinates, reduce mod p)."""
     args = tuple(point_index(coords.params.p, coords.project_mod_p(zk))
                  for zk in z)
     return f.eval(args)
@@ -280,8 +279,7 @@ def check_inflation_equivariance(params, level, trials, seed):
     at least one trial is required."""
     _require_trials(trials)
     p = params.p
-    coords = QuotientCoords(params, companion_cyclotomic(params),
-                            filtration(params, level))
+    coords = QuotientCoords(params, level)
     rng = random.Random(seed)
     inv_mat = inverse_point_generator_matrix(params)
     failures = 0

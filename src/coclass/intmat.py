@@ -6,9 +6,11 @@ matrices involved here are small (dimension is the degree of a
 cyclotomic polynomial, rarely above 6); all the heavy mod-p work lives
 elsewhere.
 
-One elimination, :func:`hnf`, answers every exact question: an inverse
-(:func:`inverse_unimodular`), an index [Z^d : AZ^d] = |det A| (the
-Hermite diagonal) and integrality of k*A^-1 (kZ^d inside AZ^d).
+One elimination, :func:`hnf`, answers every exact question the lattice
+checks ask: an index [Z^d : AZ^d] = |det A| (the Hermite diagonal) and
+integrality of k*A^-1 (kZ^d inside AZ^d).  The Smith normal form is the
+reference that the closed-form invariants of the quotients are tested
+against.
 """
 
 from __future__ import annotations
@@ -241,19 +243,6 @@ def snf(a):
                 break
             _rows((d, s), k, bad, 1, 1, 0, 1)
     return IntMatrix(d), IntMatrix(s)
-
-
-def inverse_unimodular(a):
-    """Exact inverse of a unimodular integer matrix, as an IntMatrix.
-
-    The column operations that bring ``a`` to its Hermite form I bring
-    the identity stacked above it to a^-1; the lower block coming out as
-    exactly I certifies a @ a^-1 = I."""
-    eye = IntMatrix.identity(a.cols)
-    h = hnf(IntMatrix(eye.data + a.data))
-    if h.data[a.cols:] != eye.data:
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix(h.data[:a.cols])
 
 
 def poly_eval_matrix(coeffs, a):

@@ -44,7 +44,7 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 class GroupAlgebraContext:

@@ -3,31 +3,26 @@
 The translation part T is Z^d with d = (p-1)*p^(x-1), acted on by the
 companion matrix C of the p^x-th cyclotomic polynomial.  The invariant
 sublattice chain is N_i = p*(C-I)^i * Z^d; the finite quotients are the
-groups (T/N_i) x| C_{p^x}.  The chain is built one level at a time from
+groups (T/N_i) x| C_{p^x}, built in closed-form pi-adic coordinates
+(:class:`QuotientCoords`).  The chain is built one level at a time from
 T_0 = Z^d by T_{j+1} = (C-I)T_j, so every Hermite basis stays reduced
 below its index; N_i = T_{d+i} because (C-I)^d Z^d = pZ^d.  A separate
 block/wreath model carries the permutation action that the cyclic group
 sits inside.
 
 Group elements are plain tuples, so they hash, compare and sort without
-ceremony: quotient elements are (y_1, ..., y_d, s) in Smith coordinates,
-wreath elements are WreathElement(base, top) pairs of tuples.
+ceremony: quotient elements are (y_1, ..., y_d, s) in pi-adic
+coordinates, wreath elements are WreathElement(base, top) pairs of tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .errors import BudgetError
-from .intmat import (
-    IntMatrix,
-    inverse_unimodular,
-    is_prime,
-    poly_eval_matrix,
-    snf,
-)
+from .intmat import IntMatrix, is_prime, poly_eval_matrix
 from .lattice import (
     apply_matrix,
     lattice_from_columns,
@@ -87,21 +82,22 @@ def companion_cyclotomic(params):
     return IntMatrix(rows)
 
 
+def _zeta_action(params):
+    """Multiplication by zeta = 1 + pi on Z[zeta] in the basis pi^0..pi^(d-1):
+    I plus the companion matrix of the Eisenstein polynomial Phi_{p^x}(1+y),
+    whose coefficient of y^j is sum_k C(k p^(x-1), j)."""
+    d, step = params.dim, params.p ** (params.x - 1)
+    rows = [[int(k in (j, j - 1)) for k in range(d)] for j in range(d)]
+    for j in range(d):
+        rows[j][d - 1] -= sum(comb(k * step, j) for k in range(params.p))
+    return IntMatrix(rows)
+
+
 def maximal_class_matrix(p):
     """The (p-1)x(p-1) integer matrix I + N, where N is the companion
     matrix of ((y+1)^p - 1)/y.  Its characteristic polynomial is
     y^(p-1) + ... + y + 1 and it has order p in GL_{p-1}(Z)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    n = p - 1
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    for i in range(1, n):
-        rows[i][i - 1] += 1
-    for i in range(n):
-        rows[i][n - 1] -= comb(p, i + 1)
-    return IntMatrix(rows)
+    return _zeta_action(SpaceGroupParams(p, 1))
 
 
 def _lattice_chain(cmat, top):
@@ -135,31 +131,51 @@ def _rows_mod(mat, moduli):
     return IntMatrix(tuple(a % m for a in row) for row, m in zip(mat.data, moduli))
 
 
-class QuotientCoords:
-    """Smith-coordinate chart for T/N_i together with the reduced action.
+def _invariants(params, level):
+    """Invariant factors of T/N_level in the order of :class:`QuotientCoords`."""
+    q, r = divmod(level, params.dim)
+    return (params.p ** (q + 1),) * (params.dim - r) + (params.p ** (q + 2),) * r
 
-    Vectors v in Z^d map to coordinates y = S*v taken modulo the
-    invariant factors; the point generator acts through A = S*C*S^-1.
+
+class QuotientCoords:
+    """pi-adic chart for T/N_i with the reduced action, in closed form.
+
+    T = Z^d is Z[zeta] (e_j = zeta^j), and pi = zeta - 1 is totally
+    ramified (pi^d = p * unit), so in the basis f_k = pi^k every
+    N_i = pi^(d+i)Z[zeta] is diagonal: at level i = q*d + r it is p^(q+2)
+    on f_0..f_(r-1) and p^(q+1) on f_r..f_(d-1).  Coordinate t holds
+    f_(d-1-t), so the invariants ascend as Smith's do.  The maps are
+    binomial, so nothing is inverted: ``reduce_vector`` reads
+    e_j = (1+pi)^j, S[k][j] = C(j, k), and ``lift`` reads
+    f_k = (C-I)^k e_0, P[j][k] = (-1)^(k-j) C(k, j).  The point generator
+    acts through A = :func:`_zeta_action`.
+
+    Two certificates make the law well defined: A maps the invariant
+    lattice into itself (inv_k * A[j][k] = 0 mod inv_j), and A^(p^x) = I
+    modulo the invariants.
     """
 
-    __slots__ = ("params", "invariants", "s", "s_inv", "point_pows",
-                 "subgroup_order")
+    __slots__ = ("params", "invariants", "point_pows", "subgroup_order",
+                 "_to_pi", "_from_pi")
 
-    def __init__(self, params, cmat, lat):
-        diag, s = snf(lat.basis)
+    def __init__(self, params, level):
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
         d = params.dim
-        invariants = tuple(diag.data[k][k] for k in range(d))
-        if any(inv % params.p != 0 for inv in invariants):
-            raise AssertionError("invariant factor not divisible by p")
+        invariants = _invariants(params, level)
         self.params = params
         self.invariants = invariants
-        self.s = s
-        self.s_inv = inverse_unimodular(s)
-        # C preserves the lattice, so A preserves diag(invariants) Z^d, and
-        # reducing row k of A and of every power modulo invariants[k] keeps
-        # the action on coordinates while the entries stay below the
-        # invariants, however large the Smith transform's are
-        act = _rows_mod(s @ cmat @ self.s_inv, invariants)
+        pis = range(d - 1, -1, -1)  # the power of pi at coordinate t
+        self._to_pi = IntMatrix([[comb(j, k) for j in range(d)] for k in pis])
+        self._from_pi = IntMatrix([[(-1) ** (k - j) * comb(k, j) for k in pis]
+                                   for j in range(d)])
+        # reducing row t of A and of every power modulo invariants[t] keeps
+        # the action on coordinates once A preserves the invariant lattice
+        act = _rows_mod(IntMatrix(row[::-1] for row in _zeta_action(params).data[::-1]),
+                        invariants)
+        if any(invariants[k] * act.data[j][k] % invariants[j]
+               for j in range(d) for k in range(d)):
+            raise AssertionError("A does not preserve the invariant lattice")
         pows = []
         cur = IntMatrix.identity(d)
         for _ in range(params.point_order):
@@ -168,19 +184,16 @@ class QuotientCoords:
         if cur != IntMatrix.identity(d):
             raise AssertionError("A^(p^x) is not I modulo the invariant factors")
         self.point_pows = tuple(pows)
-        order = 1
-        for inv in invariants:
-            order *= inv
-        self.subgroup_order = order
+        self.subgroup_order = prod(invariants)
 
     def reduce_vector(self, v):
         """Coordinates of an integer vector's class in T/N_i."""
-        y = self.s.apply(v)
+        y = self._to_pi.apply(v)
         return tuple(c % inv for c, inv in zip(y, self.invariants))
 
     def lift(self, y):
         """An integer vector representing the class with coordinates y."""
-        return self.s_inv.apply(y)
+        return self._from_pi.apply(y)
 
     def act(self, s_exp, y):
         """Coordinates of C^s_exp applied to the class y."""
@@ -215,18 +228,18 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor.get('model')}, order={self.order})"
 
 
-def _quotient_from_action(params, cmat, level, model, budget):
-    """The group (T/N_level) x| C_{p^x} for the action ``cmat``.  Its order
-    is p^(dim+x+level) in closed form, so an over-budget group is refused
-    before the lattice is built; the built lattice must then give that
+def _quotient(params, level, model, matrix_c, budget):
+    """The group (T/N_level) x| C_{p^x} in pi-adic coordinates, described
+    as ``model`` with the integer action ``matrix_c``.  Its order is
+    p^(dim+x+level) in closed form, so an over-budget group is refused
+    before the chart is built; the invariants must then give that
     order."""
     order = params.p ** (params.dim + params.x + level)
     if budget is not None and order > budget:
         raise BudgetError(
             f"group order {order} exceeds enumeration budget {budget}",
             order=order, budget=budget, level=level)
-    lat = _lattice_chain(cmat, params.dim + level)[-1]
-    coords = QuotientCoords(params, cmat, lat)
+    coords = QuotientCoords(params, level)
     px = params.point_order
     if coords.subgroup_order * px != order:
         raise AssertionError("quotient order mismatch")
@@ -247,10 +260,7 @@ def _quotient_from_action(params, cmat, level, model, budget):
         return tuple((-c) % iv for c, iv in zip(moved, invariants)) + (s_inv,)
 
     identity = (0,) * d + (0,)
-    gens = []
-    for k in range(d):
-        gens.append(tuple(1 if j == k else 0 for j in range(d)) + (0,))
-    gens.append((0,) * d + (1,))
+    gens = [tuple(int(j == k) for j in range(d + 1)) for k in range(d + 1)]
     descriptor = {
         "model": model,
         "p": params.p,
@@ -258,7 +268,7 @@ def _quotient_from_action(params, cmat, level, model, budget):
         "i": level,
         "order": order,
         "snf": list(invariants),
-        "matrixC": cmat.to_lists(),
+        "matrixC": matrix_c.to_lists(),
     }
     return FiniteGroup(descriptor, order, params.p, identity, gens, mul, inv)
 
@@ -268,18 +278,17 @@ def quotient_group(params, i, budget=DEFAULT_ENUM_BUDGET):
     level i, with law (v,s)*(w,t) = (v + C^s w, s+t)."""
     if i < 0:
         raise ValueError("level must be >= 0")
-    return _quotient_from_action(params, companion_cyclotomic(params), i,
-                                 "quotient", budget)
+    return _quotient(params, i, "quotient", companion_cyclotomic(params), budget)
 
 
 def b3r(r, budget=DEFAULT_ENUM_BUDGET):
-    """The order-3^r member of the maximal-class family built from the
-    integer action [[1,-3],[1,-2]] on Z^2, at filtration level r - 3."""
+    """The order-3^r member of the maximal-class family: the p = 3, x = 1
+    quotient at filtration level r - 3, described by its action
+    [[1,-3],[1,-2]] on Z^2 = Z[zeta_3] in the basis 1, pi."""
     if r < 3:
         raise ValueError("r must be >= 3")
-    params = SpaceGroupParams(3, 1)
-    return _quotient_from_action(params, maximal_class_matrix(3), r - 3,
-                                 "b3r", budget)
+    return _quotient(SpaceGroupParams(3, 1), r - 3, "b3r", maximal_class_matrix(3),
+                     budget)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +404,8 @@ def verify_filtration(params, i_max, trials=200, seed=0):
     by the cyclotomic polynomial; [Z^d : (I-C)Z^d] = |det(I-C)| = p; I-C
     commutes with C; pZ^d lies in (I-C)Z^d (p*(I-C)^{-1} is integral); and
     reduction mod N_{i+1} of (I-C)v agrees with the induced map on T/N_i
-    for random vectors.
+    for random vectors, also shifted by the Hermite N_i (which checks the
+    closed-form pi-adic charts against the chain).
     """
     import random as _random
 
@@ -458,7 +468,7 @@ def verify_filtration(params, i_max, trials=200, seed=0):
     diagram_ok = True
     upper = min(i_max, 4)
     try:
-        coords = [QuotientCoords(params, cmat, lats[i]) for i in range(upper + 2)]
+        coords = [QuotientCoords(params, i) for i in range(upper + 2)]
         for _ in range(trials):
             i = rng.randrange(upper + 1)
             v = tuple(rng.randrange(-50, 51) for _ in range(d))

@@ -1,6 +1,7 @@
 """Small group and algebra models that only the tests build.
 
-Abelian groups as extra resolution inputs, a reordered element table,
+Abelian groups as extra resolution inputs, a quotient in the Smith
+coordinates that cache version 3 was written in, a reordered element table,
 the wreath action on mod-p vectors with the cyclic element it embeds,
 an integer matrix built from its columns, and the exterior algebra
 whose graded dimensions the block cohomology matches.
@@ -11,14 +12,18 @@ from math import comb
 
 import numpy as np
 
+from _oracles import inverse_unimodular
 from coclass.groups import ElementTable
-from coclass.intmat import IntMatrix
+from coclass.intmat import IntMatrix, snf
 from coclass.spacegroup import (
     FiniteGroup,
     SpaceGroupParams,
     WreathElement,
     _block_action_pows,
     _invert_perm,
+    companion_cyclotomic,
+    filtration,
+    quotient_group,
 )
 
 
@@ -59,6 +64,36 @@ def _smallest_prime_factor(n):
             return d
         d += 1
     return n
+
+
+def smith_chart_quotient(params, level):
+    """``quotient_group(params, level)`` with the law it had up to cache
+    version 3: coordinates y = s v mod the Smith invariants of the Hermite
+    lattice N_level, acted on by s C s^-1.  Same descriptor, same
+    generators (unit vectors), another basis and so another element
+    order."""
+    d, px = params.dim, params.point_order
+    diag, s = snf(filtration(params, level).basis)
+    invariants = [diag.data[k][k] for k in range(d)]
+    act = s @ companion_cyclotomic(params) @ inverse_unimodular(s)
+    pows = [(act ** e).data for e in range(px)]
+
+    def move(e, y):
+        return tuple(sum(a * b for a, b in zip(row, y)) % m
+                     for row, m in zip(pows[e], invariants))
+
+    def mul(a, b):
+        moved = move(a[d], b[:d])
+        return tuple((u + w) % m for u, w, m in zip(a[:d], moved, invariants)) \
+            + ((a[d] + b[d]) % px,)
+
+    def inv(a):
+        back = (px - a[d]) % px
+        return tuple((-c) % m for c, m in zip(move(back, a[:d]), invariants)) + (back,)
+
+    current = quotient_group(params, level)
+    return FiniteGroup(dict(current.descriptor), current.order, params.p,
+                       current.identity, current.generators, mul, inv)
 
 
 def permuted(group, table, perm):

@@ -5,7 +5,9 @@ dense bar complex, rational solves and inverses, the Bareiss determinant,
 point permutations, the characteristic polynomial) are deliberately plain
 Python on lists, so they share no code path with the package
 implementations (the dense bar reference borrows only the canonical
-element order of ``enumerate_group``).
+element order of ``enumerate_group``).  ``inverse_unimodular`` inverts by
+the package's Hermite form, an elimination that the closed-form pi-adic
+chart of the quotients never runs.
 The low-degree cohomology oracles (Frattini rank, generator-row bar
 cochains) and ``naive_minimal_resolution`` run on the package's group
 tables and ``FpMatrix``: they cross-check the resolution step, not the
@@ -21,7 +23,7 @@ import numpy as np
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
 from coclass.groups import enumerate_group
-from coclass.intmat import IntMatrix
+from coclass.intmat import IntMatrix, hnf
 from coclass.lattice import lattice_from_columns
 from coclass.resolution import GroupAlgebraContext
 
@@ -342,6 +344,19 @@ def rational_inverse(a):
     """A^-1 of a square nonsingular IntMatrix, as rows of Fractions."""
     return rational_solve(a.data, [[int(i == j) for j in range(a.rows)]
                                    for i in range(a.rows)])
+
+
+def inverse_unimodular(a):
+    """Exact inverse of a unimodular integer matrix, as an IntMatrix.
+
+    The column operations that bring ``a`` to its Hermite form I bring
+    the identity stacked above it to a^-1; the lower block coming out as
+    exactly I certifies a @ a^-1 = I."""
+    eye = IntMatrix.identity(a.cols)
+    h = hnf(IntMatrix(eye.data + a.data))
+    if h.data[a.cols:] != eye.data:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix(h.data[:a.cols])
 
 
 def det(a):

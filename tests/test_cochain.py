@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from coclass.spacegroup import (
     QuotientCoords,
     SpaceGroupParams,
     companion_cyclotomic,
-    filtration,
     wreath_group,
     wreath_inv,
     wreath_mul,
@@ -198,24 +198,30 @@ def test_eta_report_determinism():
 
 # --- inflation ---------------------------------------------------------------
 
-def _coords(params, level):
-    return QuotientCoords(params, companion_cyclotomic(params),
-                          filtration(params, level))
-
-
 def test_inflate_level0_is_evaluation():
+    # level-0 coordinate t holds pi^(d-1-t); P y mod p, with column t of P
+    # the expansion of (zeta-1)^(d-1-t) in the powers of zeta, is the point
+    # of T/pT that a level-0 cochain is evaluated at
     rng = random.Random(12)
-    params = SpaceGroupParams(3, 1)
-    coords = _coords(params, 0)
-    f = Cochain.random_normalized(3, 2, 1, rng)
-    for idx in range(9):
-        y = index_point(3, 2, idx)
-        assert inflate_eval(f, coords, (y,)) == f.eval((idx,))
+    for p, x in [(3, 1), (2, 2), (5, 1)]:
+        params = SpaceGroupParams(p, x)
+        d = params.dim
+        coords = QuotientCoords(params, 0)
+        assert coords.invariants == (p,) * d
+        f = Cochain.random_normalized(p, d, 1, rng)
+        seen = set()
+        for idx in range(p ** d):
+            y = index_point(p, d, idx)
+            point = tuple(sum((-1) ** (d - 1 - t - j) * comb(d - 1 - t, j) * y[t]
+                              for t in range(d)) % p for j in range(d))
+            seen.add(point)
+            assert inflate_eval(f, coords, (y,)) == f.eval((point_index(p, point),))
+        assert len(seen) == p ** d
 
 
 def test_inflate_constant():
     params = SpaceGroupParams(3, 1)
-    coords = _coords(params, 2)
+    coords = QuotientCoords(params, 2)
     c = Cochain.constant(3, 2, 1)
     assert inflate_eval(c, coords, ()) == 1
 

@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from coclass.intmat import IntMatrix, hnf, inverse_unimodular, snf, xgcd
+from coclass.intmat import IntMatrix, hnf, snf, xgcd
 
-from _oracles import charpoly, det, rational_inverse, rational_solve_integral
+from _oracles import (
+    charpoly,
+    det,
+    inverse_unimodular,
+    rational_inverse,
+    rational_solve_integral,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -161,8 +167,8 @@ def test_snf_rectangular():
 
 
 # hnf of p(C-I)^i and (d, s) = snf of that hnf, for the chain levels of
-# p=2 x=2 and p=3 x=1; s fixes the Smith coordinates of T/N_i and so the
-# element order of every quotient group
+# p=2 x=2 and p=3 x=1; d is the reference for the closed-form invariants
+# of T/N_i
 _CHAIN_LEVELS = [
     # (p, x, i, h, d, s)
     (2, 2, 1, [[4, 2], [0, 2]], [[2, 0], [0, 4]], [[1, 0], [-1, 1]]),
@@ -195,8 +201,8 @@ def test_snf_transform_is_pinned_for_negative_pivots(a, d, s):
     assert snf(IntMatrix(a)) == (IntMatrix(d), IntMatrix(s))
 
 
-# the Smith transforms s of chain levels 0..5 fix the coordinates of every
-# quotient; s^-1 lifts them back to Z^d
+# the Hermite-form inverse that the tests check the binomial pi-adic lift
+# against, on the Smith transforms of chain levels 0..5
 @pytest.mark.parametrize("p, x", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                   (5, 1), (7, 1), (3, 3)])
 def test_inverse_unimodular_of_chain_smith_transforms(p, x):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _models import abelian_group, permuted
+from _models import abelian_group, permuted, smith_chart_quotient
 from _oracles import (
     bar_cohomology_dim,
     dense_bar_cohomology_dim,
@@ -585,6 +585,41 @@ def test_cache_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
         resolution.CACHE_VERSION
 
 
+def test_version3_entry_is_recomputed_not_resumed(tmp_path, monkeypatch):
+    # version 3 wrote a quotient's boundaries over its Smith-coordinate
+    # element order; the key is unchanged, so resuming such an entry would
+    # read its columns in the wrong basis
+    params = SpaceGroupParams(3, 1)
+    g = quotient_group(params, 1)
+    monkeypatch.setattr(resolution, "CACHE_VERSION", 3)
+    save_resolution(minimal_resolution(smith_chart_quotient(params, 1), 3),
+                    str(tmp_path))
+    monkeypatch.undo()
+    base = tmp_path / resolution_cache_key(g.descriptor)
+    old = [(base / f"{n}.fpmx").read_bytes() for n in range(1, 4)]
+    assert json.loads((base / "manifest.json").read_text())["version"] == 3
+    assert load_resolution(g.descriptor, str(tmp_path)) is None
+
+    starts = []
+    real = resolution.minimal_resolution
+
+    def spy(group, max_degree, **kwargs):
+        starts.append(kwargs.get("start"))
+        return real(group, max_degree, **kwargs)
+
+    monkeypatch.setattr(resolution, "minimal_resolution", spy)
+    assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == [1, 2, 4, 6, 7]
+    assert starts == [None]
+    monkeypatch.undo()
+    cold = tmp_path / "cold"
+    betti_numbers(g, 4, cache_dir=str(cold))
+    new = [(base / f"{n}.fpmx").read_bytes() for n in range(1, 5)]
+    assert new == [(cold / base.name / f"{n}.fpmx").read_bytes()
+                   for n in range(1, 5)]
+    assert new[:3] != old
+    assert json.loads((base / "manifest.json").read_text())["version"] == 4
+
+
 def _count_computes(monkeypatch):
     calls = []
     real = resolution.minimal_resolution
@@ -984,10 +1019,10 @@ def test_resumed_top_with_a_smaller_image_is_not_exact(tmp_path):
         _extend_tampered_top(tmp_path, b3r(3), 3, shrink)
 
 
-def test_version_2_entry_is_recomputed_as_version_3(tmp_path, monkeypatch):
+def test_version_2_entry_is_recomputed_as_the_current_version(tmp_path, monkeypatch):
     # a version-2 entry holds every boundary dense: it is refused by its
     # version, never read as generator columns, recomputed from degree 0
-    # and rewritten as a version-3 entry
+    # and rewritten as an entry of the current version
     g = abelian_group([3, 3])
     betti, dense = naive_minimal_resolution(g, 3)
     base = tmp_path / resolution_cache_key(g.descriptor)
@@ -1009,7 +1044,8 @@ def test_version_2_entry_is_recomputed_as_version_3(tmp_path, monkeypatch):
     assert betti_numbers(g, 4, cache_dir=str(tmp_path)) == [1, 2, 3, 4, 5]
     assert starts == [None]
     monkeypatch.undo()
-    assert json.loads((base / "manifest.json").read_text())["version"] == 3
+    assert json.loads((base / "manifest.json").read_text())["version"] == \
+        resolution.CACHE_VERSION
     cold = minimal_resolution(g, 4)
     for n in range(1, 5):
         mat = FpMatrix.from_bytes((base / f"{n}.fpmx").read_bytes())

@@ -1,5 +1,6 @@
 import json
 import random
+from math import comb
 
 import pytest
 
@@ -14,12 +15,13 @@ from _oracles import (
     charpoly,
     det,
     filtration_reference,
+    inverse_unimodular,
     perturb_filtration_level,
     rational_solve_integral,
 )
-from coclass import spacegroup
+from coclass import intmat, lattice, spacegroup
 from coclass.errors import BudgetError
-from coclass.intmat import IntMatrix, poly_eval_matrix
+from coclass.intmat import IntMatrix, poly_eval_matrix, snf
 from coclass.lattice import apply_matrix, lattice_from_columns, scale_lattice
 from coclass.spacegroup import (
     QuotientCoords,
@@ -281,19 +283,96 @@ def test_over_budget_quotient_is_refused_before_the_lattice(monkeypatch):
         raise AssertionError("lattice built for a refused group")
 
     monkeypatch.setattr(spacegroup, "_lattice_chain", unreachable)
+    monkeypatch.setattr(spacegroup, "QuotientCoords", unreachable)
     with pytest.raises(BudgetError, match="exceeds enumeration budget"):
         quotient_group(SpaceGroupParams(251, 1), 0)
     with pytest.raises(BudgetError):
         b3r(30)
 
 
-def test_quotient_order_is_certified_against_the_built_lattice(monkeypatch):
-    # a lattice one level too deep gives a group p times too large
-    real = spacegroup._lattice_chain
-    monkeypatch.setattr(spacegroup, "_lattice_chain",
-                        lambda cmat, top: real(cmat, top + 1)[1:])
+def test_quotient_order_is_certified_against_the_invariants(monkeypatch):
+    # invariants one level too deep give a group p times too large
+    real = spacegroup._invariants
+    monkeypatch.setattr(spacegroup, "_invariants",
+                        lambda params, level: real(params, level + 1))
     with pytest.raises(AssertionError, match="quotient order mismatch"):
         quotient_group(SpaceGroupParams(3, 1), 1)
+
+
+def test_quotients_are_built_without_hermite_or_smith_forms(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("elimination on the build path")
+
+    for owner in (intmat, lattice):
+        monkeypatch.setattr(owner, "hnf", unreachable)
+    monkeypatch.setattr(intmat, "snf", unreachable)
+    monkeypatch.setattr(spacegroup, "_lattice_chain", unreachable)
+    assert len(enumerate_group(quotient_group(SpaceGroupParams(2, 2), 3))) == 128
+    assert len(enumerate_group(b3r(5))) == 243
+    assert QuotientCoords(SpaceGroupParams(7, 2), 2).invariants == (7,) * 40 + (49,) * 2
+
+
+def _pi_basis(d):
+    """(S, P) of the pi-adic chart from the binomial formulas, coordinate t
+    holding pi^(d-1-t): S[t][j] = C(j, d-1-t) reads e_j = (1+pi)^j, and
+    column t of P is pi^(d-1-t) = (zeta-1)^(d-1-t) in the basis zeta^j."""
+    s = IntMatrix([[comb(j, d - 1 - t) for j in range(d)] for t in range(d)])
+    lift = IntMatrix([[(-1) ** (d - 1 - t - j) * comb(d - 1 - t, j) for t in range(d)]
+                      for j in range(d)])
+    return s, lift
+
+
+# every family this file builds: PAIRS, (2, 3) of the chain test, p = 7 of
+# the maximal-class chains and dimensions 16 and 20 of the deep filtrations
+FAMILIES = PAIRS + [(2, 3), (7, 1), (5, 2), (2, 5)]
+
+
+@pytest.mark.parametrize("p,x", FAMILIES)
+def test_closed_form_chart_matches_the_hermite_and_smith_forms(p, x):
+    params = SpaceGroupParams(p, x)
+    d = params.dim
+    s, lift = _pi_basis(d)
+    assert s @ lift == IntMatrix.identity(d)
+    assert inverse_unimodular(s) == lift
+    for i, lat in enumerate(filtration_lattices(params, 12)):
+        coords = QuotientCoords(params, i)
+        diag, _ = snf(lat.basis)
+        assert coords.invariants == tuple(diag.data[k][k] for k in range(d))
+        scaled = IntMatrix([[a * inv for a, inv in zip(row, coords.invariants)]
+                            for row in lift.data])
+        assert lattice_from_columns(scaled) == lat == filtration(params, i)
+        for t in range(d):
+            unit = tuple(int(k == t) for k in range(d))
+            assert coords.lift(unit) == lift.column(t)
+            assert coords.reduce_vector(unit) == tuple(
+                a % inv for a, inv in zip(s.column(t), coords.invariants))
+
+
+@pytest.mark.parametrize("p,x", FAMILIES)
+def test_point_action_in_pi_coordinates_is_the_zeta_action(p, x):
+    # S C P multiplies by zeta = 1 + pi; read in the order pi^0..pi^(d-1)
+    # it is I + the companion matrix of the Eisenstein polynomial, which at
+    # x = 1 is maximal_class_matrix(p), the action b3r is described by
+    params = SpaceGroupParams(p, x)
+    d = params.dim
+    s, lift = _pi_basis(d)
+    act = s @ companion_cyclotomic(params) @ lift
+    natural = IntMatrix([[act.data[d - 1 - j][d - 1 - k] for k in range(d)]
+                         for j in range(d)])
+    assert natural == spacegroup._zeta_action(params)
+    if x == 1:
+        assert natural == maximal_class_matrix(p)
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+def test_b3r_is_the_p3_quotient_under_its_own_descriptor(r):
+    g = b3r(r)
+    q = quotient_group(SpaceGroupParams(3, 1), r - 3)
+    gt, qt = enumerate_group(g), enumerate_group(q)
+    assert gt.elements == qt.elements
+    assert (gt.right == qt.right).all()
+    assert g.descriptor == {**q.descriptor, "model": "b3r",
+                            "matrixC": [[1, -3], [1, -2]]}
 
 
 @pytest.mark.parametrize("p,x,i", [(2, 1, 3), (3, 1, 1), (2, 2, 1)])
@@ -318,13 +397,13 @@ def test_translation_subgroup_matches_snf(p, x, i):
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_quotient_coords_reduced_powers_match_the_unreduced_ones(level):
-    # the unreduced powers of A = S C S^-1, reduced row by row modulo the
+    # the unreduced powers of A = S C P, reduced row by row modulo the
     # invariant factors only at the end, against the loop that reduces A
     # and every power
     params = SpaceGroupParams(5, 2)
-    cmat = companion_cyclotomic(params)
-    coords = QuotientCoords(params, cmat, filtration(params, level))
-    act = coords.s @ cmat @ coords.s_inv
+    s, lift = _pi_basis(params.dim)
+    coords = QuotientCoords(params, level)
+    act = s @ companion_cyclotomic(params) @ lift
     cur = IntMatrix.identity(params.dim)
     for got in coords.point_pows:
         assert got == tuple(tuple(a % inv for a in row)
@@ -333,12 +412,35 @@ def test_quotient_coords_reduced_powers_match_the_unreduced_ones(level):
     assert len(coords.point_pows) == params.point_order
 
 
-def test_quotient_coords_certifies_the_point_order():
-    # -I preserves every lattice, but (-I)^3 is not I modulo 3
+def test_quotient_coords_certifies_the_point_order(monkeypatch):
+    # y^2 + 3y + 6 is still Eisenstein, so its companion preserves every
+    # pi-adic lattice, but its roots are not 1 + (a primitive cube root)
+    real = spacegroup._zeta_action
+
+    def corrupted(params):
+        rows = [list(row) for row in real(params).data]
+        rows[0][-1] -= params.p  # a_0 = 3 becomes 6
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(spacegroup, "_zeta_action", corrupted)
     params = SpaceGroupParams(3, 1)
-    minus_one = IntMatrix.identity(params.dim) * -1
+    QuotientCoords(params, 0)  # modulo 3, a_0 = 6 acts as a_0 = 3
     with pytest.raises(AssertionError, match="not I modulo the invariant"):
-        QuotientCoords(params, minus_one, filtration(params, 0))
+        QuotientCoords(params, 2)
+
+
+@pytest.mark.parametrize("p,x", [(3, 1), (2, 2), (5, 1)])
+def test_quotient_coords_certifies_the_invariant_lattice(monkeypatch, p, x):
+    # the invariants in the order pi^0..pi^(d-1), against coordinates that
+    # hold pi^(d-1) first: zeta * pi^(d-2) = pi^(d-2) + pi^(d-1) leaves the
+    # lattice whenever the two invariants differ
+    real = spacegroup._invariants
+    monkeypatch.setattr(spacegroup, "_invariants",
+                        lambda params, level: real(params, level)[::-1])
+    params = SpaceGroupParams(p, x)
+    QuotientCoords(params, params.dim)  # all invariants equal
+    with pytest.raises(AssertionError, match="does not preserve the invariant lattice"):
+        QuotientCoords(params, 1)
 
 
 def test_b3r_family():
