@@ -115,6 +115,17 @@ class FpMatrix:
         out = kernels.matmul_u8(self._d, other._d, self.p)
         return FpMatrix(self.p, self.rows, other.cols, out)
 
+    def annihilates(self, basis, free):
+        """Whether self @ basis = 0, for a ``basis`` whose rows ``free``
+        are the identity (the caller checks that).  Odd p multiplies by
+        the other rows of ``basis`` only, in blocks
+        (:func:`kernels.annihilates_u8`); p = 2 takes the packed product."""
+        if self.p != basis.p or self.cols != basis.rows:
+            raise ValueError("dimension mismatch")
+        if self.p == 2:
+            return not kernels.matmul_b2(self._d, basis._d, self.cols).any()
+        return kernels.annihilates_u8(self._d, basis._d, np.asarray(free), self.p)
+
     def __sub__(self, other):
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("dimension mismatch")

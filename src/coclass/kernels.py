@@ -29,10 +29,16 @@ Conventions shared by all kernels:
     positions fixed by the row space; both are unique, so they do not
     depend on pivot-row choice, block size or BLAS threading.
 
-BLAS threads: ``rref_u8``, ``heads_u8`` and ``matmul_u8`` make many
-small float products, and between them an idle OpenBLAS worker thread
-spins, which nearly doubles the cpu time of a call for little gain in
-wall time.  So a call whose largest operand has fewer than
+Float products go a block of rows at a time, each float block near
+``_CHUNK_ENTRIES`` entries, so no product makes a second full-size float
+array: ``rref_u8`` holds one float copy of its input, ``matmul_u8`` one
+of its right operand only, and ``annihilates_u8`` (the top-degree kernel
+check of a resolution) none.
+
+BLAS threads: ``rref_u8``, ``heads_u8``, ``matmul_u8`` and
+``annihilates_u8`` make many small float products, and between them an
+idle OpenBLAS worker thread spins, which nearly doubles the cpu time of
+a call for little gain in wall time.  So a call whose largest operand has fewer than
 ``_THREADED_ENTRIES`` entries runs on one BLAS thread and restores the
 caller's thread count on exit, also when it raises; a larger call keeps
 the count it was entered with, because two threads still pay off there.
@@ -60,7 +66,9 @@ USE_NUMBA = False
 _PANEL = 64
 # Rows per chunk when _panel_basis reads the not-yet-pivot rows of a panel.
 _CHUNK = 64
-# Entries per chunk when heads_u8 and _end_solve read rows of their input.
+# Entries per chunk when heads_u8 and _end_solve read rows of their input,
+# and per float block of a product (rref_u8's update, matmul_u8,
+# annihilates_u8).
 _CHUNK_ENTRIES = 1 << 19
 # Entries of the largest operand from which a kernel call keeps its BLAS
 # threads; smaller calls run on one.  On inputs captured from the order-729
@@ -272,8 +280,10 @@ def rref_u8(a, p):
     T = M^-1 for M the k x k block of those rows and columns; T @ M = I
     is checked (AssertionError otherwise).  X = T A[pivot rows, c0:] mod
     p replaces the pivot rows, and every other row gets
-    A[:, c0:] -= A[:, pivot cols] @ X as one GEMM (over the rows with a
-    nonzero multiplier only, when those are at most half).  Rows are
+    A[:, c0:] -= A[:, pivot cols] @ X, one GEMM per block of rows whose
+    product has about ``_CHUNK_ENTRIES`` entries, so the update makes no
+    second full-size float array (over the rows with a nonzero multiplier
+    only, when those are at most half).  Rows are
     never swapped: the pivot rows are gathered in pivot order at the end,
     ``_PANEL`` rows at a time so the final reduction needs no full-size
     temporary, and every other row has reduced to zero.
@@ -305,10 +315,14 @@ def rref_u8(a, p):
         x = _mod(t @ _mod(work[prow, c0:], p), p)
         lhs = _mod(work[:, pcol], p)
         hit = np.flatnonzero(lhs.any(axis=1))
+        step = max(1, _CHUNK_ENTRIES // (cols - c0))
         if hit.size > rows // 2:
-            work[:, c0:] -= lhs @ x
+            for r0 in range(0, rows, step):
+                work[r0:r0 + step, c0:] -= lhs[r0:r0 + step] @ x
         else:
-            work[hit, c0:] -= lhs[hit] @ x
+            for r0 in range(0, hit.size, step):
+                rows_hit = hit[r0:r0 + step]
+                work[rows_hit, c0:] -= lhs[rows_hit] @ x
         work[prow, c0:] = x
         is_pivot_row[prow] = True
         pivot_rows.extend(prow.tolist())
@@ -421,10 +435,51 @@ def matmul_u8(a, b, p):
     Goes through a float matmul (BLAS) in the dtype that
     ``_float_dtype`` picks for the inner dimension: float32 up to
     (2^24 - p) / (p-1)^2 terms (4.19M at p = 3, 268 at p = 251), float64
-    up to about 1.4e11 at p <= 251.
+    up to about 1.4e11 at p <= 251.  ``b`` is converted once; ``a`` is
+    converted and multiplied a block of rows at a time, with blocks of
+    ``a`` and of the float result near ``_CHUNK_ENTRIES`` entries, and
+    each block is reduced into the uint8 result, so no full-size float
+    copy of ``a`` or of the result is made.
     """
-    dt = _float_dtype(a.shape[1], p)
-    return _mod(a.astype(dt) @ b.astype(dt), p).astype(np.uint8)
+    rows, inner = a.shape
+    dt = _float_dtype(inner, p)
+    bf = b.astype(dt)
+    out = np.empty((rows, b.shape[1]), dtype=np.uint8)
+    step = max(1, _CHUNK_ENTRIES // max(inner, b.shape[1], 1))
+    for r0 in range(0, rows, step):
+        out[r0:r0 + step] = _mod(a[r0:r0 + step].astype(dt) @ bf, p)
+    return out
+
+
+@_small_on_one_thread
+def annihilates_u8(a, basis, free, p):
+    """Whether a @ basis = 0 mod p, for a uint8 ``basis`` whose rows
+    ``free`` are the identity (the caller checks that).
+
+    With R the other rows, a @ basis = a[:, R] @ basis[R] + a[:, free],
+    so the product is taken over R alone: rows(a) |R| k multiply-adds
+    instead of rows(a) (|R| + k) k.  It runs in BLAS in the dtype of
+    ``_float_dtype(|R| + 1, p)`` (|R| products and one entry of a per
+    sum), a block of rows of ``a`` at a time, each converted once, times
+    blocks of columns of ``basis[R]``; every float block has at most
+    ``_CHUNK_ENTRIES`` entries, and the check stops at the first block
+    with a nonzero entry.
+    """
+    rest = np.setdiff1d(np.arange(basis.shape[0]), free, assume_unique=True)
+    dt = _float_dtype(rest.size + 1, p)
+    # rows split evenly into the fewest blocks of at most _CHUNK_ENTRIES
+    blocks = -(-a.shape[0] // max(1, _CHUNK_ENTRIES // max(rest.size, 1)))
+    step = max(1, -(-a.shape[0] // max(blocks, 1)))
+    width = max(1, _CHUNK_ENTRIES // max(rest.size, step))
+    for r0 in range(0, a.shape[0], step):
+        rows = a[r0:r0 + step]
+        lhs = rows[:, rest].astype(dt)
+        for c0 in range(0, free.size, width):
+            prod = lhs @ basis[rest, c0:c0 + width].astype(dt)
+            prod += rows[:, free[c0:c0 + width]]
+            if _mod(prod, p).any():
+                return False
+    return True
 
 
 def _row_bytes(words, cols):

@@ -9,8 +9,8 @@ plain F_p-subspace, read a minimal generating set off its radical (the
 coordinates), and let those generators define the next boundary.  Each
 degree is certified: the boundary is an F_p[G]-map, the composite is
 zero, the complex is exact below the top degree (at the top the kernel
-is a submodule) and every boundary entry lies in the augmentation
-ideal.
+basis is checked to lie in the kernel, by one product) and every
+boundary entry lies in the augmentation ideal.
 
 Free modules are row-indexed by (basis index, group element index) with
 the element order frozen by the canonical element table.  Boundary n acts
@@ -45,6 +45,8 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
 CACHE_VERSION = 4
+# Entries per block when the group tables are certified and permuted.
+_TABLE_BLOCK = 1 << 16
 
 
 class GroupAlgebraContext:
@@ -84,13 +86,18 @@ def _group_tables(group, table):
     Walking the elements breadth-first from the identity over those
     columns, each newly reached b = a*g_k gets its whole column in one
     gather, mul[:, b] = right[k][mul[:, a]], because x*(a*g) = (x*a)*g.
-    That table, held as mul_t[b, a] = a*b, is freed once gather is taken.
+    That table is held as mul_t[b, a] = a*b, and once it is certified
+    each of its rows is permuted in place, mul_t[b, g] becoming
+    mul_t[b, inv(g)] = inv(g)*b, which makes it gather: one m x m table
+    is all the context ever holds.
 
     The certificate raises AssertionError unless every element was
-    reached, every row is a permutation, a*(b*g) = (a*b)*g holds for all
-    a, b and every generator g (so the table does not depend on the path
-    the walk took and is the group the columns generate), and a*a^-1 is
-    the identity for the law's inverses.
+    reached, every row of the law is a permutation, a*(b*g) = (a*b)*g
+    holds for all a, b and every generator g (so the table does not
+    depend on the path the walk took and is the group the columns
+    generate), and a*a^-1 is the identity for the law's inverses.  Each
+    check, and the permutation into gather, reads the table in blocks of
+    about ``_TABLE_BLOCK`` entries, so its temporaries stay that small.
     """
     elements, index, right = table.elements, table.index, table.right
     m = len(elements)
@@ -110,24 +117,33 @@ def _group_tables(group, table):
                 queue.append(b)
     if len(queue) != m:
         raise AssertionError("generators do not reach every element")
-    rows = np.arange(m)
-    hit = np.zeros((m, m), dtype=bool)
-    hit[mul_t, rows] = True
-    if not hit.all():
-        raise AssertionError("a row of the multiplication table is not a permutation")
+    step = max(1, _TABLE_BLOCK // m)
+    # row a of the law is column a of mul_t: mark its values a block of
+    # columns at a time
+    for c0 in range(0, m, step):
+        block = mul_t[:, c0:c0 + step]
+        hit = np.zeros((block.shape[1], m), dtype=bool)
+        hit[np.arange(block.shape[1]), block] = True
+        if not hit.all():
+            raise AssertionError("a row of the multiplication table is not a permutation")
+    # each comparison gathers two blocks, so each takes half the entries
+    half = max(1, step // 2)
     for col in right:
-        if not np.array_equal(mul_t[col], col[mul_t]):
-            raise AssertionError("a*(b*g) != (a*b)*g for a generator g")
-    if (mul_t[inv, rows] != e).any():
+        for r0 in range(0, m, half):
+            if not np.array_equal(mul_t[col[r0:r0 + half]], col[mul_t[r0:r0 + half]]):
+                raise AssertionError("a*(b*g) != (a*b)*g for a generator g")
+    if (mul_t[inv, np.arange(m)] != e).any():
         raise AssertionError("a*inv(a) is not the identity")
-    return np.take(mul_t, inv, axis=1)
+    for r0 in range(0, m, step):
+        mul_t[r0:r0 + step] = mul_t[r0:r0 + step, inv]
+    return mul_t
 
 
 def _check_gather(gather, gens):
     """Raise AssertionError unless gather[gather[r, g], gather[c, g]] =
     gather[r, c] for all r, c and each g in ``gens``, i.e.
-    (g^-1 c)^-1 (g^-1 r) = c^-1 r: |gens|*|G|^2 comparisons, in chunks of
-    rows.
+    (g^-1 c)^-1 (g^-1 r) = c^-1 r: |gens|*|G|^2 comparisons, in blocks of
+    rows of about ``_TABLE_BLOCK`` entries.
 
     This is equivariance, certified once per group instead of once per
     boundary.  :func:`_assemble_boundary` puts vecs[b*m + gather[r, c], t]
@@ -141,7 +157,7 @@ def _check_gather(gather, gens):
     submodule.
     """
     m = len(gather)
-    step = max(1, (1 << 20) // m)
+    step = max(1, _TABLE_BLOCK // m)
     for g in gens:
         col = gather[:, g]
         for r0 in range(0, m, step):
@@ -255,8 +271,11 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
       dim ker d_{n-1} (1 for the augmentation, whose image is F_p); with
       the composite this gives im d_n = ker d_{n-1}, however the heads
       were picked;
-    * submodule at the top: gK lies in K for each g in S, i.e. the rows of
-      gK off the free rows equal K's rows there times gK's free rows;
+    * the kernel at the top degree n = N - 1: K is the identity on its
+      free rows (k nonzero entries there, each a 1 on the diagonal), and
+      d_n[F] K = 0, so d_n K = 0 as for the composite; the product is
+      taken as d_n[F][:, rest] K[rest] = -d_n[F][:, free] over the other
+      rows of K alone (:meth:`FpMatrix.annihilates`);
     * minimality: every generator column has zero augmentation in each
       block of |G| rows, and so has every translate of one, i.e. every
       entry of the boundary, which is what makes
@@ -278,10 +297,14 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     elimination).  There it follows from Nakayama's lemma: the heads span
     K modulo rad K, which the L B check proves, so they generate K and
     im d_N = K.  That argument reads (g-1)K in the coordinates of the K
-    the elimination returned, so it needs that K to be closed under S,
-    which the submodule products check.  Below the top, the rank
-    comparison at the next degree certifies the boundary whatever the
-    heads were.  Neither argument
+    the elimination returned, so it needs that K to be ker d_{N-1}, which
+    is a submodule.  The top check gives it: K has full rank k, being the
+    identity on its free rows, and lies in ker d_{N-1}, by the product;
+    dim ker d_{N-1} = k is the elimination's rank, which the rank
+    comparison checks against dim ker d_{N-2} at this degree as at every
+    lower one.  So K = ker d_{N-1}, and gK lies in K for each g by
+    equivariance.  Below the top, the rank comparison at the next degree
+    certifies the boundary whatever the heads were.  Neither argument
     changes when the elimination runs on d_n[F]: it returns ker d_n
     itself, by the composite check that d_n passed when it was built.
     """
@@ -327,17 +350,11 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         for c0 in range(0, k, step):
             last = np.argmax(kd[::-1, c0:c0 + step] != 0, axis=0)
             free[c0:c0 + step] = kd.shape[0] - 1 - last
-        perms = _translations(ctx, ctx.gens, beta_n)
         top = n == max_degree - 1
         if top:
-            # a mask, not np.setdiff1d, whose np.unique imports numpy.ma
-            rest = np.ones(kd.shape[0], dtype=bool)
-            rest[free] = False
-            rest = np.flatnonzero(rest)
-            kern_rest = kern.row_select(rest)
-            for perm in perms:
-                if kern_rest @ kern.row_select(perm[free]) != kern.row_select(perm[rest]):
-                    raise AssertionError("kernel is not a submodule")
+            _check_top_kernel(cur, kern, kd, free, n)
+        del kern  # kd holds the basis from here on
+        perms = _translations(ctx, ctx.gens, beta_n)
         # row j of block g: (g-1)e_j in K-coordinates, filled a block at a
         # time: one C-contiguous matrix, no full-size copy
         rad = np.empty((len(perms), k, k), dtype=np.uint8)
@@ -354,6 +371,23 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         if not top:
             cur = _assemble_boundary(ctx, vecs, free)
     return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
+
+
+def _check_top_kernel(cur, kern, kd, free, n):
+    """Raise AssertionError unless the basis ``kern`` (dense ``kd``) is
+    the identity on its rows ``free`` and ``cur`` = d_n[F] vanishes on it.
+
+    The identity is read as kd[free[j], j] = 1 for every j and exactly
+    k nonzero entries in the rows ``free``, counted in blocks of about
+    2^19 entries.  Then d_n[F] K = d_n[F][:, rest] K[rest] + d_n[F][:, free],
+    which :meth:`FpMatrix.annihilates` takes without the identity rows."""
+    k = len(free)
+    step = max(1, (1 << 19) // max(k, 1))
+    ones = sum(np.count_nonzero(kd[free[c0:c0 + step]]) for c0 in range(0, k, step))
+    if ones != k or (kd[free, np.arange(k)] != 1).any():
+        raise AssertionError("top kernel basis is not the identity on its free rows")
+    if not cur.annihilates(kern, free):
+        raise AssertionError(f"top kernel is not inside ker d_{n}")
 
 
 def _translations(ctx, gens, beta):

@@ -3,6 +3,7 @@ the kernel basis against the plain-Python oracles, over shapes that
 cross the eliminations' panel, chunk, strip and word edges."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,96 @@ def test_matmul_u8_dtype_edge_p251(inner, dtype, monkeypatch):
     out = kernels.matmul_u8(a, b, p)
     assert seen == {np.dtype(dtype)}
     assert np.array_equal(out, (a.astype(np.int64) @ b.astype(np.int64)) % p)
+
+
+def _annihilated_pair(rng, p, rows, rest, k, free=None):
+    """(a, basis, free) with basis the identity on its rows ``free`` and
+    random on the other ``rest`` rows, and a @ basis = 0 mod p: a is
+    X on the other rows and -X basis[rest] on the free rows."""
+    n = rest + k
+    free = np.sort(rng.choice(n, k, replace=False)) if free is None else free
+    others = np.setdiff1d(np.arange(n), free)
+    basis = np.zeros((n, k), dtype=np.uint8)
+    basis[free, np.arange(k)] = 1
+    basis[others] = rng.integers(0, p, (rest, k), dtype=np.uint8)
+    x = rng.integers(0, p, (rows, rest), dtype=np.uint8)
+    a = np.empty((rows, n), dtype=np.uint8)
+    a[:, others] = x
+    # exact in float64: the sums stay below 2^53
+    a[:, free] = -(x.astype(np.float64) @ basis[others]) % p
+    return a, basis, free
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("chunk", [1 << 19, 37])
+def test_annihilates_u8_matches_the_whole_product(p, chunk, monkeypatch):
+    # a tiny chunk takes many blocks of rows and of columns, down to one
+    # row; every zero product is accepted and one changed entry anywhere
+    # is refused, whichever block it falls in
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(p + chunk)
+    for rows, rest, k in ((30, 20, 25), (1, 7, 3), (12, 0, 9), (9, 11, 0), (0, 4, 4)):
+        a, basis, free = _annihilated_pair(rng, p, rows, rest, k)
+        assert kernels.annihilates_u8(a, basis, free, p)
+        for _ in range(3 if rows and k else 0):
+            bad = a.copy()
+            i, j = rng.integers(rows), rng.integers(rest + k)
+            bad[i, j] = (bad[i, j] + 1) % p
+            assert not kernels.annihilates_u8(bad, basis, free, p)
+
+
+@pytest.mark.parametrize("chunk", [1 << 19, 50])
+def test_matmul_u8_in_row_blocks_matches_the_integer_product(chunk, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(chunk)
+    for p in (3, 251):
+        for rows, inner, cols in ((40, 30, 20), (7, 60, 1), (0, 5, 5), (5, 0, 3), (3, 2, 90)):
+            a = rng.integers(0, p, (rows, inner), dtype=np.uint8)
+            b = rng.integers(0, p, (inner, cols), dtype=np.uint8)
+            want = (a.astype(np.int64) @ b.astype(np.int64)) % p
+            assert np.array_equal(kernels.matmul_u8(a, b, p), want)
+
+
+def _traced_peak(call):
+    """The peak of the memory that ``call()`` allocates, as tracemalloc
+    (which numpy reports its arrays to) sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_top_certificate_product_makes_no_float_copy_of_its_matrix():
+    # a 2048 x 4096 matrix over F_3, the shape of a top d_n[F] at order
+    # 2187, and a basis of 2048 vectors that it annihilates: a float32
+    # copy of the matrix alone would take 32 MiB
+    rng = np.random.default_rng(3)
+    a, basis, free = _annihilated_pair(rng, 3, 2048, 2048, 2048)
+    peak = _traced_peak(lambda: kernels.annihilates_u8(a, basis, free, 3))
+    assert peak < a.size * 4 // 2
+
+
+def test_matmul_u8_makes_no_float_copy_of_its_left_operand():
+    # the composite check multiplies d_n[F] by a few generator columns:
+    # the uint8 result and the float copy of the narrow right operand are
+    # small, and the left operand is converted a block of rows at a time
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 3, (2048, 4096), dtype=np.uint8)
+    b = rng.integers(0, 3, (4096, 8), dtype=np.uint8)
+    peak = _traced_peak(lambda: kernels.matmul_u8(a, b, 3))
+    assert peak < a.size * 4 // 2
+
+
+def test_rref_u8_update_makes_no_second_float_copy():
+    # the elimination works on one float32 copy of its input; the update
+    # of each panel is taken a block of rows at a time, so the peak stays
+    # well below two such copies
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 3, (1024, 2048), dtype=np.uint8)
+    peak = _traced_peak(lambda: kernels.rref_u8(a, 3))
+    assert peak < a.size * 4 * 3 // 2
 
 
 def test_rref_u8_refuses_a_wrong_panel_inverse(monkeypatch):
@@ -383,7 +474,7 @@ def _spy_thread_counts(monkeypatch, threads):
 
 
 def _product_cases():
-    """(name, args) for the three float kernels: shapes whose GEMMs OpenBLAS
+    """(name, args) for the float kernels: shapes whose GEMMs OpenBLAS
     splits over threads, and at p = 251 ranks and inner dimensions above
     268, which take float64."""
     rng = np.random.default_rng(41)
@@ -397,6 +488,9 @@ def _product_cases():
         yield "heads_u8", (tall.astype(np.uint8), p)
         a = rng.integers(0, p, (280, 300), dtype=np.uint8)
         yield "matmul_u8", (a, rng.integers(0, p, (300, 310), dtype=np.uint8), p)
+    rng = np.random.default_rng(42)
+    for p in (3, 251):
+        yield "annihilates_u8", _annihilated_pair(rng, p, 280, 300, 290) + (p,)
 
 
 @pytest.mark.parametrize("name, args", list(_product_cases()),

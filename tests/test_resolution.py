@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ def test_context_tables_match_naive_products_order_3125():
     assert ctx.gather[0].tolist() == inv
 
 
+def test_context_peak_is_one_table_and_blocks():
+    # order 729: the walked table becomes gather in place, and every check
+    # reads it in blocks, so the context's traced peak (numpy reports its
+    # arrays to tracemalloc) stays near one m x m int32 table
+    group = quotient_group(SpaceGroupParams(3, 1), 3)
+    table = enumerate_group(group)
+    tracemalloc.start()
+    try:
+        ctx = GroupAlgebraContext(group, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.m == 729
+    assert peak <= 1.25 * ctx.m ** 2 * 4
+
+
 def test_context_reads_the_law_once_per_generator_product():
     # the enumeration evaluates a*g once for each element a and table
     # generator g and keeps its index; the tables take every product from
@@ -253,6 +270,42 @@ def test_context_certificate_rejects_a_corrupted_law():
 
     with pytest.raises(AssertionError):
         GroupAlgebraContext(_tampered(group, inv=bad_inv))
+
+
+def test_table_certificates_hold_in_blocks_of_one_row(monkeypatch):
+    # blocks of 64 entries: one or two rows of the table per block at
+    # orders 27 and 81, so each check and the permutation into gather run
+    # over many blocks; the tables still equal the naive ones, and a
+    # fault in the last element's products or in the last rows of gather
+    # is still refused
+    monkeypatch.setattr(resolution, "_TABLE_BLOCK", 64)
+    for group in (b3r(3), b3r(4)):
+        table = enumerate_group(group)
+        mul, inv = naive_mul_table(group, table)
+        m = len(table)
+        gather = [[mul[inv[g]][r] for g in range(m)] for r in range(m)]
+        assert resolution._group_tables(group, table).tolist() == gather
+        a, g = table.elements[-1], table.generators[-1]
+        wrong = table.elements[0] if group.mul(a, g) != table.elements[0] \
+            else table.elements[1]
+
+        def bad_mul(x, y, group=group, a=a, g=g, wrong=wrong):
+            return wrong if (x, y) == (a, g) else group.mul(x, y)
+
+        with pytest.raises(AssertionError):
+            GroupAlgebraContext(_tampered(group, mul=bad_mul))
+        # two entries of a column outside S, in rows that only the last
+        # blocks of the equivariance check read (rows gather[r, g] for r
+        # in the first block are the inverses of S)
+        ctx = GroupAlgebraContext(group)
+        col = m - 1
+        rows = [m - 2, m - 1]
+        assert col not in ctx.gens
+        assert not set(rows) & set(ctx.gather[0, list(ctx.gens)].tolist())
+        bad = ctx.gather.copy()
+        bad[rows, col] = bad[rows[::-1], col]
+        with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
+            resolution._check_gather(bad, ctx.gens)
 
 
 def _c2_4_with_redundant_generator():
@@ -387,29 +440,57 @@ def test_nonzero_composite_is_rejected(monkeypatch):
         minimal_resolution(b3r(3), 3)
 
 
-def test_wrong_top_kernel_is_not_a_submodule(monkeypatch):
-    # the top kernel is not compared with a rank, so a basis vector of
-    # ker d_2 knocked out of the kernel must be caught by the submodule
-    # products before its heads are read
+def _corrupt_top_kernel(monkeypatch, degree, corrupt):
+    """Make the kernel taken at loop degree ``degree`` pass through
+    ``corrupt(kd, free, p)`` (in place, on its dense basis, with ``free``
+    the last nonzero row of each vector) before the resolution reads it."""
     real = FpMatrix.kernel
     calls = []
 
     def kernel(self):
         kern = real(self)
         calls.append(kern)
-        if len(calls) < 3:
+        if len(calls) <= degree:
             return kern
         kd = kern.to_dense()
-        # a basis vector's 1 is its last nonzero entry; change a pivot row
-        # above the last vector's 1, so the free rows stay as they are
         free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
-        row = min(set(range(free[-1])) - set(free.tolist()))
-        kd[row, -1] = (kd[row, -1] + 1) % self.p
+        corrupt(kd, free, self.p)
         return FpMatrix.from_dense(self.p, kd)
 
     monkeypatch.setattr(FpMatrix, "kernel", kernel)
-    with pytest.raises(AssertionError, match="kernel is not a submodule"):
-        minimal_resolution(b3r(3), 3)
+
+
+_TOP_KERNEL_GROUPS = [b3r(3), quotient_group(SpaceGroupParams(2, 2), 1)]
+
+
+@pytest.mark.parametrize("group", _TOP_KERNEL_GROUPS, ids=_group_id)
+def test_wrong_top_kernel_is_refused(group, monkeypatch):
+    # the rank comparison runs at the top as at every degree, but a basis
+    # vector of ker d_2 knocked out of the kernel keeps the dimension, so
+    # the product d_2[F] K = 0 must catch it before its heads are read
+    def knock_out(kd, free, p):
+        # a basis vector's 1 is its last nonzero entry; change a pivot row
+        # above the last vector's 1, so the free rows stay as they are
+        row = min(set(range(free[-1])) - set(free.tolist()))
+        kd[row, -1] = (kd[row, -1] + 1) % p
+
+    _corrupt_top_kernel(monkeypatch, 2, knock_out)
+    with pytest.raises(AssertionError, match="kernel is not inside ker d_2"):
+        minimal_resolution(group, 3)
+
+
+@pytest.mark.parametrize("group", _TOP_KERNEL_GROUPS, ids=_group_id)
+def test_top_kernel_off_the_identity_on_its_free_rows_is_refused(group, monkeypatch):
+    # the first basis vector added to the last: still a basis of ker d_2
+    # with the same last nonzero rows, but the free row of the first
+    # vector now reads 1 in the last column, so the coordinates that the
+    # heads read off the free rows would be wrong
+    def mix(kd, free, p):
+        kd[:, -1] = (kd[:, -1] + kd[:, 0]) % p
+
+    _corrupt_top_kernel(monkeypatch, 2, mix)
+    with pytest.raises(AssertionError, match="not the identity on its free rows"):
+        minimal_resolution(group, 3)
 
 
 def test_p2_resolution_runs_one_elimination_per_degree(monkeypatch):
