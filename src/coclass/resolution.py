@@ -45,7 +45,8 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
 CACHE_VERSION = 4
-# Entries per block when the group tables are certified and permuted.
+# Entries per block when the group table is certified and when boundary
+# rows are gathered from it.
 _TABLE_BLOCK = 1 << 16
 
 
@@ -53,12 +54,14 @@ class GroupAlgebraContext:
     """The one m x m table of F_p[G] computations, gather[r, g] = index of
     g^-1 * r: left translation by g sends the coefficient at g^-1*r to
     position r.  :func:`_group_tables` builds it from the enumeration's
-    products, so the group law is read once per (element, generator) pair.
+    products by a walk over S, so the group law is read once per
+    (element, generator) pair, and certifies it.
 
-    ``gens`` is the generating set S of :func:`_reaching_subset`, and
+    ``gens`` holds the element indices of the generating set S of
+    :func:`_reaching_subset`, the set the walk and every translation use;
     ``gather`` is certified against it by :func:`_check_gather`."""
 
-    __slots__ = ("p", "m", "gen_idx", "gens", "gather")
+    __slots__ = ("p", "m", "gens", "gather")
 
     def __init__(self, group, table=None, budget=RESOLUTION_ORDER_BUDGET):
         if budget is not None and group.order > budget:
@@ -72,71 +75,83 @@ class GroupAlgebraContext:
             table = enumerate_group(group, budget)
         self.p = p
         self.m = len(table)
-        self.gen_idx = tuple(table.index[g] for g in table.generators)
-        self.gather = _group_tables(group, table)
-        self.gens = tuple(_reaching_subset(table))
+        ks = _reaching_subset(table)
+        self.gens = tuple(table.index[table.generators[k]] for k in ks)
+        self.gather = _group_tables(group, table, ks)
         _check_gather(self.gather, self.gens)
 
 
-def _group_tables(group, table):
+def _group_tables(group, table, ks):
     """Certified gather[r, g] = index of g^-1 * r in ``table``'s order.
 
     The products right[k][a] = index of a*g_k are the enumeration's
-    (``table.right``): the law is read here only for the m inverses.
-    Walking the elements breadth-first from the identity over those
-    columns, each newly reached b = a*g_k gets its whole column in one
-    gather, mul[:, b] = right[k][mul[:, a]], because x*(a*g) = (x*a)*g.
-    That table is held as mul_t[b, a] = a*b, and once it is certified
-    each of its rows is permuted in place, mul_t[b, g] becoming
-    mul_t[b, inv(g)] = inv(g)*b, which makes it gather: one m x m table
-    is all the context ever holds.
+    (``table.right``): the law is read here only for the m inverses,
+    which are row e of gather.  Walking the elements breadth-first from
+    the identity over the columns ``ks`` of S alone, each newly reached
+    b = a*s gets its whole row in one gather, gather[b] = right_s[gather[a]],
+    because g^-1 (a s) = (g^-1 a) s.  That is the one m x m table.
 
-    The certificate raises AssertionError unless every element was
-    reached, every row of the law is a permutation, a*(b*g) = (a*b)*g
-    holds for all a, b and every generator g (so the table does not
-    depend on the path the walk took and is the group the columns
-    generate), and a*a^-1 is the identity for the law's inverses.  Each
-    check, and the permutation into gather, reads the table in blocks of
-    about ``_TABLE_BLOCK`` entries, so its temporaries stay that small.
+    The certificate raises AssertionError unless
+    (R) the walk reached every element;
+    (P) every column of gather is a permutation (column c is left
+        multiplication by inv(c));
+    (A) gather[r*s] = right_s[gather[r]] for every r and s in S, i.e.
+        x(rs) = (xr)s;
+    (I) the diagonal is e, i.e. inv(r)*r = e;
+    (X) gather[a*g_k, a] = g_k for every a and every table generator g_k,
+        i.e. a^-1 (a g_k) = g_k: one comparison of m entries per generator.
+
+    Together they certify the whole group law.  By (R) every element is
+    w(e) for a word w in the right_s, and by (A) each column commutes
+    with every right_s, so column c sends w(e) to w(inv(c)): it is fixed
+    by its entry at e.  If inv(c) = inv(c'), columns c and c' are then
+    equal, and by (I) that column holds e at rows c and c', so by (P)
+    c = c': ``inv`` is a bijection.  So x*y = w(x) for any word w with
+    w(e) = y is well defined, associative, with identity e, and column c
+    is left multiplication by inv(c).  (I) gives left inverses, so the
+    law is a group.  In a group, (X) is the statement a*(b*g) = (a*b)*g
+    for g = g_k (put b = e one way, use associativity the other), so
+    every right[k] is right multiplication by g_k, a corrupted product
+    outside S included, and the table is the group the columns generate
+    whatever path the walk took.  (P) and (A) read gather in blocks of
+    about ``_TABLE_BLOCK`` entries, so their temporaries stay that small.
     """
-    elements, index, right = table.elements, table.index, table.right
+    elements, index, walk = table.elements, table.index, table.right[ks]
     m = len(elements)
-    inv = np.array([index[group.inv(a)] for a in elements], dtype=np.int32)
     e = index[group.identity]
-    mul_t = np.empty((m, m), dtype=np.int32)
-    mul_t[e] = np.arange(m, dtype=np.int32)
+    gather = np.empty((m, m), dtype=np.int32)
+    gather[e] = [index[group.inv(a)] for a in elements]
     reached = np.zeros(m, dtype=bool)
     reached[e] = True
     queue = [e]
     for a in queue:
-        for col in right:
+        for col in walk:
             b = col[a]
             if not reached[b]:
                 reached[b] = True
-                mul_t[b] = col[mul_t[a]]
+                gather[b] = col[gather[a]]
                 queue.append(b)
     if len(queue) != m:
         raise AssertionError("generators do not reach every element")
     step = max(1, _TABLE_BLOCK // m)
-    # row a of the law is column a of mul_t: mark its values a block of
-    # columns at a time
     for c0 in range(0, m, step):
-        block = mul_t[:, c0:c0 + step]
+        block = gather[:, c0:c0 + step]
         hit = np.zeros((block.shape[1], m), dtype=bool)
         hit[np.arange(block.shape[1]), block] = True
         if not hit.all():
-            raise AssertionError("a row of the multiplication table is not a permutation")
+            raise AssertionError("a column of gather is not a permutation")
     # each comparison gathers two blocks, so each takes half the entries
     half = max(1, step // 2)
-    for col in right:
+    for col in walk:
         for r0 in range(0, m, half):
-            if not np.array_equal(mul_t[col[r0:r0 + half]], col[mul_t[r0:r0 + half]]):
-                raise AssertionError("a*(b*g) != (a*b)*g for a generator g")
-    if (mul_t[inv, np.arange(m)] != e).any():
-        raise AssertionError("a*inv(a) is not the identity")
-    for r0 in range(0, m, step):
-        mul_t[r0:r0 + step] = mul_t[r0:r0 + step, inv]
-    return mul_t
+            if not np.array_equal(gather[col[r0:r0 + half]], col[gather[r0:r0 + half]]):
+                raise AssertionError("x*(r*s) != (x*r)*s for a generator s in S")
+    if (np.diagonal(gather) != e).any():
+        raise AssertionError("inv(r)*r is not the identity")
+    for k, col in enumerate(table.right):
+        if (gather[col, np.arange(m)] != index[table.generators[k]]).any():
+            raise AssertionError(f"a^-1*(a*g_k) != g_k for table generator k = {k}")
+    return gather
 
 
 def _check_gather(gather, gens):
@@ -169,17 +184,20 @@ def _check_gather(gather, gens):
 
 
 def _reaching_subset(table):
-    """The indices of the table generators with each one dropped that the
-    others still generate without (walking the columns of ``table.right``).
+    """The columns k of ``table.right`` (table generators g_k) with each
+    one dropped that the others still generate without.
 
-    The result is an irredundant generating set, so for a p-group it has
-    d(G) = Frattini rank elements (Burnside basis theorem).  The
-    resolution translates by it: rad K is the sum of (g-1)K over any
+    The result is an irredundant generating set S, so for a p-group it
+    has d(G) = Frattini rank elements (Burnside basis theorem).
+    :func:`_group_tables` walks and certifies the table over S alone, and
+    the resolution translates by it: rad K is the sum of (g-1)K over any
     generating set, and equivariance under a generating set makes a map
     F_p[G]-linear.
     """
     right = table.right.tolist()
-    ks = list(range(len(right)))  # they reach every element: the table is certified
+    # when all of them do not reach every element nothing is dropped, and
+    # the walk over the result refuses the table
+    ks = list(range(len(right)))
     for k in range(len(right)):
         rest = [j for j in ks if j != k]
         seen, queue = {0}, [0]
@@ -190,7 +208,7 @@ def _reaching_subset(table):
                     queue.append(h)
         if len(seen) == len(table):
             ks = rest
-    return [table.index[table.generators[k]] for k in ks]
+    return ks
 
 
 class Resolution:
@@ -344,8 +362,9 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         prev_dim = k
         kd = kern.to_dense()
         # a basis vector's 1 is its last nonzero entry: the others sit at
-        # pivot columns to its left; read in blocks of about 2^19 entries
-        step = max(1, (1 << 19) // kd.shape[0])
+        # pivot columns to its left; read in blocks of about
+        # kernels._CHUNK_ENTRIES entries
+        step = max(1, kernels._CHUNK_ENTRIES // kd.shape[0])
         free = np.empty(k, dtype=np.intp)
         for c0 in range(0, k, step):
             last = np.argmax(kd[::-1, c0:c0 + step] != 0, axis=0)
@@ -379,10 +398,11 @@ def _check_top_kernel(cur, kern, kd, free, n):
 
     The identity is read as kd[free[j], j] = 1 for every j and exactly
     k nonzero entries in the rows ``free``, counted in blocks of about
-    2^19 entries.  Then d_n[F] K = d_n[F][:, rest] K[rest] + d_n[F][:, free],
-    which :meth:`FpMatrix.annihilates` takes without the identity rows."""
+    ``kernels._CHUNK_ENTRIES`` entries.  Then
+    d_n[F] K = d_n[F][:, rest] K[rest] + d_n[F][:, free], which
+    :meth:`FpMatrix.annihilates` takes without the identity rows."""
     k = len(free)
-    step = max(1, (1 << 19) // max(k, 1))
+    step = max(1, kernels._CHUNK_ENTRIES // max(k, 1))
     ones = sum(np.count_nonzero(kd[free[c0:c0 + step]]) for c0 in range(0, k, step))
     if ones != k or (kd[free, np.arange(k)] != 1).any():
         raise AssertionError("top kernel basis is not the identity on its free rows")
@@ -419,14 +439,14 @@ def _assemble_boundary(ctx, vecs, rows=None):
     The rows are gathered a chunk at a time into their final layout, so
     that layout is the one full-size temporary (which
     :meth:`FpMatrix.from_dense` copies for odd p and packs for p = 2), and
-    the index and gathered chunks stay near 2^16 entries."""
+    the index and gathered chunks stay near ``_TABLE_BLOCK`` entries."""
     m = ctx.m
     cols = vecs.shape[1]
     rows = np.arange(vecs.shape[0]) if rows is None else np.asarray(rows)
     block, r = np.divmod(rows, m)
     vt = np.ascontiguousarray(vecs.T)
     out = np.empty((len(rows), cols, m), dtype=np.uint8)
-    step = max(1, (1 << 16) // m)
+    step = max(1, _TABLE_BLOCK // m)
     for i in range(0, len(rows), step):
         j = slice(i, i + step)
         # idx[i, c] = b*m + gather[r, c] for row i = b*m + r

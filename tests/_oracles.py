@@ -172,21 +172,23 @@ def bar_cohomology_dim(group, n, *, budget=BAR_DIM_BUDGET):
         raise BudgetError(
             f"cochain dimension {(group.order - 1) ** n} exceeds budget {budget}",
             budget=budget)
-    ctx = GroupAlgebraContext(group, budget=None)
+    table = enumerate_group(group, budget=None)
+    ctx = GroupAlgebraContext(group, table=table, budget=None)
     # mul[a, b] = index of a*b, read off gather[r, g] = index of g^-1 * r:
     # row 0 of gather holds the inverses, as index 0 is the identity
     mul = ctx.gather[:, ctx.gather[0]].T
-    z1 = _z1_dim(ctx, mul)
+    z1 = _z1_dim(ctx, mul, [table.index[g] for g in table.generators])
     if n == 1:
         return z1
     return _z2_dim_transport(ctx, mul) - ((ctx.m - 1) - z1)
 
 
-def _z1_dim(ctx, mul):
-    """dim Z^1: the cocycle rows (g1, a) for the table generators a."""
+def _z1_dim(ctx, mul, gens):
+    """dim Z^1: the cocycle rows (g1, a) for the table generators a, at
+    element indices ``gens``."""
     m, p = ctx.m, ctx.p
     rows = []
-    for a in ctx.gen_idx:
+    for a in gens:
         block = np.zeros((m - 1, m - 1), dtype=np.int16)
         block[np.arange(m - 1), np.arange(m - 1)] += 1          # f(g1)
         block[np.arange(m - 1), a - 1] += 1                     # f(a)
@@ -438,6 +440,9 @@ def naive_minimal_resolution(group, max_degree, table=None):
     elimination kernels.
     """
     ctx = GroupAlgebraContext(group, table=table)
+    if table is None:
+        table = enumerate_group(group)
+    gens = [table.index[g] for g in table.generators]
     p, m = ctx.p, ctx.m
     betti = [1]
     boundaries = []
@@ -447,11 +452,11 @@ def naive_minimal_resolution(group, max_degree, table=None):
         kern = cur.kernel()
         offs = np.arange(beta_n, dtype=np.int64)[:, None] * m
         parts = []
-        for g in ctx.gen_idx:
+        for g in gens:
             perm = (offs + ctx.gather[:, g][None, :].astype(np.int64)).ravel()
             parts.append(kern.row_select(perm) - kern)
         _red, piv = FpMatrix.hstack(parts + [kern]).rref()
-        rad_cols = kern.cols * len(ctx.gen_idx)
+        rad_cols = kern.cols * len(gens)
         sel = [c - rad_cols for c in piv if c >= rad_cols]
         if len(sel) != kern.cols - (len(piv) - len(sel)):
             raise AssertionError("minimal generator count mismatch")

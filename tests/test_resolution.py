@@ -23,7 +23,7 @@ from _oracles import (
 from coclass import resolution
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
-from coclass.groups import enumerate_group
+from coclass.groups import ElementTable, enumerate_group
 from coclass.resolution import (
     GroupAlgebraContext,
     _cache_lock,
@@ -178,7 +178,7 @@ def test_context_tables_match_naive_products(group):
     # gather[r, g] = index of g^-1 * r
     gather = [[mul[inv[g]][r] for g in range(ctx.m)] for r in range(ctx.m)]
     assert ctx.gather.tolist() == gather
-    assert resolution._group_tables(group, table).tolist() == gather
+    assert resolution._group_tables(group, table, _reaching_subset(table)).tolist() == gather
 
 
 def test_context_tables_match_naive_products_permuted_order():
@@ -191,7 +191,8 @@ def test_context_tables_match_naive_products_permuted_order():
         mul, inv = naive_mul_table(group, table)
         gather = [[mul[inv[g]][r] for g in range(ctx.m)] for r in range(ctx.m)]
         assert ctx.gather.tolist() == gather
-        assert resolution._group_tables(group, table).tolist() == gather
+        assert resolution._group_tables(
+            group, table, _reaching_subset(table)).tolist() == gather
 
 
 def test_context_tables_match_naive_products_order_3125():
@@ -240,7 +241,8 @@ def test_context_reads_the_law_once_per_generator_product():
             return law(a)
 
         ctx = GroupAlgebraContext(_tampered(group, mul=mul, inv=inv))
-        assert calls == {"mul": ctx.m * len(ctx.gen_idx), "inv": ctx.m}
+        n_gens = len(enumerate_group(group).generators)
+        assert calls == {"mul": ctx.m * n_gens, "inv": ctx.m}
         assert ctx.gather.tolist() == \
             GroupAlgebraContext(group).gather.tolist()
 
@@ -272,10 +274,44 @@ def test_context_certificate_rejects_a_corrupted_law():
         GroupAlgebraContext(_tampered(group, inv=bad_inv))
 
 
+@pytest.mark.parametrize("group", [b3r(3), quotient_group(SpaceGroupParams(3, 1), 3),
+                                   quotient_group(SpaceGroupParams(2, 2), 2)],
+                         ids=_group_id)
+def test_context_refuses_a_wrong_product_in_any_table_column(group):
+    # two entries of one column of table.right swapped, so the column is
+    # still a permutation: outside S the walk never reads it, and the O(m)
+    # check a^-1*(a*g_k) = g_k refuses it; inside S the walk's checks do;
+    # a wrong inverse is refused too
+    table = enumerate_group(group)
+    m, ks = len(table), _reaching_subset(table)
+    outside = [k for k in range(len(table.generators)) if k not in ks]
+    assert outside
+    for k in (outside[0], ks[0]):
+        right = table.right.copy()
+        right[k, [1, m - 1]] = right[k, [m - 1, 1]]
+        bad = ElementTable(group, table.elements, table.generators, right)
+        if k in ks:
+            with pytest.raises(AssertionError):
+                GroupAlgebraContext(group, table=bad, budget=None)
+        else:
+            assert _reaching_subset(bad) == ks
+            own = rf"a\^-1\*\(a\*g_k\) != g_k for table generator k = {k}$"
+            with pytest.raises(AssertionError, match=own):
+                GroupAlgebraContext(group, table=bad, budget=None)
+    a, b = table.elements[1], table.elements[-1]
+    swapped = {a: group.inv(b), b: group.inv(a)}
+
+    def bad_inv(x):
+        return swapped[x] if x in swapped else group.inv(x)
+
+    with pytest.raises(AssertionError):
+        GroupAlgebraContext(_tampered(group, inv=bad_inv), budget=None)
+
+
 def test_table_certificates_hold_in_blocks_of_one_row(monkeypatch):
     # blocks of 64 entries: one or two rows of the table per block at
-    # orders 27 and 81, so each check and the permutation into gather run
-    # over many blocks; the tables still equal the naive ones, and a
+    # orders 27 and 81, so each check runs over many blocks; the tables
+    # still equal the naive ones, and a
     # fault in the last element's products or in the last rows of gather
     # is still refused
     monkeypatch.setattr(resolution, "_TABLE_BLOCK", 64)
@@ -284,7 +320,8 @@ def test_table_certificates_hold_in_blocks_of_one_row(monkeypatch):
         mul, inv = naive_mul_table(group, table)
         m = len(table)
         gather = [[mul[inv[g]][r] for g in range(m)] for r in range(m)]
-        assert resolution._group_tables(group, table).tolist() == gather
+        assert resolution._group_tables(
+            group, table, _reaching_subset(table)).tolist() == gather
         a, g = table.elements[-1], table.generators[-1]
         wrong = table.elements[0] if group.mul(a, g) != table.elements[0] \
             else table.elements[1]
@@ -306,6 +343,12 @@ def test_table_certificates_hold_in_blocks_of_one_row(monkeypatch):
         bad[rows, col] = bad[rows[::-1], col]
         with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
             resolution._check_gather(bad, ctx.gens)
+
+
+def _table_generator_indices(group):
+    """The element indices of the table generators of ``group``."""
+    table = enumerate_group(group)
+    return [table.index[g] for g in table.generators]
 
 
 def _c2_4_with_redundant_generator():
@@ -408,8 +451,8 @@ def test_context_with_a_non_equivariant_gather_is_refused(monkeypatch):
     # resolution, is refused before any boundary is built
     real = resolution._group_tables
 
-    def tables(group, table):
-        return _swap_in_column(real(group, table), 2)
+    def tables(group, table, ks):
+        return _swap_in_column(real(group, table, ks), 2)
 
     monkeypatch.setattr(resolution, "_group_tables", tables)
     kernels = _count_kernels(monkeypatch)
@@ -1080,7 +1123,8 @@ def test_resumed_top_off_the_kernel_is_rejected_by_the_composite(tmp_path):
     # but its image leaves ker d_2
     def right_translate(top, ctx):
         # gather[g, inv[a]] = index of a*g, and gather[0] = inv
-        top[ctx.gather[ctx.gen_idx[0], ctx.gather[0]]] = top[:ctx.m].copy()
+        g = _table_generator_indices(b3r(3))[0]
+        top[ctx.gather[g, ctx.gather[0]]] = top[:ctx.m].copy()
 
     with pytest.raises(AssertionError,
                        match="composite of consecutive boundaries is nonzero"):
@@ -1093,7 +1137,8 @@ def test_resumed_top_with_a_smaller_image_is_not_exact(tmp_path):
     # is smaller than ker d_2, which the rank comparison at degree 3 sees
     def shrink(top, ctx):
         beta = top.shape[0] // ctx.m
-        perm = resolution._translations(ctx, ctx.gen_idx[:1], beta)[0]
+        perm = resolution._translations(
+            ctx, _table_generator_indices(b3r(3))[:1], beta)[0]
         top[:, 5] = (top[perm, 5].astype(np.int16) - top[:, 5]) % ctx.p
 
     with pytest.raises(AssertionError, match="not exact at degree 2"):
