@@ -170,7 +170,11 @@ class FpMatrix:
             if self.p == 2:
                 pivot_rows = _unpack_bits(pivot_rows, self.cols)
             k[free, np.arange(len(free))] = 1
-            k[list(piv), :] = (self.p - pivot_rows[:, free]) % self.p
+            # -pivot_rows[:, free] mod p in the one rank x k temporary
+            neg = pivot_rows[:, free]
+            np.subtract(self.p, neg, out=neg)
+            np.remainder(neg, self.p, out=neg)
+            k[list(piv), :] = neg
         data = _pack_bits(k) if self.p == 2 else k
         return FpMatrix(self.p, self.cols, len(free), data)
 

@@ -7,10 +7,12 @@ is the standard one: compute the kernel of the current boundary as a
 plain F_p-subspace, read a minimal generating set off its radical (the
 (g-1)-translates over a generating set of G, in the kernel's own
 coordinates), and let those generators define the next boundary.  Each
-degree is certified: the boundary is an F_p[G]-map, the composite is
-zero, the complex is exact below the top degree (at the top the kernel
-basis is checked to lie in the kernel, by one product) and every
-boundary entry lies in the augmentation ideal.
+degree is certified: the boundary is an F_p[G]-map (the translation
+table it is assembled through is certified once per group to be the
+table of a group law), the composite is zero, the complex is exact below
+the top degree (at the top the kernel basis is checked to lie in the
+kernel, by one product) and every boundary entry lies in the
+augmentation ideal.
 
 Free modules are row-indexed by (basis index, group element index) with
 the element order frozen by the canonical element table.  Boundary n acts
@@ -55,11 +57,11 @@ class GroupAlgebraContext:
     g^-1 * r: left translation by g sends the coefficient at g^-1*r to
     position r.  :func:`_group_tables` builds it from the enumeration's
     products by a walk over S, so the group law is read once per
-    (element, generator) pair, and certifies it.
+    (element, generator) pair, and :func:`_certify_gather` certifies the
+    table that is stored.
 
     ``gens`` holds the element indices of the generating set S of
-    :func:`_reaching_subset`, the set the walk and every translation use;
-    ``gather`` is certified against it by :func:`_check_gather`."""
+    :func:`_reaching_subset`, the set the walk and every translation use."""
 
     __slots__ = ("p", "m", "gens", "gather")
 
@@ -78,11 +80,11 @@ class GroupAlgebraContext:
         ks = _reaching_subset(table)
         self.gens = tuple(table.index[table.generators[k]] for k in ks)
         self.gather = _group_tables(group, table, ks)
-        _check_gather(self.gather, self.gens)
+        _certify_gather(self.gather, table, ks)
 
 
 def _group_tables(group, table, ks):
-    """Certified gather[r, g] = index of g^-1 * r in ``table``'s order.
+    """gather[r, g] = index of g^-1 * r in ``table``'s order, by a walk.
 
     The products right[k][a] = index of a*g_k are the enumeration's
     (``table.right``): the law is read here only for the m inverses,
@@ -91,30 +93,9 @@ def _group_tables(group, table, ks):
     b = a*s gets its whole row in one gather, gather[b] = right_s[gather[a]],
     because g^-1 (a s) = (g^-1 a) s.  That is the one m x m table.
 
-    The certificate raises AssertionError unless
-    (R) the walk reached every element;
-    (P) every column of gather is a permutation (column c is left
-        multiplication by inv(c));
-    (A) gather[r*s] = right_s[gather[r]] for every r and s in S, i.e.
-        x(rs) = (xr)s;
-    (I) the diagonal is e, i.e. inv(r)*r = e;
-    (X) gather[a*g_k, a] = g_k for every a and every table generator g_k,
-        i.e. a^-1 (a g_k) = g_k: one comparison of m entries per generator.
-
-    Together they certify the whole group law.  By (R) every element is
-    w(e) for a word w in the right_s, and by (A) each column commutes
-    with every right_s, so column c sends w(e) to w(inv(c)): it is fixed
-    by its entry at e.  If inv(c) = inv(c'), columns c and c' are then
-    equal, and by (I) that column holds e at rows c and c', so by (P)
-    c = c': ``inv`` is a bijection.  So x*y = w(x) for any word w with
-    w(e) = y is well defined, associative, with identity e, and column c
-    is left multiplication by inv(c).  (I) gives left inverses, so the
-    law is a group.  In a group, (X) is the statement a*(b*g) = (a*b)*g
-    for g = g_k (put b = e one way, use associativity the other), so
-    every right[k] is right multiplication by g_k, a corrupted product
-    outside S included, and the table is the group the columns generate
-    whatever path the walk took.  (P) and (A) read gather in blocks of
-    about ``_TABLE_BLOCK`` entries, so their temporaries stay that small.
+    Raises AssertionError unless (R) the walk reached every element, the
+    one fact of the certificate that is read off the walk rather than
+    off the table (:func:`_certify_gather` checks the others).
     """
     elements, index, walk = table.elements, table.index, table.right[ks]
     m = len(elements)
@@ -129,58 +110,76 @@ def _group_tables(group, table, ks):
             b = col[a]
             if not reached[b]:
                 reached[b] = True
-                gather[b] = col[gather[a]]
+                # indices are in range, so no bounds check ("clip"), which
+                # takes without an intermediate buffer
+                np.take(col, gather[a], out=gather[b], mode="clip")
                 queue.append(b)
     if len(queue) != m:
         raise AssertionError("generators do not reach every element")
-    step = max(1, _TABLE_BLOCK // m)
-    for c0 in range(0, m, step):
-        block = gather[:, c0:c0 + step]
-        hit = np.zeros((block.shape[1], m), dtype=bool)
-        hit[np.arange(block.shape[1]), block] = True
-        if not hit.all():
-            raise AssertionError("a column of gather is not a permutation")
+    return gather
+
+
+def _certify_gather(gather, table, ks):
+    """Raise AssertionError unless ``gather`` is gather[r, c] = c^-1 r for
+    the group that ``table`` enumerates, given that the columns ``ks`` of
+    ``table.right`` (the set S) reach every element, (R) of
+    :func:`_group_tables`.  With e = 0, the identity (:class:`ElementTable`
+    puts it first), and inv(c) = gather[e, c], the checks are
+    (Inv) row e is a permutation: one sort of m entries;
+    (A) gather[r*s] = right_s[gather[r]] for every r and s in S, i.e.
+        x(rs) = (xr)s: |S| m^2 entries, read in blocks of about
+        ``_TABLE_BLOCK`` entries, so the temporaries stay that small;
+    (I) the diagonal is e, i.e. inv(r)*r = e: O(m);
+    (X) gather[a*g_k, a] = g_k for every a and every table generator g_k,
+        i.e. a^-1 (a g_k) = g_k: one comparison of m entries per generator.
+
+    Together they certify the whole group law.  By (R) every element is
+    w(e) for a word w in the right_s, and by (A) each column commutes
+    with every right_s, so column c sends w(e) to w(inv(c)).  By (Inv)
+    every x is inv(c) for some c, so if w(e) = w'(e) then
+    w(x) = gather[w(e), c] = gather[w'(e), c] = w'(x): x*y = w(x) for any
+    word w with w(e) = y is well defined.  It is associative, with
+    identity e, and column c is left multiplication by inv(c); (I) gives
+    left inverses, so the law is a group.  In a group, (X) is the
+    statement a*(b*g) = (a*b)*g for g = g_k (put b = e one way, use
+    associativity the other), so every right[k] is right multiplication
+    by g_k, a corrupted product outside S included, and the table is the
+    group the columns generate whatever path the walk took.  (A) takes
+    its indices without a bounds check ("clip"), which loses nothing: an
+    entry outside 0..m-1 fails (Inv) in row e, and (A) in every other
+    row, a*s for some a by (R), whose entries it equates with entries
+    of right_s.
+
+    In that group every column is a permutation, and
+    gather[gather[r, g], gather[c, g]] = (g^-1 c)^-1 (g^-1 r) = gather[r, c],
+    which is equivariance, certified once per group instead of once per
+    boundary.  :func:`_assemble_boundary` puts vecs[b*m + gather[r, c], t]
+    at (b*m + r, t*m + c), and left translation by g moves row b*m + r to
+    b*m + gather[r, g] and column t*m + c to t*m + gather[c, g] (the
+    permutations of :func:`_translations`), so the translated entry is
+    the entry itself: every boundary assembled from any generator columns
+    is an F_p[G]-map, and its kernel a submodule.
+    """
+    m = len(gather)
+    e = 0
+    if not np.array_equal(np.sort(gather[e]), np.arange(m)):
+        raise AssertionError("row e of gather (the inverses) is not a permutation")
     # each comparison gathers two blocks, so each takes half the entries
-    half = max(1, step // 2)
-    for col in walk:
+    half = max(1, min(m, _TABLE_BLOCK // (2 * m)))
+    lhs = np.empty((half, m), dtype=gather.dtype)
+    rhs = np.empty_like(lhs)
+    for col in table.right[ks]:
         for r0 in range(0, m, half):
-            if not np.array_equal(gather[col[r0:r0 + half]], col[gather[r0:r0 + half]]):
+            n = min(half, m - r0)
+            np.take(gather, col[r0:r0 + n], axis=0, out=lhs[:n], mode="clip")
+            np.take(col, gather[r0:r0 + n], out=rhs[:n], mode="clip")
+            if not np.array_equal(lhs[:n], rhs[:n]):
                 raise AssertionError("x*(r*s) != (x*r)*s for a generator s in S")
     if (np.diagonal(gather) != e).any():
         raise AssertionError("inv(r)*r is not the identity")
     for k, col in enumerate(table.right):
-        if (gather[col, np.arange(m)] != index[table.generators[k]]).any():
+        if (gather[col, np.arange(m)] != table.index[table.generators[k]]).any():
             raise AssertionError(f"a^-1*(a*g_k) != g_k for table generator k = {k}")
-    return gather
-
-
-def _check_gather(gather, gens):
-    """Raise AssertionError unless gather[gather[r, g], gather[c, g]] =
-    gather[r, c] for all r, c and each g in ``gens``, i.e.
-    (g^-1 c)^-1 (g^-1 r) = c^-1 r: |gens|*|G|^2 comparisons, in blocks of
-    rows of about ``_TABLE_BLOCK`` entries.
-
-    This is equivariance, certified once per group instead of once per
-    boundary.  :func:`_assemble_boundary` puts vecs[b*m + gather[r, c], t]
-    at (b*m + r, t*m + c), and left translation by g moves row b*m + r to
-    b*m + gather[r, g] and column t*m + c to t*m + gather[c, g] (the
-    permutations of :func:`_translations`).  Translated, the entry at
-    (b*m + r, t*m + c) is vecs[b*m + gather[gather[r, g], gather[c, g]], t],
-    which the equation makes the entry itself.  So every boundary
-    assembled from any generator columns commutes with each g in
-    ``gens``; they generate G, so it is an F_p[G]-map and its kernel a
-    submodule.
-    """
-    m = len(gather)
-    step = max(1, _TABLE_BLOCK // m)
-    for g in gens:
-        col = gather[:, g]
-        for r0 in range(0, m, step):
-            if not np.array_equal(gather[col[r0:r0 + step, None], col],
-                                  gather[r0:r0 + step]):
-                raise AssertionError(
-                    f"gather does not commute with translation by element {g}, "
-                    "so assembled boundaries would not be F_p[G]-linear")
 
 
 def _reaching_subset(table):
@@ -275,10 +274,11 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     Each fact is checked once, in the cheapest form that proves it:
 
     * equivariance: once per group, when the context is built
-      (:func:`_check_gather`), which makes every boundary assembled from
-      generator columns commute with left translation by each g in S; S
-      generates G, so every boundary is an F_p[G]-map and every ker d_n
-      a submodule;
+      (:func:`_certify_gather`): the table is certified to be
+      gather[r, c] = c^-1 r for a group law, in which every boundary
+      assembled from generator columns commutes with left translation by
+      each g in S; S generates G, so every boundary is an F_p[G]-map and
+      every ker d_n a submodule;
     * composite: for F_p[G]-maps, d_n d_{n+1} = 0 exactly when it holds on
       the beta_{n+1} generator columns of d_{n+1}, a product |G| times
       smaller than the whole one.  It is taken with d_n[F], the matrix

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
+from operator import mul as _mul
 from typing import NamedTuple
 
 from .errors import BudgetError
@@ -198,10 +199,7 @@ class QuotientCoords:
     def act(self, s_exp, y):
         """Coordinates of C^s_exp applied to the class y."""
         mat = self.point_pows[s_exp % self.params.point_order]
-        return tuple(
-            sum(mat[k][j] * y[j] for j in range(len(y))) % self.invariants[k]
-            for k in range(len(y))
-        )
+        return tuple(sum(map(_mul, row, y)) % inv for row, inv in zip(mat, self.invariants))
 
     def project_mod_p(self, y):
         """Image in T/pT (level 0 block coordinates), a mod-p vector."""
@@ -244,20 +242,21 @@ def _quotient(params, level, model, matrix_c, budget):
     if coords.subgroup_order * px != order:
         raise AssertionError("quotient order mismatch")
     d = params.dim
-    invariants = coords.invariants
+    invariants, pows = coords.invariants, coords.point_pows
 
+    # (y1, s1)(y2, s2) = (y1 + C^s1 y2, s1 + s2): coordinate k is one sum
+    # over row k of C^s1; zip and map stop at the d coordinates of y, so
+    # an element's last entry, its point exponent, is never summed
     def mul(e1, e2):
-        y1, s1 = e1[:d], e1[d]
-        y2, s2 = e2[:d], e2[d]
-        moved = coords.act(s1, y2)
-        return tuple((a + b) % inv for a, b, inv in zip(y1, moved, invariants)) \
-            + ((s1 + s2) % px,)
+        s1 = e1[d]
+        return tuple(sum(map(_mul, row, e2), a) % iv
+                     for a, row, iv in zip(e1, pows[s1], invariants)) + ((s1 + e2[d]) % px,)
 
+    # (y, s)^-1 = (-C^-s y, -s)
     def inv(e):
-        y, s = e[:d], e[d]
-        s_inv = (px - s) % px
-        moved = coords.act(s_inv, y)
-        return tuple((-c) % iv for c, iv in zip(moved, invariants)) + (s_inv,)
+        s_inv = -e[d] % px
+        return tuple(-sum(map(_mul, row, e)) % iv
+                     for row, iv in zip(pows[s_inv], invariants)) + (s_inv,)
 
     identity = (0,) * d + (0,)
     gens = [tuple(int(j == k) for j in range(d + 1)) for k in range(d + 1)]

@@ -11,7 +11,9 @@ chart of the quotients never runs.
 The low-degree cohomology oracles (Frattini rank, generator-row bar
 cochains) and ``naive_minimal_resolution`` run on the package's group
 tables and ``FpMatrix``: they cross-check the resolution step, not the
-elimination kernels.  The filtration reference reduces p*(C-I)^i with the
+elimination kernels.  ``reference_gather_certificate`` is the group-table
+certificate with every check it can make, against which the package's
+shorter one is compared.  The filtration reference reduces p*(C-I)^i with the
 package's Hermite form in one step, where the package builds the same
 lattice level by level.
 """
@@ -91,6 +93,36 @@ def naive_mul_table(group, table, rows=None):
     mul = [[index[group.mul(elements[a], b)] for b in elements] for a in picks]
     inv = [index[group.inv(a)] for a in elements]
     return mul, inv
+
+
+def reference_gather_certificate(gather, table, ks):
+    """Raise AssertionError unless ``gather`` passes the group-table
+    certificate in its earlier, longer form (reference only, whole-table
+    numpy passes): (P) every column is a permutation, (A) gather[r*s] =
+    right_s[gather[r]] for each s in S = the columns ``ks`` of
+    ``table.right``, (I) the diagonal is the identity (element 0), (X)
+    gather[a*g_k, a] = g_k for every table generator, and equivariance,
+    gather[gather[r, g], gather[c, g]] = gather[r, c] for each g in S.
+    ``resolution._certify_gather`` checks row 0 (the inverses) in place of
+    (P) and has no equivariance pass; the two must refuse the same
+    tables."""
+    m = len(gather)
+    if not (np.sort(gather, axis=0) == np.arange(m)[:, None]).all():
+        raise AssertionError("a column of gather is not a permutation")
+    for k in ks:
+        col = table.right[k]
+        if not np.array_equal(gather[col], col[gather]):
+            raise AssertionError("x*(r*s) != (x*r)*s for a generator s in S")
+    if (np.diagonal(gather) != 0).any():
+        raise AssertionError("inv(r)*r is not the identity")
+    for k, col in enumerate(table.right):
+        if (gather[col, np.arange(m)] != table.index[table.generators[k]]).any():
+            raise AssertionError(f"a^-1*(a*g_k) != g_k for table generator k = {k}")
+    for k in ks:
+        col = gather[:, table.index[table.generators[k]]]
+        if not np.array_equal(gather[col[:, None], col], gather):
+            raise AssertionError("gather does not commute with translation by "
+                                 f"table generator k = {k}")
 
 
 def dense_bar_cohomology_dim(group, n):

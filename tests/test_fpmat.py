@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,32 @@ def test_kernel_matches_naive_oracle_exactly():
             assert ours.shape[1] == len(oracle)
             for j, col in enumerate(oracle):
                 assert list(ours[:, j]) == col
+
+
+def test_kernel_basis_needs_one_temporary_beside_it(monkeypatch):
+    # with the reduced echelon form precomputed, the kernel's traced peak
+    # (numpy reports its arrays to tracemalloc) is the cols x k basis plus
+    # one rank x k block, the negated pivot rows; the bytes are those of
+    # the basis read off the echelon form directly
+    rng = np.random.default_rng(5)
+    for p in (3, 251):
+        a = FpMatrix.from_dense(p, rng.integers(0, p, (1000, 2000), dtype=np.uint8))
+        red, piv = a.rref()
+        monkeypatch.setattr(FpMatrix, "rref", lambda self, out=(red, piv): out)
+        tracemalloc.start()
+        try:
+            kern = a.kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        free = [c for c in range(a.cols) if c not in set(piv)]
+        expected = np.zeros((a.cols, len(free)), dtype=np.int64)
+        expected[free, np.arange(len(free))] = 1
+        expected[list(piv)] = -red.to_dense()[:len(piv)][:, free].astype(np.int64) % p
+        assert kern.to_bytes() == FpMatrix.from_dense(p, expected).to_bytes()
+        basis, block = a.cols * len(free), len(piv) * len(free)
+        assert (len(piv), len(free)) == (1000, 1000)
+        assert peak <= basis + 1.25 * block
 
 
 def test_rank_dimension_identity_bulk():

@@ -19,6 +19,7 @@ from _oracles import (
     frattini_rank,
     naive_minimal_resolution,
     naive_mul_table,
+    reference_gather_certificate,
 )
 from coclass import resolution
 from coclass.errors import BudgetError
@@ -332,8 +333,8 @@ def test_table_certificates_hold_in_blocks_of_one_row(monkeypatch):
         with pytest.raises(AssertionError):
             GroupAlgebraContext(_tampered(group, mul=bad_mul))
         # two entries of a column outside S, in rows that only the last
-        # blocks of the equivariance check read (rows gather[r, g] for r
-        # in the first block are the inverses of S)
+        # blocks of the check x(rs) = (xr)s read on their right-hand side
+        # (and not in row e, the inverses)
         ctx = GroupAlgebraContext(group)
         col = m - 1
         rows = [m - 2, m - 1]
@@ -341,8 +342,86 @@ def test_table_certificates_hold_in_blocks_of_one_row(monkeypatch):
         assert not set(rows) & set(ctx.gather[0, list(ctx.gens)].tolist())
         bad = ctx.gather.copy()
         bad[rows, col] = bad[rows[::-1], col]
-        with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
-            resolution._check_gather(bad, ctx.gens)
+        with pytest.raises(AssertionError, match=r"x\*\(r\*s\) != \(x\*r\)\*s"):
+            resolution._certify_gather(bad, table, _reaching_subset(table))
+
+
+def _refused(certify, group, table, gather=None):
+    """Whether the context refuses ``table``: the walk of
+    :func:`resolution._group_tables` (which checks that it reaches every
+    element) unless ``gather`` is given, then ``certify`` on the table."""
+    ks = _reaching_subset(table)
+    try:
+        if gather is None:
+            gather = resolution._group_tables(group, table, ks)
+        certify(gather, table, ks)
+    except AssertionError:
+        return True
+    return False
+
+
+def _single_faults(group):
+    """(name, group, table, gather or None) for each single fault: two
+    entries of a column of ``table.right`` swapped, in S and outside it
+    (when there is an outside), one wrong inverse, and two entries of one
+    row, or of one column, of the built gather swapped."""
+    table = enumerate_group(group)
+    m, ks = len(table), _reaching_subset(table)
+    outside = [k for k in range(len(table.generators)) if k not in ks]
+    for where, k in (("in S", ks[0]), ("outside S", outside[0] if outside else None)):
+        if k is not None:
+            right = table.right.copy()
+            right[k, [1, m - 1]] = right[k, [m - 1, 1]]
+            yield (f"right column {where}", group,
+                   ElementTable(group, table.elements, table.generators, right), None)
+    a, b = table.elements[1], table.elements[-1]
+
+    def bad_inv(x):
+        return group.inv(b) if x == a else group.inv(x)
+
+    yield "one wrong inverse", _tampered(group, inv=bad_inv), table, None
+    gather = resolution._group_tables(group, table, ks)
+    row = gather.copy()
+    row[m - 1, [1, m - 2]] = row[m - 1, [m - 2, 1]]
+    yield "gather row", group, table, row
+    col = gather.copy()
+    col[[1, m - 2], m - 1] = col[[m - 2, 1], m - 1]
+    yield "gather column", group, table, col
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("group", list(_table_groups()), ids=_group_id)
+def test_certificate_refuses_what_the_reference_refuses(group, block, monkeypatch):
+    # the certificate checks row e (the inverses) where the reference checks
+    # that every column is a permutation, and it has no equivariance pass;
+    # both follow from the group law the shorter certificate proves, so on
+    # every single fault the two refuse alike, and both accept the table
+    if block is not None:
+        monkeypatch.setattr(resolution, "_TABLE_BLOCK", block)
+    table = enumerate_group(group)
+    for certify in (resolution._certify_gather, reference_gather_certificate):
+        assert not _refused(certify, group, table)
+    for name, bad_group, bad_table, gather in _single_faults(group):
+        assert _refused(resolution._certify_gather, bad_group, bad_table, gather), name
+        assert _refused(reference_gather_certificate, bad_group, bad_table, gather), name
+
+
+def test_certificate_refuses_a_law_that_only_the_diagonal_check_refuses():
+    # C2 with s*s = s: the walk still reaches both elements, the inverses
+    # are a permutation, x(rs) = (xr)s holds and so does a^-1 (a*s) = s,
+    # since right multiplication by s is constant; only inv(s)*s = e fails
+    c2 = abelian_group([2])
+    s = c2.generators[0]
+
+    def bad_mul(x, y):
+        return s if (x, y) == (s, s) else c2.mul(x, y)
+
+    bad = _tampered(c2, mul=bad_mul)
+    table = enumerate_group(bad)
+    assert table.right.tolist() == [[1, 1]]
+    with pytest.raises(AssertionError, match=r"inv\(r\)\*r is not the identity"):
+        GroupAlgebraContext(bad, table=table)
+    assert _refused(reference_gather_certificate, bad, table)
 
 
 def _table_generator_indices(group):
@@ -426,6 +505,10 @@ def _corrupt_columns(monkeypatch, degree, corrupt):
     monkeypatch.setattr(resolution, "_certified_columns", certify)
 
 
+# rows 0 and 1 of a column swapped put a second copy of an inverse in row 0
+_INVERSES_NOT_A_PERMUTATION = r"row e of gather \(the inverses\) is not a permutation"
+
+
 def _swap_in_column(gather, col):
     """``gather`` with the entries of rows 0 and 1 of column ``col`` swapped."""
     bad = gather.copy()
@@ -437,11 +520,14 @@ def test_gather_with_two_entries_of_one_column_swapped_is_refused():
     # boundaries are assembled through gather, so a wrong gather would give
     # maps that are not F_p[G]-linear; the once-per-group certificate
     # refuses it, for a column of a generator in S and for one outside S
-    ctx = GroupAlgebraContext(b3r(3))
-    resolution._check_gather(ctx.gather, ctx.gens)
+    group = b3r(3)
+    table = enumerate_group(group)
+    ks = _reaching_subset(table)
+    ctx = GroupAlgebraContext(group, table=table)
+    resolution._certify_gather(ctx.gather, table, ks)
     for col in (ctx.gens[0], ctx.gens[1], ctx.m - 1):
-        with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
-            resolution._check_gather(_swap_in_column(ctx.gather, col), ctx.gens)
+        with pytest.raises(AssertionError, match=_INVERSES_NOT_A_PERMUTATION):
+            resolution._certify_gather(_swap_in_column(ctx.gather, col), table, ks)
 
 
 def test_context_with_a_non_equivariant_gather_is_refused(monkeypatch):
@@ -456,7 +542,7 @@ def test_context_with_a_non_equivariant_gather_is_refused(monkeypatch):
 
     monkeypatch.setattr(resolution, "_group_tables", tables)
     kernels = _count_kernels(monkeypatch)
-    with pytest.raises(AssertionError, match=r"not be F_p\[G\]-linear"):
+    with pytest.raises(AssertionError, match=_INVERSES_NOT_A_PERMUTATION):
         minimal_resolution(b3r(3), 4)
     assert kernels == []
 

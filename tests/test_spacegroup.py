@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from math import comb
 
@@ -271,6 +272,31 @@ def test_quotient_group_axioms_random():
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
         assert g.mul(a, g.inv(a)) == g.identity
         assert g.mul(g.identity, a) == a
+
+
+@pytest.mark.parametrize("model,p,x,i", [("quotient", 2, 1, 3), ("quotient", 3, 1, 2),
+                                         ("quotient", 2, 2, 2), ("quotient", 3, 2, 0),
+                                         ("quotient", 5, 1, 0), ("b3r", 3, 1, 1)])
+def test_quotient_law_is_the_integer_semidirect_product(model, p, x, i):
+    # (v, s)(w, t) = (v + C^s w, s + t) and (v, s)^-1 = (-C^-s v, -s) on
+    # Z^d x Z, read through lift and reduce_vector, on random elements
+    params = SpaceGroupParams(p, x)
+    group = b3r(3 + i) if model == "b3r" else quotient_group(params, i, budget=None)
+    coords = QuotientCoords(params, i)
+    d, px = params.dim, params.point_order
+    pows = [companion_cyclotomic(params) ** s for s in range(px)]
+    rng = random.Random(24)
+
+    def element():
+        return tuple(rng.randrange(n) for n in coords.invariants) + (rng.randrange(px),)
+
+    for _ in range(200):
+        a, b = element(), element()
+        v, w = coords.lift(a[:d]), pows[a[d]].apply(coords.lift(b[:d]))
+        assert group.mul(a, b) == coords.reduce_vector(
+            tuple(map(operator.add, v, w))) + ((a[d] + b[d]) % px,)
+        back = pows[-a[d] % px].apply(v)
+        assert group.inv(a) == coords.reduce_vector(tuple(-c for c in back)) + (-a[d] % px,)
 
 
 def test_quotient_budget():
