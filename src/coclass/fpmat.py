@@ -86,11 +86,13 @@ class FpMatrix:
 
     # -- views ---------------------------------------------------------
 
-    def to_dense(self):
-        """Copy out as a (rows, cols) uint8 array of residues."""
+    def to_dense(self, copy=True):
+        """The (rows, cols) uint8 array of residues, copied out; with
+        ``copy=False``, odd p returns the matrix's own read-only data (p = 2
+        unpacks a fresh array either way)."""
         if self.p == 2:
             return _unpack_bits(self._d, self.cols)
-        return self._d.copy()
+        return self._d.copy() if copy else self._d
 
     def __eq__(self, other):
         return (

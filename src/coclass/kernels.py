@@ -68,7 +68,7 @@ _PANEL = 64
 _CHUNK = 64
 # Entries per chunk when heads_u8 and _end_solve read rows of their input,
 # and per float block of a product (rref_u8's update, matmul_u8,
-# annihilates_u8).
+# annihilates_u8); bytes per table block and per gather of matmul_b2.
 _CHUNK_ENTRIES = 1 << 19
 # Entries of the largest operand from which a kernel call keeps its BLAS
 # threads; smaller calls run on one.  On inputs captured from the order-729
@@ -632,14 +632,38 @@ def matmul_b2(aw, bw, a_cols):
     matching 8 rows of ``bw`` are tabulated once, and every output row
     XORs in the entry its byte selects (Albrecht, Bard & Hart, TOMS 2010).
     Table entries are XORs of rows of ``bw``, so tail bits stay zero.
+
+    The runs go a block at a time: the block's tables are built together,
+    one doubling XOR per bit over a (runs, 256, nw) array, and each chunk
+    of output rows gathers its entries as one (runs, rows, nw) array and
+    XORs them together by one reduction.  Both arrays stay near
+    ``_CHUNK_ENTRIES`` bytes whatever the shape, so a wide product, whose
+    single run would fill that much, still works in cache-sized pieces.
     """
     rows, nw = aw.shape[0], bw.shape[1]
     out = np.zeros((rows, nw), dtype=np.uint64)
     if rows == 0 or a_cols == 0:
         return out
-    table = np.zeros((256, nw), dtype=np.uint64)
-    for run, strip in enumerate(_row_bytes(aw, a_cols).T):
-        _xor_table(table, bw[8 * run:8 * run + 8])
-        # zero tail bits keep a short last run's bytes inside its table
-        out ^= table[strip]
+    strips = _row_bytes(aw, a_cols).T
+    runs, words = len(strips), _CHUNK_ENTRIES // 8
+    step = min(runs, max(1, words // (256 * max(nw, 1))))
+    chunk = max(1, words // (step * max(nw, 1)))
+    table = np.zeros((step, 256, nw), dtype=np.uint64)
+    flat = table.reshape(-1, nw)
+    # entry b of the block's run j is row 256 j + b of the flat tables
+    offset = np.arange(0, 256 * step, 256)[:, None]
+    for r0 in range(0, runs, step):
+        n = min(step, runs - r0)
+        src = bw[8 * r0:8 * (r0 + n)]
+        if len(src) < 8 * n:
+            # a short last run gets zero rows, which its bytes never
+            # select: their tail bits are zero
+            src = np.concatenate([src, np.zeros((8 * n - len(src), nw), np.uint64)])
+        src = src.reshape(n, 8, 1, nw)
+        for t in range(8):
+            np.bitwise_xor(table[:n, :1 << t], src[:, t],
+                           out=table[:n, 1 << t:2 << t])
+        for i0 in range(0, rows, chunk):
+            idx = strips[r0:r0 + n, i0:i0 + chunk] + offset[:n]
+            out[i0:i0 + chunk] ^= np.bitwise_xor.reduce(flat.take(idx, axis=0), axis=0)
     return out

@@ -23,7 +23,9 @@ F_p-matrix of shape (beta_{n-1}*|G|, beta_n).  The rows of the whole
 assembled from them by :func:`_assemble_boundary`.
 
 Resolutions are cached on disk (one directory per group, boundaries as
-``.fpmx`` files plus a manifest), and :func:`verify_theorem` compares
+``.fpmx`` files plus a manifest of the Betti numbers and the free rows
+of the top kernel, which a deeper run resumes on), and
+:func:`verify_theorem` compares
 the Betti vectors across the levels of a quotient family.
 """
 
@@ -46,7 +48,7 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 # Entries per block when the group table is certified and when boundary
 # rows are gathered from it.
 _TABLE_BLOCK = 1 << 16
@@ -213,16 +215,29 @@ def _reaching_subset(table):
 class Resolution:
     """Betti numbers beta_0..beta_N plus the boundaries d_1..d_N, each
     stored as its generator columns (``boundaries[n - 1]`` is the
-    (beta_{n-1}*|G|, beta_n) matrix of d_n)."""
+    (beta_{n-1}*|G|, beta_n) matrix of d_n), and ``free``, the ascending
+    free rows F of K_{N-1} = ker d_{N-1}: the rows of d_N that the next
+    kernel is taken on ([0], the one row of the augmentation, at N = 0)."""
 
-    __slots__ = ("key", "p", "max_degree", "betti", "boundaries")
+    __slots__ = ("key", "p", "max_degree", "betti", "boundaries", "free")
 
-    def __init__(self, key, p, max_degree, betti, boundaries):
+    def __init__(self, key, p, max_degree, betti, boundaries, free):
         self.key = key
         self.p = p
         self.max_degree = max_degree
         self.betti = list(betti)
         self.boundaries = list(boundaries)
+        self.free = np.asarray(free, dtype=np.intp)
+
+
+def _top_kernel_dim(betti, m):
+    """k_{N-1} = dim ker d_{N-1} for Betti numbers beta_0..beta_N, by
+    exactness of the degrees below N: k_{-1} = 1 (the image of the
+    augmentation) and k_j = beta_j |G| - k_{j-1}."""
+    k = 1
+    for beta in betti[:-1]:
+        k = beta * m - k
+    return k
 
 
 def resolution_cache_key(descriptor):
@@ -237,27 +252,28 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
 
     ``start``, a :class:`Resolution` of the same group through degree
     N <= ``max_degree`` (a cache entry), is continued from its top
-    boundary d_N: only degrees N+1..max_degree are computed.  A cold run
-    is the same loop started from the degree-0 state (beta = [1], no
-    boundaries, d_0 the augmentation).
+    boundary d_N at the stored free rows F of K_{N-1}: only degrees
+    N+1..max_degree are computed.  A cold run is the same loop started
+    from the degree-0 state (beta = [1], no boundaries, d_0 the
+    augmentation, whose one row is F).  The result carries the F of its
+    own top, so a resumed run takes the same kernels as a cold one.
 
     Per degree n, K = ker d_n is computed as an F_p-space in the standard
     basis of :meth:`FpMatrix.kernel`, which is the identity on the free
     rows (the non-pivot columns of rref(d_n)), so a vector of K has its
     K-coordinates there.  The elimination runs on d_n[F], the rows of d_n
-    at the free rows F of K_{n-1} = ker d_{n-1}; the first degree of a
-    run, cold or resumed, has no F and keeps every row.  That gives the
-    same K, not a bound on it: the composite check (below) puts every
-    column of d_n in K_{n-1}, and K_{n-1} is the identity on F, so
+    at the free rows F of K_{n-1} = ker d_{n-1} (d_0 has one row).  That
+    gives the same K, not a bound on it: the composite check (below) puts
+    every column of d_n in K_{n-1}, and K_{n-1} is the identity on F, so
     d_n = K_{n-1} d_n[F].  K_{n-1} has full column rank, so d_n and
     d_n[F] have the same rank, the same kernel and, having the same row
-    space, the same reduced echelon form.  Those rows are all of d_n that
-    is ever built: the resolution keeps each boundary as its generator
-    columns, and :func:`_assemble_boundary` makes d_n[F] from them, so
-    the top boundary of a run is never assembled (a resumed run assembles
-    its loaded top in full, because its first kernel keeps every row).
-    With S a generating set of G (:func:`_reaching_subset`), rad K is the
-    sum of (g-1)K over g in S,
+    space, the same reduced echelon form.  At the first degree of a
+    resumed run, whose F is read from the entry, the rank comparison
+    (below) proves the same.  Those rows are all of d_n that is ever
+    built: the resolution keeps each boundary as its generator columns,
+    and :func:`_assemble_boundary` makes d_n[F] from them, so the top
+    boundary of a run is never assembled.  With S a generating set of G
+    (:func:`_reaching_subset`), rad K is the sum of (g-1)K over g in S,
     and restricting to the free rows is injective on K.  The heads are
     the coordinates j with e_j outside rad K + span(e_i, i < j): they
     span K modulo rad K, and they become the free generators of the next
@@ -284,7 +300,8 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
       smaller than the whole one.  It is taken with d_n[F], the matrix
       whose kernel was just computed: the previous degree's certificate
       gives d_n = K_{n-1} d_n[F], and K_{n-1} has full column rank, so
-      d_n v = 0 exactly when d_n[F] v = 0;
+      d_n v = 0 exactly when d_n[F] v = 0 (at a resumed first degree,
+      because ker d_N[F] = ker d_N, by the rank comparison);
     * exactness below the top: rank d_n = cols - dim K must equal
       dim ker d_{n-1} (1 for the augmentation, whose image is F_p); with
       the composite this gives im d_n = ker d_{n-1}, however the heads
@@ -305,10 +322,14 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     * a resumed top d_N is re-certified before it is extended: d_{N-1},
       assembled in full (d_0 is the augmentation), must vanish on the
       generator columns of d_N, which must have zero augmentation, and
-      the rank comparison at degree N checks d_N against
-      dim ker d_{N-1}, which exactness of the certified lower degrees
-      gives as k_{-1} = 1 (the image of the augmentation) and
-      k_j = beta_j |G| - k_{j-1}.  Its equivariance is the context's.
+      its kernel is taken on d_N[F] at the stored free rows F.  Exactness
+      of the certified lower degrees gives dim ker d_{N-1} = k_{N-1}
+      (:func:`_top_kernel_dim`), and the composite gives
+      rank d_N[F] <= rank d_N <= k_{N-1}, so the rank comparison at
+      degree N, rank d_N[F] = k_{N-1}, proves ker d_N[F] = ker d_N and
+      im d_N = ker d_{N-1} whatever F the entry holds: a wrong F fails
+      the comparison or gives the same reduced echelon form, kernel and
+      bytes.  Its equivariance is the context's.
 
     The top degree differs because the top boundary d_N gets no kernel,
     so its exactness is not compared (that would cost one more
@@ -324,28 +345,27 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     equivariance.  Below the top, the rank comparison at the next degree
     certifies the boundary whatever the heads were.  Neither argument
     changes when the elimination runs on d_n[F]: it returns ker d_n
-    itself, by the composite check that d_n passed when it was built.
+    itself, by the composite check that d_n passed when it was built, or
+    for a resumed top by the rank comparison.
     """
     ctx = GroupAlgebraContext(group, table=table, budget=budget_order)
     p, m = ctx.p, ctx.m
     betti = [1] if start is None else list(start.betti)
     boundaries = [] if start is None else list(start.boundaries)
+    free = [0] if start is None else start.free
     if len(boundaries) > max_degree:
         raise ValueError(f"cannot resolve through degree {max_degree} "
                          f"from degree {len(boundaries)}")
     cur = FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8))
     if boundaries:
-        # a loaded top is re-certified; its exactness is the rank
-        # comparison at the loop's first degree
-        vecs = boundaries[-1].to_dense()
+        # a loaded top is re-certified against the whole d_{N-1}; its
+        # exactness is the rank comparison at the loop's first degree
+        vecs = boundaries[-1].to_dense(copy=False)
         if len(boundaries) > 1:
-            cur = _assemble_boundary(ctx, boundaries[-2].to_dense())
+            cur = _assemble_boundary(ctx, boundaries[-2].to_dense(copy=False))
         _certified_columns(ctx, cur, vecs)
-        cur = _assemble_boundary(ctx, vecs)
-    # dim ker d_{N-1} by exactness of the certified degrees below N
-    prev_dim = 1
-    for beta in betti[:-1]:
-        prev_dim = beta * m - prev_dim
+        cur = _assemble_boundary(ctx, vecs, free)
+    prev_dim = _top_kernel_dim(betti, m)
     for n in range(len(boundaries), max_degree):
         beta_n = betti[-1]
         if beta_n * m > budget_matrix:
@@ -360,7 +380,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
                 f"resolution not exact at degree {n - 1}: rank d_{n} = "
                 f"{cur.cols - k}, dim ker d_{n - 1} = {prev_dim}")
         prev_dim = k
-        kd = kern.to_dense()
+        kd = kern.to_dense(copy=False)
         # a basis vector's 1 is its last nonzero entry: the others sit at
         # pivot columns to its left; read in blocks of about
         # kernels._CHUNK_ENTRIES entries
@@ -372,7 +392,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         top = n == max_degree - 1
         if top:
             _check_top_kernel(cur, kern, kd, free, n)
-        del kern  # kd holds the basis from here on
+        del kern  # kd holds the basis from here on (its data at odd p)
         perms = _translations(ctx, ctx.gens, beta_n)
         # row j of block g: (g-1)e_j in K-coordinates, filled a block at a
         # time: one C-contiguous matrix, no full-size copy
@@ -389,7 +409,8 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         boundaries.append(_certified_columns(ctx, cur, vecs))
         if not top:
             cur = _assemble_boundary(ctx, vecs, free)
-    return Resolution(resolution_cache_key(group.descriptor), p, max_degree, betti, boundaries)
+    return Resolution(resolution_cache_key(group.descriptor), p, max_degree,
+                      betti, boundaries, free)
 
 
 def _check_top_kernel(cur, kern, kd, free, n):
@@ -437,9 +458,12 @@ def _assemble_boundary(ctx, vecs, rows=None):
     :class:`FpMatrix`: column block t holds the left translates of
     vecs[:, t], so entry (b*m + r, t*m + c) is vecs[b*m + gather[r, c], t].
     The rows are gathered a chunk at a time into their final layout, so
-    that layout is the one full-size temporary (which
-    :meth:`FpMatrix.from_dense` copies for odd p and packs for p = 2), and
-    the index and gathered chunks stay near ``_TABLE_BLOCK`` entries."""
+    that layout is the one full-size array (the matrix's own data at odd
+    p, packed for p = 2), and the index and gathered chunks stay near
+    ``_TABLE_BLOCK`` entries.  Entries of ``vecs`` are residues, as
+    columns of a kernel basis or of a range-checked ``.fpmx`` file, so
+    the odd-p layout is wrapped as it is, with no range check and no
+    copy."""
     m = ctx.m
     cols = vecs.shape[1]
     rows = np.arange(vecs.shape[0]) if rows is None else np.asarray(rows)
@@ -452,7 +476,10 @@ def _assemble_boundary(ctx, vecs, rows=None):
         # idx[i, c] = b*m + gather[r, c] for row i = b*m + r
         idx = ctx.gather[r[j]] + block[j, None] * m
         out[j] = vt.take(idx, axis=1).transpose(1, 0, 2)
-    return FpMatrix.from_dense(ctx.p, out.reshape(len(rows), cols * m))
+    out = out.reshape(len(rows), cols * m)
+    if ctx.p == 2:
+        return FpMatrix.from_dense(2, out)
+    return FpMatrix(ctx.p, len(rows), cols * m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +494,8 @@ def _read_manifest(path):
     """The manifest at ``path``, or None unless it is a dict of this
     ``CACHE_VERSION`` listing beta_0..beta_maxDegree as JSON integers
     (not floats such as 1.0, not booleans), with beta_0 = 1 and none
-    negative."""
+    negative, and the free rows of the top kernel as strictly increasing
+    JSON integers from 0 on."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -479,6 +507,11 @@ def _read_manifest(path):
     if (not isinstance(betti, list) or type(max_degree) is not int
             or len(betti) != max_degree + 1 or betti[:1] != [1]
             or any(type(b) is not int or b < 0 for b in betti)):
+        return None
+    free = manifest.get("free")
+    if (not isinstance(free, list) or any(type(f) is not int for f in free)
+            or (free and free[0] < 0)
+            or any(a >= b for a, b in zip(free, free[1:]))):
         return None
     return manifest
 
@@ -512,16 +545,17 @@ def _write_atomic(path, data):
 
 
 def save_resolution(res, cache_dir, *, first=1):
-    """Write boundaries first..max_degree, then the manifest, each
-    atomically: a reader that finds a manifest finds every boundary it
-    names.  Boundaries below ``first`` must already be on disk (an entry
-    that ``res`` extends)."""
+    """Write boundaries first..max_degree, then the manifest (the Betti
+    numbers and the free rows of the top kernel), each atomically: a
+    reader that finds a manifest finds every boundary it names.
+    Boundaries below ``first`` must already be on disk (an entry that
+    ``res`` extends)."""
     base, manifest_path, _ = _cache_paths(cache_dir, res.key)
     os.makedirs(base, exist_ok=True)
     for n, mat in enumerate(res.boundaries[first - 1:], start=first):
         _write_atomic(os.path.join(base, f"{n}.fpmx"), mat.to_bytes())
-    manifest = {"betti": res.betti, "maxDegree": res.max_degree,
-                "version": CACHE_VERSION}
+    manifest = {"betti": res.betti, "free": res.free.tolist(),
+                "maxDegree": res.max_degree, "version": CACHE_VERSION}
     _write_atomic(manifest_path,
                   (json.dumps(manifest, sort_keys=True) + "\n").encode())
     return base
@@ -530,16 +564,20 @@ def save_resolution(res, cache_dir, *, first=1):
 def load_resolution(descriptor, cache_dir):
     """Reload a cached resolution, or None if absent, corrupt or
     inconsistent: the manifest must be of this version and list
-    beta_0..beta_maxDegree as integers (see :func:`_read_manifest`), and
-    boundary n must have the shape (beta_{n-1}*|G|, beta_n) of its
-    generator columns."""
+    beta_0..beta_maxDegree as integers (see :func:`_read_manifest`), its
+    free rows must be k_{N-1} = dim ker d_{N-1} rows of d_N (of the one
+    row of the augmentation at N = 0), and boundary n must have the shape
+    (beta_{n-1}*|G|, beta_n) of its generator columns."""
     key = resolution_cache_key(descriptor)
     base, manifest_path, _ = _cache_paths(cache_dir, key)
     manifest = _read_manifest(manifest_path)
     if manifest is None:
         return None
-    betti, max_degree = manifest["betti"], manifest["maxDegree"]
+    betti, max_degree, free = manifest["betti"], manifest["maxDegree"], manifest["free"]
     p, order = descriptor["p"], descriptor["order"]
+    top_rows = betti[-2] * order if max_degree else 1
+    if len(free) != _top_kernel_dim(betti, order) or (free and free[-1] >= top_rows):
+        return None
     boundaries = []
     try:
         for n in range(1, max_degree + 1):
@@ -550,7 +588,7 @@ def load_resolution(descriptor, cache_dir):
             boundaries.append(mat)
     except (OSError, ValueError):
         return None
-    return Resolution(key, p, max_degree, betti, boundaries)
+    return Resolution(key, p, max_degree, betti, boundaries, free)
 
 
 def list_cache(cache_dir):

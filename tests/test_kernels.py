@@ -574,6 +574,26 @@ def test_matmul_b2_matches_dense_product():
                 assert np.array_equal(out, _pack_bits(dense.astype(np.uint8)))
 
 
+@pytest.mark.parametrize("chunk", (kernels._CHUNK_ENTRIES, 8 * 256 * 2, 8 * 256 * 6))
+def test_matmul_b2_in_blocks_matches_dense_product(chunk, monkeypatch):
+    # runs of 8 columns go a block at a time and output rows a chunk at a
+    # time, both sized from _CHUNK_ENTRIES: at 2^12 and 3 * 2^12 bytes,
+    # blocks of one to six runs and chunks of 10 to 256 rows; at the real
+    # size, 47-word rows take blocks of 5 runs, so 601 columns end in a
+    # short block whose one run is short, and 300 rows of 3 words take
+    # two chunks; no row gives the zero product
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(12)
+    for rows, a_cols, b_cols in ((300, 601, 130), (40, 601, 3000), (7, 37, 70),
+                                 (40, 9, 129), (0, 37, 130), (1, 64, 65),
+                                 (256, 45, 128), (900, 20, 64)):
+        a = rng.integers(0, 2, (rows, a_cols), dtype=np.uint8)
+        b = rng.integers(0, 2, (a_cols, b_cols), dtype=np.uint8)
+        out = kernels.matmul_b2(_pack_bits(a), _pack_bits(b), a_cols)
+        dense = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+        assert np.array_equal(out, _pack_bits(dense.astype(np.uint8)))
+
+
 # strip (8 columns) and word (64 columns) edges of the packed elimination
 STRIP_EDGE_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130)
 

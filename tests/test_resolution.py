@@ -740,6 +740,42 @@ def test_assembled_rows_are_the_rows_of_the_whole_boundary():
         assert np.array_equal(part.to_dense(), whole[rows])
 
 
+def test_assembly_peak_is_one_layout_at_odd_p():
+    # at odd p the gathered layout is the matrix's data, not copied again:
+    # the traced peak stays near one output (1458 x 2916 bytes) plus the
+    # chunks of about _TABLE_BLOCK entries, below the two of a copy
+    ctx = GroupAlgebraContext(b3r(5))
+    vecs = np.random.default_rng(3).integers(0, 3, (6 * ctx.m, 12), dtype=np.uint8)
+    size = vecs.shape[0] * vecs.shape[1] * ctx.m
+    tracemalloc.start()
+    try:
+        whole = resolution._assemble_boundary(ctx, vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (whole.rows, whole.cols) == (6 * ctx.m, 12 * ctx.m)
+    assert peak < 1.5 * size
+
+
+def test_odd_p_kernel_basis_is_read_in_place(monkeypatch):
+    # every dense read of a boundary or kernel basis in an odd-p
+    # resolution, resumed or cold, is the matrix's own read-only data
+    real = FpMatrix.to_dense
+    reads = []
+
+    def to_dense(self, copy=True):
+        dense = real(self, copy=copy)
+        reads.append(np.shares_memory(dense, self._d) and not dense.flags.writeable)
+        return dense
+
+    monkeypatch.setattr(FpMatrix, "to_dense", to_dense)
+    g = b3r(3)
+    res = minimal_resolution(g, 3)
+    assert len(reads) == 3
+    minimal_resolution(g, 5, start=res)
+    assert len(reads) == 7 and all(reads)
+
+
 # --- cache ------------------------------------------------------------------
 
 def test_cache_round_trip_bit_identical(tmp_path):
@@ -827,7 +863,8 @@ def test_version3_entry_is_recomputed_not_resumed(tmp_path, monkeypatch):
     assert new == [(cold / base.name / f"{n}.fpmx").read_bytes()
                    for n in range(1, 5)]
     assert new[:3] != old
-    assert json.loads((base / "manifest.json").read_text())["version"] == 4
+    assert json.loads((base / "manifest.json").read_text())["version"] == \
+        resolution.CACHE_VERSION
 
 
 def _count_computes(monkeypatch):
@@ -1124,26 +1161,157 @@ def test_extending_a_cached_entry_matches_a_cold_run(case, tmp_path, monkeypatch
         [b.to_bytes() for b in cold.boundaries]
 
 
-def test_resume_eliminates_its_whole_top_then_the_free_rows(tmp_path, monkeypatch):
-    # a resumed run does not know the free rows of ker d_{N-1}, so its
-    # first kernel is taken on all of d_N; the later ones run on the free
-    # rows, as in a cold run, and the boundaries are byte-identical
-    group, start, stop = b3r(4), 3, 6
-    m = group.order
-    cold_shapes = _count_kernels(monkeypatch)
-    cold = minimal_resolution(group, stop)
-    monkeypatch.undo()
-    betti_numbers(group, start, cache_dir=str(tmp_path))
-    shapes = _count_kernels(monkeypatch)
-    assert betti_numbers(group, stop, cache_dir=str(tmp_path)) == cold.betti
-    assert shapes[0] == (cold.betti[start - 1] * m, cold.betti[start] * m)
-    assert cold_shapes[start][1] == shapes[0][1]
-    assert cold_shapes[start][0] < shapes[0][0]
-    assert shapes[1:] == cold_shapes[start + 1:]
-    assert cold_shapes[0] == (1, m)  # d_0, the augmentation, keeps its row
-    back = load_resolution(group.descriptor, str(tmp_path))
-    assert [b.to_bytes() for b in back.boundaries] == \
-        [b.to_bytes() for b in cold.boundaries]
+def test_resume_takes_the_kernels_of_a_cold_run(tmp_path, monkeypatch):
+    # a resumed run reads the free rows F of ker d_{N-1} from its entry, so
+    # its first kernel is taken on d_N[F], a proper part of d_N, and every
+    # kernel has the shape of a cold run's; the entry it writes, manifest
+    # included, is byte-identical to the cold entry
+    for group, start, stop in ((quotient_group(SpaceGroupParams(2, 2), 2), 4, 7),
+                               (b3r(4), 3, 6)):
+        cold_dir, warm_dir = tmp_path / f"cold{group.p}", tmp_path / f"warm{group.p}"
+        cold_shapes = _count_kernels(monkeypatch)
+        cold = betti_numbers(group, stop, cache_dir=str(cold_dir))
+        monkeypatch.undo()
+        betti_numbers(group, start, cache_dir=str(warm_dir))
+        shapes = _count_kernels(monkeypatch)
+        assert betti_numbers(group, stop, cache_dir=str(warm_dir)) == cold
+        monkeypatch.undo()
+        assert shapes == cold_shapes[start:]
+        assert shapes[0][0] < cold[start - 1] * group.order
+        assert cold_shapes[0] == (1, group.order)  # d_0, the augmentation
+        key = resolution_cache_key(group.descriptor)
+        for name in ["manifest.json"] + [f"{n}.fpmx" for n in range(1, stop + 1)]:
+            assert (warm_dir / key / name).read_bytes() == \
+                (cold_dir / key / name).read_bytes()
+
+
+def _rewrite_manifest(group, cache_dir, **fields):
+    """Replace ``fields`` in the manifest of ``group``'s entry (a field set
+    to None is dropped)."""
+    path = cache_dir / resolution_cache_key(group.descriptor) / "manifest.json"
+    bad = {**json.loads(path.read_text()), **fields}
+    path.write_text(json.dumps({k: v for k, v in bad.items() if v is not None}))
+
+
+def _count_starts(monkeypatch):
+    starts = []
+    real = resolution.minimal_resolution
+
+    def spy(group, max_degree, **kwargs):
+        start = kwargs.get("start")
+        starts.append(None if start is None else start.max_degree)
+        return real(group, max_degree, **kwargs)
+
+    monkeypatch.setattr(resolution, "minimal_resolution", spy)
+    return starts
+
+
+def test_manifest_holds_the_free_rows_of_the_top_kernel(tmp_path):
+    # k_{N-1} ascending rows of d_N, those where the kernel basis of
+    # d_{N-1} is the identity; [0], the augmentation's row, at N = 0
+    g = b3r(3)
+    for degree in (0, 1, 3):
+        res = minimal_resolution(g, degree)
+        save_resolution(res, str(tmp_path / str(degree)))
+        manifest = json.loads((tmp_path / str(degree) / res.key / "manifest.json").read_text())
+        assert manifest["free"] == res.free.tolist()
+        assert load_resolution(g.descriptor, str(tmp_path / str(degree))).free.tolist() == \
+            manifest["free"]
+        if degree == 0:
+            assert manifest["free"] == [0]
+            continue
+        prev = (FpMatrix.from_dense(3, np.ones((1, g.order))) if degree == 1 else
+                resolution._assemble_boundary(GroupAlgebraContext(g),
+                                              res.boundaries[-2].to_dense()))
+        kern = prev.kernel().to_dense()
+        assert kern.shape == (res.boundaries[-1].rows, len(manifest["free"]))
+        assert np.array_equal(kern[manifest["free"]], np.eye(kern.shape[1]))
+
+
+def test_malformed_free_rows_are_refused_and_recomputed(tmp_path, monkeypatch):
+    g = b3r(3)
+    betti_numbers(g, 2, cache_dir=str(tmp_path))
+    path = tmp_path / resolution_cache_key(g.descriptor) / "manifest.json"
+    good_bytes = path.read_bytes()
+    good = json.loads(good_bytes)
+    free = good["free"]
+    rows = good["betti"][1] * g.order
+    extra = sorted(free + [min(set(range(rows)) - set(free))])
+    for bad in ([float(free[0])] + free[1:],     # a float
+                [True] + free[1:],               # a boolean
+                [free[1], free[0]] + free[2:],   # unsorted
+                free[:1] + free[:-1],            # a repeated row
+                [-1] + free[1:],                 # below the first row
+                free[:-1] + [rows],              # past the last row
+                free[:-1],                       # one row short
+                extra,                           # one row too many
+                {"0": 0}, None):                 # not a list, or absent
+        _rewrite_manifest(g, tmp_path, free=bad)
+        assert load_resolution(g.descriptor, str(tmp_path)) is None
+        starts = _count_starts(monkeypatch)
+        assert betti_numbers(g, 2, cache_dir=str(tmp_path)) == good["betti"]
+        monkeypatch.undo()
+        assert starts == [None]
+        assert path.read_bytes() == good_bytes
+
+
+def _swapped_free_row(group, entry, keep_rank):
+    """The free rows of ``entry``'s top with one row f_j swapped for a row
+    a outside them, where the kernel basis K of d_{N-1} has K[a, j] != 0
+    (``keep_rank``: d_N[F] keeps its rank) or K[a, j] = 0 (row a of d_N
+    is a combination of the other rows of F, so d_N[F] loses rank)."""
+    ctx = GroupAlgebraContext(group)
+    prev = resolution._assemble_boundary(ctx, entry.boundaries[-2].to_dense())
+    kern = prev.kernel().to_dense()
+    free = entry.free.tolist()
+    a, j = next((a, j) for a in range(kern.shape[0]) if a not in free
+                for j in range(len(free)) if bool(kern[a, j]) == keep_rank)
+    return sorted(set(free) - {free[j]} | {a})
+
+
+def test_free_rows_that_lose_rank_are_not_exact(tmp_path):
+    # a well-formed list whose rows of d_N are dependent: the rank
+    # comparison at degree N refuses it before anything is read off it
+    g = b3r(3)
+    betti_numbers(g, 3, cache_dir=str(tmp_path))
+    entry = load_resolution(g.descriptor, str(tmp_path))
+    _rewrite_manifest(g, tmp_path, free=_swapped_free_row(g, entry, keep_rank=False))
+    assert load_resolution(g.descriptor, str(tmp_path)) is not None
+    with pytest.raises(AssertionError, match="not exact at degree 2"):
+        betti_numbers(g, 4, cache_dir=str(tmp_path))
+
+
+def test_other_free_rows_of_full_rank_give_the_cold_entry(tmp_path):
+    # rows of d_N that keep its rank have its kernel, so its reduced
+    # echelon form: the extended entry is the cold one, byte for byte
+    g = b3r(3)
+    betti_numbers(g, 3, cache_dir=str(tmp_path / "warm"))
+    betti_numbers(g, 5, cache_dir=str(tmp_path / "cold"))
+    entry = load_resolution(g.descriptor, str(tmp_path / "warm"))
+    other = _swapped_free_row(g, entry, keep_rank=True)
+    assert other != entry.free.tolist()
+    _rewrite_manifest(g, tmp_path / "warm", free=other)
+    betti_numbers(g, 5, cache_dir=str(tmp_path / "warm"))
+    key = resolution_cache_key(g.descriptor)
+    for name in ["manifest.json"] + [f"{n}.fpmx" for n in range(1, 6)]:
+        assert (tmp_path / "warm" / key / name).read_bytes() == \
+            (tmp_path / "cold" / key / name).read_bytes()
+
+
+def test_version4_entry_is_recomputed(tmp_path, monkeypatch):
+    # version 4 kept no free rows; its entries are recomputed from degree 0
+    # and rewritten as the cold entry of this version
+    g = quotient_group(SpaceGroupParams(2, 2), 1)
+    betti_numbers(g, 3, cache_dir=str(tmp_path / "cold"))
+    betti_numbers(g, 3, cache_dir=str(tmp_path / "old"))
+    _rewrite_manifest(g, tmp_path / "old", free=None, version=4)
+    assert load_resolution(g.descriptor, str(tmp_path / "old")) is None
+    starts = _count_starts(monkeypatch)
+    assert betti_numbers(g, 3, cache_dir=str(tmp_path / "old")) == [1, 2, 4, 6]
+    assert starts == [None]
+    key = resolution_cache_key(g.descriptor)
+    assert (tmp_path / "old" / key / "manifest.json").read_bytes() == \
+        (tmp_path / "cold" / key / "manifest.json").read_bytes()
 
 
 def test_extending_an_entry_leaves_its_boundaries_in_place(tmp_path):
