@@ -7,6 +7,12 @@ only conversions between words and row bytes.  Values are immutable
 after construction; every operation returns a fresh matrix.  Row
 reduction and products go through the kernels in :mod:`coclass.kernels`.
 
+:meth:`FpMatrix.kernel` is the one kernel step: it returns the dense
+uint8 basis together with its free rows F, which are the elimination's
+non-pivot columns, so no caller rescans the basis for them.  At p = 2 the
+basis is read off the unpacked pivot rows of the packed echelon form,
+with no packed copy of it; at odd p it is the one array built.
+
 The on-disk format (shared with the resolution cache) is:
 
     magic "FPMX", version u8, p u8, rows u64 LE, cols u64 LE,
@@ -17,6 +23,7 @@ The on-disk format (shared with the resolution cache) is:
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +54,38 @@ def _unpack_bits(words, cols):
                          bitorder="little")
 
 
+def _split_columns_b2(words, cols, *columns):
+    """Packed matrices of the columns ``columns[i]`` of the packed GF(2)
+    matrix ``words``, unpacked a chunk of about ``kernels._CHUNK_ENTRIES``
+    entries at a time, so no dense copy of the whole matrix is made."""
+    rows = words.shape[0]
+    out = [np.empty((rows, (len(c) + 63) // 64), dtype=np.uint64) for c in columns]
+    step = max(1, kernels._CHUNK_ENTRIES // max(cols, 1))
+    for r0 in range(0, rows, step):
+        dense = _unpack_bits(words[r0:r0 + step], cols)
+        for part, c in zip(out, columns):
+            part[r0:r0 + step] = _pack_bits(dense.take(c, axis=1))
+    return out
+
+
 def _freeze(arr):
     arr.flags.writeable = False
     return arr
+
+
+class Kernel(NamedTuple):
+    """The right kernel that :meth:`FpMatrix.kernel` returns: the dense
+    uint8 standard ``basis`` (one column per vector) and its ascending
+    rows ``free``, where the basis is the identity."""
+
+    basis: np.ndarray
+    free: np.ndarray
+
+    @property
+    def cols(self):
+        """The kernel's dimension, the columns of ``basis`` (as a matrix's
+        ``cols``, which perfbench's tracer records)."""
+        return self.free.size
 
 
 class FpMatrix:
@@ -118,15 +154,21 @@ class FpMatrix:
         return FpMatrix(self.p, self.rows, other.cols, out)
 
     def annihilates(self, basis, free):
-        """Whether self @ basis = 0, for a ``basis`` whose rows ``free``
-        are the identity (the caller checks that).  Odd p multiplies by
-        the other rows of ``basis`` only, in blocks
-        (:func:`kernels.annihilates_u8`); p = 2 takes the packed product."""
-        if self.p != basis.p or self.cols != basis.rows:
+        """Whether self @ basis = 0, for a dense uint8 ``basis`` whose rows
+        ``free`` are the identity (the caller checks that).
+
+        With R the other rows, self @ basis = self[:, R] basis[R] +
+        self[:, free], so only basis[R] is multiplied: odd p checks the sum
+        in blocks (:func:`kernels.annihilates_u8`), and p = 2 compares the
+        packed product self[:, R] basis[R] with self[:, free]."""
+        if self.cols != basis.shape[0]:
             raise ValueError("dimension mismatch")
-        if self.p == 2:
-            return not kernels.matmul_b2(self._d, basis._d, self.cols).any()
-        return kernels.annihilates_u8(self._d, basis._d, np.asarray(free), self.p)
+        if self.p != 2:
+            return kernels.annihilates_u8(self._d, basis, np.asarray(free), self.p)
+        rest = np.setdiff1d(np.arange(self.cols), free, assume_unique=True)
+        lhs, want = _split_columns_b2(self._d, self.cols, rest, free)
+        return np.array_equal(kernels.matmul_b2(lhs, _pack_bits(basis[rest]), rest.size),
+                              want)
 
     def __sub__(self, other):
         if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
@@ -161,24 +203,37 @@ class FpMatrix:
         return FpMatrix(self.p, self.rows, self.cols, work), tuple(int(c) for c in piv)
 
     def kernel(self):
-        """Right kernel: columns form the standard F_p-basis of
-        {x : self @ x = 0} read off the reduced echelon form."""
+        """Right kernel {x : self @ x = 0} as a :class:`Kernel`, read off
+        the reduced echelon form.
+
+        ``free`` is the elimination's set of non-pivot columns F, ascending,
+        and ``basis`` the standard (cols, |F|) uint8 basis: column j is
+        e_{F[j]} minus the pivot rows' entries at column F[j], placed at
+        the pivot columns.  So the basis is the identity on its rows F, and
+        F is the last nonzero row of each vector, known without a rescan.
+        The pivot rows are read a chunk of about ``kernels._CHUNK_ENTRIES``
+        entries at a time (unpacked at p = 2, negated at odd p) and written
+        into the basis, the one full-size array made beside the echelon
+        form."""
         red, piv = self.rref()
-        pivset = set(piv)
-        free = [c for c in range(self.cols) if c not in pivset]
-        k = np.zeros((self.cols, len(free)), dtype=np.uint8)
-        if free:
-            pivot_rows = red._d[:len(piv)]
-            if self.p == 2:
-                pivot_rows = _unpack_bits(pivot_rows, self.cols)
-            k[free, np.arange(len(free))] = 1
-            # -pivot_rows[:, free] mod p in the one rank x k temporary
-            neg = pivot_rows[:, free]
-            np.subtract(self.p, neg, out=neg)
-            np.remainder(neg, self.p, out=neg)
-            k[list(piv), :] = neg
-        data = _pack_bits(k) if self.p == 2 else k
-        return FpMatrix(self.p, self.cols, len(free), data)
+        piv = np.asarray(piv, dtype=np.intp)
+        free = np.setdiff1d(np.arange(self.cols), piv, assume_unique=True)
+        basis = np.zeros((self.cols, free.size), dtype=np.uint8)
+        basis[free, np.arange(free.size)] = 1
+        if free.size:
+            pivot_rows = red._d[:piv.size]
+            step = max(1, kernels._CHUNK_ENTRIES // self.cols)
+            for r0 in range(0, piv.size, step):
+                rows = pivot_rows[r0:r0 + step]
+                if self.p == 2:
+                    # -x = x, so the pivot rows' bits are the entries
+                    block = _unpack_bits(rows, self.cols).take(free, axis=1)
+                else:
+                    block = rows.take(free, axis=1)
+                    np.subtract(self.p, block, out=block)
+                    np.remainder(block, self.p, out=block)
+                basis[piv[r0:r0 + step]] = block
+        return Kernel(basis, free)
 
     # -- serialization ---------------------------------------------------
 

@@ -11,9 +11,14 @@ reduction).  The heads of a resolution step at every p, 2 included,
 the positions where vectors of ker x first become nonzero, come from
 ``heads_u8`` with no row reduction: a triangular solve on one row per
 last-nonzero position, one product per dependency level, checked in
-every round.  The GF(2) kernels, which take the kernels of p = 2
-boundaries, read columns in strips of 8, one byte of each packed row,
-and XOR in rows from a 256-entry Four-Russians table.
+every round.  A round reads its rows' nonzero pattern once, a chunk at
+a time, for both the nonzero rows and their last nonzero positions.
+Kernel bases are read off a row echelon form by
+:meth:`coclass.fpmat.FpMatrix.kernel`, whose free rows are the
+elimination's non-pivot columns, with no rescan of the basis.  The
+GF(2) kernels, which take the kernels of p = 2 boundaries, read columns
+in strips of 8, one byte of each packed row, and XOR in rows from a
+256-entry Four-Russians table.
 
 Conventions shared by all kernels:
   * odd-p matrices, and the input of ``heads_u8`` at any p, are
@@ -361,27 +366,26 @@ def heads_u8(x, p):
     construction, that proves the round's reduction, so the result is
     exact whatever the solve did.  Products run in BLAS in the dtype of
     ``_float_dtype(k, p)``: factors are residues and the inner dimension
-    is at most k.  x is read in place through its nonzero rows, a chunk
-    of ``_CHUNK_ENTRIES`` at a time: a round makes no copy of x, and M is
-    kept in uint8.
+    is at most k.  x is read in place a chunk of ``_CHUNK_ENTRIES`` at a
+    time: one ``x != 0`` per chunk gives both its nonzero rows and their
+    ends, the product reads the nonzero rows only, a round makes no copy
+    of x, and M is kept in uint8.
     """
     pos = np.arange(x.shape[1])
     dt = _float_dtype(x.shape[1], p)
     # -1/a mod p, indexed by the residue a
     neg_inv = np.zeros(p, dtype=dt)
     neg_inv[1:] = [p - pow(a, p - 2, p) for a in range(1, p)]
-    while True:
-        live = np.flatnonzero(x.any(axis=1))
+    while pos.size and len(x):
+        k = pos.size
+        live, end = _row_ends(x)
         if live.size == 0:
-            return pos
-        k = x.shape[1]
-        step = max(1, _CHUNK_ENTRIES // k)
-        end = np.concatenate([k - 1 - (x[live[r0:r0 + step], ::-1] != 0).argmax(axis=1)
-                              for r0 in range(0, live.size, step)])
+            break
         ends, first = np.unique(end, return_index=True)
         cand = np.setdiff1d(np.arange(k), ends, assume_unique=True)
         b = _end_solve(x, live[first], ends, cand, p, neg_inv)
         xb = np.empty((live.size, cand.size), dtype=np.uint8)
+        step = max(1, _CHUNK_ENTRIES // k)
         for r0 in range(0, live.size, step):
             xb[r0:r0 + step] = _mod(x[live[r0:r0 + step]].astype(dt) @ b, p)
         if xb[first].any():
@@ -389,6 +393,25 @@ def heads_u8(x, p):
         # the rows of L are zero in M, so the next round drops them
         x = xb
         pos = pos[cand]
+    return pos
+
+
+def _row_ends(x):
+    """``(rows, ends)``: the nonzero rows of the uint8 matrix x, ascending,
+    and the last nonzero position of each, both from one ``x != 0`` per
+    chunk of ``_CHUNK_ENTRIES`` entries.  x has at least one row and one
+    column."""
+    k = x.shape[1]
+    step = max(1, _CHUNK_ENTRIES // k)
+    rows, ends = [], []
+    for r0 in range(0, x.shape[0], step):
+        nz = x[r0:r0 + step] != 0
+        last = k - 1 - nz[:, ::-1].argmax(axis=1)
+        # a zero row's argmax is 0, the last position, which it misses
+        hit = np.flatnonzero(nz[np.arange(nz.shape[0]), last])
+        rows.append(r0 + hit)
+        ends.append(last[hit])
+    return np.concatenate(rows), np.concatenate(ends)
 
 
 def _end_solve(x, keep, ends, cand, p, neg_inv):
@@ -401,20 +424,21 @@ def _end_solve(x, keep, ends, cand, p, neg_inv):
     one product: B[ends] = -(rows @ B mod p) / pivot, reduced before it
     is scaled so that the float stays exact.  The rows of B at ends of
     the level and above are still zero, and no row of the level reads
-    them.  The rows are read from ``x`` through ``keep``, and the
-    pattern is built ``_CHUNK_ENTRIES`` entries at a time, so no copy of
-    the rows is made.
+    them.  The pattern is read ``_CHUNK_ENTRIES`` entries at a time, as a
+    gather of rows of ``x`` and then a take of their columns at the ends,
+    and stored transposed (``reads[j, i]``: row i reads end j), so that a
+    level's update sums whole rows of it.
     """
     dt = neg_inv.dtype
     b = np.zeros((x.shape[1], cand.size), dtype=dt)
     b[cand, np.arange(cand.size)] = 1
     scale = neg_inv[x[keep, ends]][:, None]
     reads = np.empty((ends.size, ends.size), dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // ends.size)
+    step = max(1, _CHUNK_ENTRIES // x.shape[1])
     for r0 in range(0, ends.size, step):
-        reads[r0:r0 + step] = x[keep[r0:r0 + step, None], ends] != 0
+        reads[:, r0:r0 + step] = x[keep[r0:r0 + step]].take(ends, axis=1).T != 0
     np.fill_diagonal(reads, False)
-    waiting = reads.sum(axis=1)  # ends each row reads that are not solved yet
+    waiting = reads.sum(axis=0)  # ends each row reads that are not solved yet
     ready = np.flatnonzero(waiting == 0)
     while ready.size:
         lrows = x[keep[ready]]
@@ -422,7 +446,7 @@ def _end_solve(x, keep, ends, cand, p, neg_inv):
         prod = _mod(lrows[:, cols].astype(dt) @ b[cols], p)
         prod *= scale[ready]
         b[ends[ready]] = _mod(prod, p)
-        waiting -= reads[:, ready].sum(axis=1)
+        waiting -= reads[ready].sum(axis=0)
         waiting[ready] = -1
         ready = np.flatnonzero(waiting == 0)
     return b
@@ -642,7 +666,7 @@ def matmul_b2(aw, bw, a_cols):
     """
     rows, nw = aw.shape[0], bw.shape[1]
     out = np.zeros((rows, nw), dtype=np.uint64)
-    if rows == 0 or a_cols == 0:
+    if rows == 0 or a_cols == 0 or nw == 0:
         return out
     strips = _row_bytes(aw, a_cols).T
     runs, words = len(strips), _CHUNK_ENTRIES // 8

@@ -260,9 +260,11 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
 
     Per degree n, K = ker d_n is computed as an F_p-space in the standard
     basis of :meth:`FpMatrix.kernel`, which is the identity on the free
-    rows (the non-pivot columns of rref(d_n)), so a vector of K has its
-    K-coordinates there.  The elimination runs on d_n[F], the rows of d_n
-    at the free rows F of K_{n-1} = ker d_{n-1} (d_0 has one row).  That
+    rows F (the non-pivot columns of rref(d_n)), so a vector of K has its
+    K-coordinates there.  The kernel step returns F with the basis, as the
+    elimination's set of non-pivot columns, so the basis is never rescanned
+    for it.  The elimination runs on d_n[F], the rows of d_n at the free
+    rows F of K_{n-1} = ker d_{n-1} (d_0 has one row).  That
     gives the same K, not a bound on it: the composite check (below) puts
     every column of d_n in K_{n-1}, and K_{n-1} is the identity on F, so
     d_n = K_{n-1} d_n[F].  K_{n-1} has full column rank, so d_n and
@@ -310,7 +312,7 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
       free rows (k nonzero entries there, each a 1 on the diagonal), and
       d_n[F] K = 0, so d_n K = 0 as for the composite; the product is
       taken as d_n[F][:, rest] K[rest] = -d_n[F][:, free] over the other
-      rows of K alone (:meth:`FpMatrix.annihilates`);
+      rows of K alone (:meth:`FpMatrix.annihilates`, packed at p = 2);
     * minimality: every generator column has zero augmentation in each
       block of |G| rows, and so has every translate of one, i.e. every
       entry of the boundary, which is what makes
@@ -373,30 +375,21 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
                 f"matrix side {beta_n * m} exceeds budget {budget_matrix} "
                 f"at degree {n + 1}",
                 side=beta_n * m, budget=budget_matrix, degree=n + 1)
-        kern = cur.kernel()
-        k = kern.cols
+        kd, free = cur.kernel()
+        k = free.size
         if cur.cols - k != prev_dim:
             raise AssertionError(
                 f"resolution not exact at degree {n - 1}: rank d_{n} = "
                 f"{cur.cols - k}, dim ker d_{n - 1} = {prev_dim}")
         prev_dim = k
-        kd = kern.to_dense(copy=False)
-        # a basis vector's 1 is its last nonzero entry: the others sit at
-        # pivot columns to its left; read in blocks of about
-        # kernels._CHUNK_ENTRIES entries
-        step = max(1, kernels._CHUNK_ENTRIES // kd.shape[0])
-        free = np.empty(k, dtype=np.intp)
-        for c0 in range(0, k, step):
-            last = np.argmax(kd[::-1, c0:c0 + step] != 0, axis=0)
-            free[c0:c0 + step] = kd.shape[0] - 1 - last
         top = n == max_degree - 1
         if top:
-            _check_top_kernel(cur, kern, kd, free, n)
-        del kern  # kd holds the basis from here on (its data at odd p)
+            _check_top_kernel(cur, kd, free, n)
         perms = _translations(ctx, ctx.gens, beta_n)
         # row j of block g: (g-1)e_j in K-coordinates, filled a block at a
         # time: one C-contiguous matrix, no full-size copy
         rad = np.empty((len(perms), k, k), dtype=np.uint8)
+        step = max(1, kernels._CHUNK_ENTRIES // kd.shape[0])
         for g, perm in enumerate(perms):
             src = perm[free]
             for c0 in range(0, k, step):
@@ -413,9 +406,9 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
                       betti, boundaries, free)
 
 
-def _check_top_kernel(cur, kern, kd, free, n):
-    """Raise AssertionError unless the basis ``kern`` (dense ``kd``) is
-    the identity on its rows ``free`` and ``cur`` = d_n[F] vanishes on it.
+def _check_top_kernel(cur, kd, free, n):
+    """Raise AssertionError unless the kernel basis ``kd`` is the identity
+    on its rows ``free`` and ``cur`` = d_n[F] vanishes on it.
 
     The identity is read as kd[free[j], j] = 1 for every j and exactly
     k nonzero entries in the rows ``free``, counted in blocks of about
@@ -427,7 +420,7 @@ def _check_top_kernel(cur, kern, kd, free, n):
     ones = sum(np.count_nonzero(kd[free[c0:c0 + step]]) for c0 in range(0, k, step))
     if ones != k or (kd[free, np.arange(k)] != 1).any():
         raise AssertionError("top kernel basis is not the identity on its free rows")
-    if not cur.annihilates(kern, free):
+    if not cur.annihilates(kd, free):
         raise AssertionError(f"top kernel is not inside ker d_{n}")
 
 

@@ -481,19 +481,18 @@ def naive_minimal_resolution(group, max_degree, table=None):
     cur = FpMatrix.from_dense(p, np.ones((1, m), dtype=np.uint8))
     for _ in range(max_degree):
         beta_n = betti[-1]
-        kern = cur.kernel()
+        kd, free = cur.kernel()
         offs = np.arange(beta_n, dtype=np.int64)[:, None] * m
         parts = []
         for g in gens:
             perm = (offs + ctx.gather[:, g][None, :].astype(np.int64)).ravel()
-            parts.append(kern.row_select(perm) - kern)
-        _red, piv = FpMatrix.hstack(parts + [kern]).rref()
-        rad_cols = kern.cols * len(gens)
+            parts.append(kd[perm].astype(np.int16) - kd)
+        _red, piv = FpMatrix.from_dense(p, np.concatenate(parts + [kd], axis=1)).rref()
+        rad_cols = free.size * len(gens)
         sel = [c - rad_cols for c in piv if c >= rad_cols]
-        if len(sel) != kern.cols - (len(piv) - len(sel)):
+        if len(sel) != free.size - (len(piv) - len(sel)):
             raise AssertionError("minimal generator count mismatch")
         betti.append(len(sel))
-        kd = kern.to_dense()
         nxt = np.zeros((beta_n * m, len(sel) * m), dtype=np.uint8)
         for t, scol in enumerate(sel):
             vec = kd[:, scol]

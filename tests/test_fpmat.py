@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coclass import kernels
 from coclass.fpmat import FpMatrix
 
 from _oracles import naive_kernel, naive_rank, rank
@@ -28,11 +29,10 @@ def test_kernel_random_f3_products_vanish():
     rng = random.Random(42)
     dense = rand_dense(rng, 3, 50, 60)
     a = FpMatrix.from_dense(3, dense)
-    k = a.kernel()
-    assert rank(a) + k.cols == 60
-    assert (a @ k).is_zero()
+    got = a.kernel().basis
+    assert rank(a) + got.shape[1] == 60
+    assert (a @ FpMatrix.from_dense(3, got)).is_zero()
     oracle = naive_kernel(dense, 3)
-    got = k.to_dense()
     assert got.shape[1] == len(oracle)
     for j, col in enumerate(oracle):
         assert list(got[:, j]) == col
@@ -45,22 +45,99 @@ def test_kernel_matches_naive_oracle_exactly():
             rows = rng.randrange(1, 14)
             cols = rng.randrange(1, 14)
             dense = rand_dense(rng, p, rows, cols)
-            ours = FpMatrix.from_dense(p, dense).kernel().to_dense()
+            ours = FpMatrix.from_dense(p, dense).kernel().basis
             oracle = naive_kernel(dense, p)
             assert ours.shape[1] == len(oracle)
             for j, col in enumerate(oracle):
                 assert list(ours[:, j]) == col
 
 
+def _kernel_cases(rng, p):
+    """Matrices with zero rows, zero columns or both, the zero matrix,
+    full column rank, one nonzero column, and random ones of low rank
+    whose columns cross a 64-bit word."""
+    yield np.zeros((0, 5), dtype=np.uint8)
+    yield np.zeros((4, 0), dtype=np.uint8)
+    yield np.zeros((0, 0), dtype=np.uint8)
+    yield np.zeros((4, 7), dtype=np.uint8)
+    full = np.tril(rng.integers(0, p, (9, 6), dtype=np.uint8))
+    full[np.arange(6), np.arange(6)] = 1
+    yield full
+    one = np.zeros((5, 6), dtype=np.uint8)
+    one[[1, 3], 4] = rng.integers(1, p, 2, dtype=np.uint8)
+    yield one
+    for rows, cols, r in ((12, 20, 7), (40, 130, 25), (70, 66, 66)):
+        left = rng.integers(0, p, (rows, r), dtype=np.int64)
+        dense = (left @ rng.integers(0, p, (r, cols), dtype=np.int64) % p).astype(np.uint8)
+        dense[::5] = 0  # zero rows
+        dense[:, 3::7] = 0  # zero columns
+        yield dense
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_kernel_step_matches_the_naive_kernel(chunk, monkeypatch):
+    # the basis is the oracle's, F is the last nonzero row of each vector
+    # (ascending), and the input is left as it was; with 64-entry chunks
+    # the pivot rows are read a few at a time
+    if chunk:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(21)
+    for p in (2, 3, 5, 251):
+        for dense in _kernel_cases(rng, p):
+            a = FpMatrix.from_dense(p, dense)
+            before = a.to_bytes()
+            basis, free = a.kernel()
+            # the oracle reads the width off the first row
+            oracle = (naive_kernel(dense.tolist(), p) if len(dense) else
+                      np.eye(dense.shape[1], dtype=int).tolist())
+            assert basis.dtype == np.uint8
+            assert basis.shape == (dense.shape[1], len(oracle))
+            assert basis.T.tolist() == oracle
+            last = [int(np.flatnonzero(col)[-1]) for col in basis.T]
+            assert free.tolist() == last == sorted(last)
+            assert a.to_bytes() == before and np.array_equal(a.to_dense(), dense)
+
+
+@pytest.mark.parametrize("chunk", [None, 256])
+def test_annihilates_matches_the_whole_product(chunk, monkeypatch):
+    # a @ K = 0 is taken over the rows of K outside F only (packed at
+    # p = 2, its columns split a chunk of rows at a time); it must agree
+    # with the whole dense product on kernel bases and on bases with one
+    # entry off, outside F or in a column of a at F
+    if chunk:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(22)
+    for p in (2, 3, 251):
+        for dense in _kernel_cases(rng, p):
+            basis, free = FpMatrix.from_dense(p, dense).kernel()
+            rest = np.setdiff1d(np.arange(dense.shape[1]), free)
+            trials = [(dense, basis)]
+            if rest.size and free.size:
+                off = basis.copy()
+                off[rest[-1], -1] = (off[rest[-1], -1] + 1) % p
+                trials.append((dense, off))
+            if dense.shape[0] and free.size:
+                bumped = dense.copy()
+                bumped[-1, free[0]] = (bumped[-1, free[0]] + 1) % p
+                trials.append((bumped, basis))
+            for a, b in trials:
+                want = not (a.astype(np.int64) @ b % p).any()
+                assert FpMatrix.from_dense(p, a).annihilates(b, free) == want
+            assert all(FpMatrix.from_dense(p, a).annihilates(b, free) != (i > 0)
+                       for i, (a, b) in enumerate(trials))
+
+
 def test_kernel_basis_needs_one_temporary_beside_it(monkeypatch):
     # with the reduced echelon form precomputed, the kernel's traced peak
     # (numpy reports its arrays to tracemalloc) is the cols x k basis plus
-    # one rank x k block, the negated pivot rows; the bytes are those of
-    # the basis read off the echelon form directly
+    # at most one rank x k block, the pivot rows negated (odd p) or
+    # unpacked (p = 2) a chunk at a time; the bytes are those of the basis
+    # read off the echelon form directly, and F is its non-pivot columns
     rng = np.random.default_rng(5)
-    for p in (3, 251):
+    real_rref = FpMatrix.rref
+    for p in (2, 3, 251):
         a = FpMatrix.from_dense(p, rng.integers(0, p, (1000, 2000), dtype=np.uint8))
-        red, piv = a.rref()
+        red, piv = real_rref(a)
         monkeypatch.setattr(FpMatrix, "rref", lambda self, out=(red, piv): out)
         tracemalloc.start()
         try:
@@ -72,7 +149,8 @@ def test_kernel_basis_needs_one_temporary_beside_it(monkeypatch):
         expected = np.zeros((a.cols, len(free)), dtype=np.int64)
         expected[free, np.arange(len(free))] = 1
         expected[list(piv)] = -red.to_dense()[:len(piv)][:, free].astype(np.int64) % p
-        assert kern.to_bytes() == FpMatrix.from_dense(p, expected).to_bytes()
+        assert np.array_equal(kern.basis, expected)
+        assert kern.free.tolist() == free
         basis, block = a.cols * len(free), len(piv) * len(free)
         assert (len(piv), len(free)) == (1000, 1000)
         assert peak <= basis + 1.25 * block

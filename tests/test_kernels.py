@@ -414,6 +414,23 @@ def test_heads_u8_degenerate_shapes():
         assert kernels.heads_u8(col, p).tolist() == [0, 1, 2, 3, 4, 6, 7]
 
 
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_heads_u8_zero_rows_around_the_live_ones(chunk, monkeypatch):
+    # all-zero rows before and after the live ones, only zero rows, no
+    # rows and k = 0; with 64-entry chunks of 3 rows, whole chunks of the
+    # pattern hold no live row, in the first round and in later ones
+    if chunk:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = random.Random(36)
+    for p in PRIMES + (2,):
+        a = np.zeros((100, 20), dtype=np.uint8)
+        a[30:70] = chained(rng, p, 40, 20, 3)
+        assert_heads_match_oracle(a, p)
+        for shape in ((30, 20), (0, 20), (100, 0)):
+            assert kernels.heads_u8(np.zeros(shape, dtype=np.uint8), p).tolist() == \
+                list(range(shape[1]))
+
+
 @pytest.mark.parametrize("k, dtype", [(266, np.float32), (269, np.float64)])
 def test_heads_u8_products_reduced_before_scaling_p251(k, dtype, monkeypatch):
     # at p = 251, k = 266 is float32 (266 * 250^2 + 251 < 2^24), and a
@@ -552,20 +569,20 @@ def test_kernel_matches_naive_kernel_many_free_columns():
     for p in (2, 3, 7):
         for rows, cols, rank in ((20, 90, 8), (70, 140, 66), (5, 3, 2)):
             dense = low_rank(rng, p, rows, cols, rank)
-            got = FpMatrix.from_dense(p, dense).kernel()
+            got = FpMatrix.from_dense(p, dense).kernel().basis
             oracle = naive_kernel(dense.tolist(), p)
-            assert got.rows == cols and got.cols == len(oracle)
-            assert got.to_dense().T.tolist() == oracle
+            assert got.shape == (cols, len(oracle))
+            assert got.T.tolist() == oracle
 
 
 def test_matmul_b2_matches_dense_product():
     # widths around the 8-column tables and the 64-bit words, with 0 and
-    # 1 rows; the packed result must equal the packed dense product, so
-    # its tail bits are zero
+    # 1 rows and no column of b; the packed result must equal the packed
+    # dense product, so its tail bits are zero
     rng = np.random.default_rng(11)
     for a_cols in (0, 1, 7, 8, 9, 64, 65, 130):
         for rows in (0, 1, 5, 70):
-            for b_cols in (1, 63, 64, 130):
+            for b_cols in (0, 1, 63, 64, 130):
                 a = rng.integers(0, 2, (rows, a_cols), dtype=np.uint8)
                 b = rng.integers(0, 2, (a_cols, b_cols), dtype=np.uint8)
                 out = kernels.matmul_b2(_pack_bits(a), _pack_bits(b), a_cols)

@@ -571,8 +571,9 @@ def test_nonzero_composite_is_rejected(monkeypatch):
 
 def _corrupt_top_kernel(monkeypatch, degree, corrupt):
     """Make the kernel taken at loop degree ``degree`` pass through
-    ``corrupt(kd, free, p)`` (in place, on its dense basis, with ``free``
-    the last nonzero row of each vector) before the resolution reads it."""
+    ``corrupt(kd, free, p)`` (in place, on a copy of its dense basis, with
+    ``free`` the elimination's free rows, the last nonzero row of each
+    vector) before the resolution reads it."""
     real = FpMatrix.kernel
     calls = []
 
@@ -581,10 +582,9 @@ def _corrupt_top_kernel(monkeypatch, degree, corrupt):
         calls.append(kern)
         if len(calls) <= degree:
             return kern
-        kd = kern.to_dense()
-        free = kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)
-        corrupt(kd, free, self.p)
-        return FpMatrix.from_dense(self.p, kd)
+        kd = kern.basis.copy()
+        corrupt(kd, kern.free, self.p)
+        return kern._replace(basis=kd)
 
     monkeypatch.setattr(FpMatrix, "kernel", kernel)
 
@@ -678,15 +678,14 @@ def test_boundary_column_off_the_previous_kernel_is_refused(monkeypatch):
 
     def kernel(self):
         kern = real_kernel(self)
-        kernels_taken.append(kern.to_dense())
+        kernels_taken.append(kern)
         return kern
 
     monkeypatch.setattr(FpMatrix, "kernel", kernel)
 
     def bump_off_free(vecs, m):
-        kd = kernels_taken[-1]  # K_1
-        free = set((kd.shape[0] - 1 - np.argmax(kd[::-1] != 0, axis=0)).tolist())
-        a = min(set(range(kd.shape[0])) - free)
+        kd, free = kernels_taken[-1]  # K_1
+        a = min(set(range(kd.shape[0])) - set(free.tolist()))
         vecs[a, 0] = (vecs[a, 0] + 1) % 3
 
     _corrupt_columns(monkeypatch, 2, bump_off_free)
@@ -758,8 +757,10 @@ def test_assembly_peak_is_one_layout_at_odd_p():
 
 
 def test_odd_p_kernel_basis_is_read_in_place(monkeypatch):
-    # every dense read of a boundary or kernel basis in an odd-p
-    # resolution, resumed or cold, is the matrix's own read-only data
+    # every dense read of a loaded boundary in an odd-p resolution is the
+    # matrix's own read-only data, and the kernel basis is read as the
+    # kernel step returned it: the top check gets that very array, and no
+    # kernel basis goes through to_dense, resumed or cold
     real = FpMatrix.to_dense
     reads = []
 
@@ -768,12 +769,30 @@ def test_odd_p_kernel_basis_is_read_in_place(monkeypatch):
         reads.append(np.shares_memory(dense, self._d) and not dense.flags.writeable)
         return dense
 
+    real_kernel = FpMatrix.kernel
+    bases = []
+
+    def kernel(self):
+        kern = real_kernel(self)
+        bases.append(kern.basis)
+        return kern
+
+    real_check = resolution._check_top_kernel
+    checked = []
+
+    def check(cur, kd, free, n):
+        checked.append(kd is bases[-1])
+        return real_check(cur, kd, free, n)
+
     monkeypatch.setattr(FpMatrix, "to_dense", to_dense)
+    monkeypatch.setattr(FpMatrix, "kernel", kernel)
+    monkeypatch.setattr(resolution, "_check_top_kernel", check)
     g = b3r(3)
     res = minimal_resolution(g, 3)
-    assert len(reads) == 3
+    assert (len(reads), len(bases), checked) == (0, 3, [True])
     minimal_resolution(g, 5, start=res)
-    assert len(reads) == 7 and all(reads)
+    assert len(reads) == 2 and all(reads)
+    assert (len(bases), checked) == (5, [True, True])
 
 
 # --- cache ------------------------------------------------------------------
@@ -1223,7 +1242,7 @@ def test_manifest_holds_the_free_rows_of_the_top_kernel(tmp_path):
         prev = (FpMatrix.from_dense(3, np.ones((1, g.order))) if degree == 1 else
                 resolution._assemble_boundary(GroupAlgebraContext(g),
                                               res.boundaries[-2].to_dense()))
-        kern = prev.kernel().to_dense()
+        kern = prev.kernel().basis
         assert kern.shape == (res.boundaries[-1].rows, len(manifest["free"]))
         assert np.array_equal(kern[manifest["free"]], np.eye(kern.shape[1]))
 
@@ -1262,7 +1281,7 @@ def _swapped_free_row(group, entry, keep_rank):
     is a combination of the other rows of F, so d_N[F] loses rank)."""
     ctx = GroupAlgebraContext(group)
     prev = resolution._assemble_boundary(ctx, entry.boundaries[-2].to_dense())
-    kern = prev.kernel().to_dense()
+    kern = prev.kernel().basis
     free = entry.free.tolist()
     a, j = next((a, j) for a in range(kern.shape[0]) if a not in free
                 for j in range(len(free)) if bool(kern[a, j]) == keep_rank)
