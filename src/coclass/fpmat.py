@@ -56,15 +56,15 @@ def _unpack_bits(words, cols):
 
 def _split_columns_b2(words, cols, *columns):
     """Packed matrices of the columns ``columns[i]`` of the packed GF(2)
-    matrix ``words``, unpacked a chunk of about ``kernels._CHUNK_ENTRIES``
-    entries at a time, so no dense copy of the whole matrix is made."""
+    matrix ``words``, unpacked a block of rows at a time
+    (:func:`kernels.row_blocks`), so no dense copy of the whole matrix is
+    made."""
     rows = words.shape[0]
     out = [np.empty((rows, (len(c) + 63) // 64), dtype=np.uint64) for c in columns]
-    step = max(1, kernels._CHUNK_ENTRIES // max(cols, 1))
-    for r0 in range(0, rows, step):
-        dense = _unpack_bits(words[r0:r0 + step], cols)
+    for blk in kernels.row_blocks(rows, cols):
+        dense = _unpack_bits(words[blk], cols)
         for part, c in zip(out, columns):
-            part[r0:r0 + step] = _pack_bits(dense.take(c, axis=1))
+            part[blk] = _pack_bits(dense.take(c, axis=1))
     return out
 
 
@@ -211,20 +211,18 @@ class FpMatrix:
         e_{F[j]} minus the pivot rows' entries at column F[j], placed at
         the pivot columns.  So the basis is the identity on its rows F, and
         F is the last nonzero row of each vector, known without a rescan.
-        The pivot rows are read a chunk of about ``kernels._CHUNK_ENTRIES``
-        entries at a time (unpacked at p = 2, negated at odd p) and written
-        into the basis, the one full-size array made beside the echelon
-        form."""
+        The pivot rows are read a block at a time
+        (:func:`kernels.row_blocks`; unpacked at p = 2, negated at odd p) and
+        written into the basis, the one full-size array made beside the
+        echelon form."""
         red, piv = self.rref()
         piv = np.asarray(piv, dtype=np.intp)
         free = np.setdiff1d(np.arange(self.cols), piv, assume_unique=True)
         basis = np.zeros((self.cols, free.size), dtype=np.uint8)
         basis[free, np.arange(free.size)] = 1
         if free.size:
-            pivot_rows = red._d[:piv.size]
-            step = max(1, kernels._CHUNK_ENTRIES // self.cols)
-            for r0 in range(0, piv.size, step):
-                rows = pivot_rows[r0:r0 + step]
+            for blk in kernels.row_blocks(piv.size, self.cols):
+                rows = red._d[blk]
                 if self.p == 2:
                     # -x = x, so the pivot rows' bits are the entries
                     block = _unpack_bits(rows, self.cols).take(free, axis=1)
@@ -232,7 +230,7 @@ class FpMatrix:
                     block = rows.take(free, axis=1)
                     np.subtract(self.p, block, out=block)
                     np.remainder(block, self.p, out=block)
-                basis[piv[r0:r0 + step]] = block
+                basis[piv[blk]] = block
         return Kernel(basis, free)
 
     # -- serialization ---------------------------------------------------

@@ -11,7 +11,7 @@ reduction).  The heads of a resolution step at every p, 2 included,
 the positions where vectors of ker x first become nonzero, come from
 ``heads_u8`` with no row reduction: a triangular solve on one row per
 last-nonzero position, one product per dependency level, checked in
-every round.  A round reads its rows' nonzero pattern once, a chunk at
+every round.  A round reads its rows' nonzero pattern once, a block at
 a time, for both the nonzero rows and their last nonzero positions.
 Kernel bases are read off a row echelon form by
 :meth:`coclass.fpmat.FpMatrix.kernel`, whose free rows are the
@@ -34,11 +34,16 @@ Conventions shared by all kernels:
     positions fixed by the row space; both are unique, so they do not
     depend on pivot-row choice, block size or BLAS threading.
 
-Float products go a block of rows at a time, each float block near
-``_CHUNK_ENTRIES`` entries, so no product makes a second full-size float
-array: ``rref_u8`` holds one float copy of its input, ``matmul_u8`` one
-of its right operand only, and ``annihilates_u8`` (the top-degree kernel
-check of a resolution) none.
+One block policy bounds every pass that reads a full-size array in
+pieces: ``row_blocks`` splits the rows evenly into the fewest blocks of
+at most ``_CHUNK_ENTRIES`` entries each (``_TABLE_BLOCK`` for the group
+table passes of :mod:`coclass.resolution`), and every such pass of the
+package, here and in :mod:`coclass.fpmat` and :mod:`coclass.resolution`,
+takes its blocks from it.  So no float product makes a second full-size
+float array: ``rref_u8`` holds one float copy of its input,
+``matmul_u8`` one of its right operand only, and ``annihilates_u8`` (the
+top-degree kernel check of a resolution) none.  Whether an update writes
+every row or only the rows it hits is one rule too (``_touched``).
 
 BLAS threads: ``rref_u8``, ``heads_u8``, ``matmul_u8`` and
 ``annihilates_u8`` make many small float products, and between them an
@@ -71,9 +76,10 @@ USE_NUMBA = False
 _PANEL = 64
 # Rows per chunk when _panel_basis reads the not-yet-pivot rows of a panel.
 _CHUNK = 64
-# Entries per chunk when heads_u8 and _end_solve read rows of their input,
-# and per float block of a product (rref_u8's update, matmul_u8,
-# annihilates_u8); bytes per table block and per gather of matmul_b2.
+# Entries per block of row_blocks, the one block policy: per float block of
+# a product (rref_u8's update, matmul_u8, annihilates_u8) and per block of
+# rows that heads_u8, _end_solve, fpmat and resolution read; bytes per
+# table block and per gather of matmul_b2.
 _CHUNK_ENTRIES = 1 << 19
 # Entries of the largest operand from which a kernel call keeps its BLAS
 # threads; smaller calls run on one.  On inputs captured from the order-729
@@ -166,6 +172,35 @@ def _mod(x, p):
     return q
 
 
+def row_blocks(rows, width, entries=None):
+    """The fewest evenly split blocks of ``rows`` in which each block holds
+    at most ``entries`` entries (``_CHUNK_ENTRIES`` when None, read at the
+    call) of ``width`` each: blocks of at most max(1, entries // width)
+    rows, a width of 0 counting as 1.
+
+    ``rows`` is a row count, whose blocks are slices of range(rows), or an
+    index array, whose blocks are its pieces; either kind indexes an array
+    in order.  Every entry-sized pass of the package takes its blocks here.
+    """
+    count = isinstance(rows, (int, np.integer))
+    n = rows if count else len(rows)
+    if n == 0:
+        return
+    cap = max(1, (_CHUNK_ENTRIES if entries is None else entries) // max(width, 1))
+    step = -(-n // -(-n // cap))
+    for r0 in range(0, n, step):
+        block = slice(r0, min(r0 + step, n))
+        yield block if count else rows[block]
+
+
+def _touched(hit, rows):
+    """The rows that an update of ``rows`` rows writes when its multipliers
+    are nonzero on the rows ``hit``: every row (``slice(None)``) when more
+    than half of them are hit, where whole rows cost less than a gather and
+    a scatter, and otherwise ``hit``."""
+    return slice(None) if hit.size > rows // 2 else hit
+
+
 def _rref_small(work, p, width):
     """Unblocked in-place Gauss–Jordan elimination of a small int32
     matrix of residues mod p, pivoting on its first ``width`` columns.
@@ -200,10 +235,9 @@ def _rref_small(work, p, width):
             row %= p
         col[r] = 0
         hit = col.nonzero()[0]
-        if hit.size > rows // 2:
-            work[:, c:] -= col[:, None] * row
-        elif hit.size:
-            work[hit, c:] -= col[hit, None] * row
+        if hit.size:
+            t = _touched(hit, rows)
+            work[t, c:] -= col[t, None] * row
         free[r] = False
         pivots.append(c)
         prow.append(r)
@@ -285,13 +319,13 @@ def rref_u8(a, p):
     T = M^-1 for M the k x k block of those rows and columns; T @ M = I
     is checked (AssertionError otherwise).  X = T A[pivot rows, c0:] mod
     p replaces the pivot rows, and every other row gets
-    A[:, c0:] -= A[:, pivot cols] @ X, one GEMM per block of rows whose
-    product has about ``_CHUNK_ENTRIES`` entries, so the update makes no
-    second full-size float array (over the rows with a nonzero multiplier
-    only, when those are at most half).  Rows are
-    never swapped: the pivot rows are gathered in pivot order at the end,
-    ``_PANEL`` rows at a time so the final reduction needs no full-size
-    temporary, and every other row has reduced to zero.
+    A[:, c0:] -= A[:, pivot cols] @ X, one GEMM per block of
+    ``row_blocks``, so the update makes no second full-size float array
+    (over the rows with a nonzero multiplier only, when ``_touched`` says
+    so).  Rows are never swapped: the pivot rows are gathered in pivot
+    order at the end, at most ``_PANEL`` rows at a time so the final
+    reduction needs no full-size temporary, and every other row has
+    reduced to zero.
 
     Reduction is delayed: only the panel, the pivot columns and X are
     reduced mod p.  Each update subtracts at most k (p-1)^2 from an entry,
@@ -320,22 +354,16 @@ def rref_u8(a, p):
         x = _mod(t @ _mod(work[prow, c0:], p), p)
         lhs = _mod(work[:, pcol], p)
         hit = np.flatnonzero(lhs.any(axis=1))
-        step = max(1, _CHUNK_ENTRIES // (cols - c0))
-        if hit.size > rows // 2:
-            for r0 in range(0, rows, step):
-                work[r0:r0 + step, c0:] -= lhs[r0:r0 + step] @ x
-        else:
-            for r0 in range(0, hit.size, step):
-                rows_hit = hit[r0:r0 + step]
-                work[rows_hit, c0:] -= lhs[rows_hit] @ x
+        for blk in row_blocks(hit if _touched(hit, rows) is hit else rows, cols - c0):
+            work[blk, c0:] -= lhs[blk] @ x
         work[prow, c0:] = x
         is_pivot_row[prow] = True
         pivot_rows.extend(prow.tolist())
         pivot_cols.extend(pcol.tolist())
     rank = len(pivot_rows)
-    for r0 in range(0, rank, _PANEL):
-        chunk = pivot_rows[r0:r0 + _PANEL]
-        a[r0:r0 + len(chunk)] = _mod(work[chunk], p)
+    pivot_rows = np.asarray(pivot_rows, dtype=np.intp)
+    for blk in row_blocks(rank, 1, entries=_PANEL):
+        a[blk] = _mod(work[pivot_rows[blk]], p)
     a[rank:] = 0
     return np.asarray(pivot_cols, dtype=np.int64)
 
@@ -366,8 +394,8 @@ def heads_u8(x, p):
     construction, that proves the round's reduction, so the result is
     exact whatever the solve did.  Products run in BLAS in the dtype of
     ``_float_dtype(k, p)``: factors are residues and the inner dimension
-    is at most k.  x is read in place a chunk of ``_CHUNK_ENTRIES`` at a
-    time: one ``x != 0`` per chunk gives both its nonzero rows and their
+    is at most k.  x is read in place a block of ``row_blocks`` at a
+    time: one ``x != 0`` per block gives both its nonzero rows and their
     ends, the product reads the nonzero rows only, a round makes no copy
     of x, and M is kept in uint8.
     """
@@ -385,9 +413,8 @@ def heads_u8(x, p):
         cand = np.setdiff1d(np.arange(k), ends, assume_unique=True)
         b = _end_solve(x, live[first], ends, cand, p, neg_inv)
         xb = np.empty((live.size, cand.size), dtype=np.uint8)
-        step = max(1, _CHUNK_ENTRIES // k)
-        for r0 in range(0, live.size, step):
-            xb[r0:r0 + step] = _mod(x[live[r0:r0 + step]].astype(dt) @ b, p)
+        for blk in row_blocks(live.size, k):
+            xb[blk] = _mod(x[live[blk]].astype(dt) @ b, p)
         if xb[first].any():
             raise AssertionError("triangular solve does not vanish on its rows")
         # the rows of L are zero in M, so the next round drops them
@@ -399,17 +426,16 @@ def heads_u8(x, p):
 def _row_ends(x):
     """``(rows, ends)``: the nonzero rows of the uint8 matrix x, ascending,
     and the last nonzero position of each, both from one ``x != 0`` per
-    chunk of ``_CHUNK_ENTRIES`` entries.  x has at least one row and one
+    block of ``row_blocks``.  x has at least one row and one
     column."""
     k = x.shape[1]
-    step = max(1, _CHUNK_ENTRIES // k)
     rows, ends = [], []
-    for r0 in range(0, x.shape[0], step):
-        nz = x[r0:r0 + step] != 0
+    for blk in row_blocks(x.shape[0], k):
+        nz = x[blk] != 0
         last = k - 1 - nz[:, ::-1].argmax(axis=1)
         # a zero row's argmax is 0, the last position, which it misses
         hit = np.flatnonzero(nz[np.arange(nz.shape[0]), last])
-        rows.append(r0 + hit)
+        rows.append(blk.start + hit)
         ends.append(last[hit])
     return np.concatenate(rows), np.concatenate(ends)
 
@@ -424,7 +450,7 @@ def _end_solve(x, keep, ends, cand, p, neg_inv):
     one product: B[ends] = -(rows @ B mod p) / pivot, reduced before it
     is scaled so that the float stays exact.  The rows of B at ends of
     the level and above are still zero, and no row of the level reads
-    them.  The pattern is read ``_CHUNK_ENTRIES`` entries at a time, as a
+    them.  The pattern is read a block of ``row_blocks`` at a time, as a
     gather of rows of ``x`` and then a take of their columns at the ends,
     and stored transposed (``reads[j, i]``: row i reads end j), so that a
     level's update sums whole rows of it.
@@ -434,9 +460,8 @@ def _end_solve(x, keep, ends, cand, p, neg_inv):
     b[cand, np.arange(cand.size)] = 1
     scale = neg_inv[x[keep, ends]][:, None]
     reads = np.empty((ends.size, ends.size), dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // x.shape[1])
-    for r0 in range(0, ends.size, step):
-        reads[:, r0:r0 + step] = x[keep[r0:r0 + step]].take(ends, axis=1).T != 0
+    for blk in row_blocks(ends.size, x.shape[1]):
+        reads[:, blk] = x[keep[blk]].take(ends, axis=1).T != 0
     np.fill_diagonal(reads, False)
     waiting = reads.sum(axis=0)  # ends each row reads that are not solved yet
     ready = np.flatnonzero(waiting == 0)
@@ -460,18 +485,17 @@ def matmul_u8(a, b, p):
     ``_float_dtype`` picks for the inner dimension: float32 up to
     (2^24 - p) / (p-1)^2 terms (4.19M at p = 3, 268 at p = 251), float64
     up to about 1.4e11 at p <= 251.  ``b`` is converted once; ``a`` is
-    converted and multiplied a block of rows at a time, with blocks of
-    ``a`` and of the float result near ``_CHUNK_ENTRIES`` entries, and
-    each block is reduced into the uint8 result, so no full-size float
-    copy of ``a`` or of the result is made.
+    converted and multiplied a block of ``row_blocks`` at a time, with
+    blocks of ``a`` and of the float result within ``_CHUNK_ENTRIES``
+    entries, and each block is reduced into the uint8 result, so no
+    full-size float copy of ``a`` or of the result is made.
     """
     rows, inner = a.shape
     dt = _float_dtype(inner, p)
     bf = b.astype(dt)
     out = np.empty((rows, b.shape[1]), dtype=np.uint8)
-    step = max(1, _CHUNK_ENTRIES // max(inner, b.shape[1], 1))
-    for r0 in range(0, rows, step):
-        out[r0:r0 + step] = _mod(a[r0:r0 + step].astype(dt) @ bf, p)
+    for blk in row_blocks(rows, max(inner, b.shape[1])):
+        out[blk] = _mod(a[blk].astype(dt) @ bf, p)
     return out
 
 
@@ -485,22 +509,19 @@ def annihilates_u8(a, basis, free, p):
     instead of rows(a) (|R| + k) k.  It runs in BLAS in the dtype of
     ``_float_dtype(|R| + 1, p)`` (|R| products and one entry of a per
     sum), a block of rows of ``a`` at a time, each converted once, times
-    blocks of columns of ``basis[R]``; every float block has at most
-    ``_CHUNK_ENTRIES`` entries, and the check stops at the first block
-    with a nonzero entry.
+    blocks of columns of ``basis[R]``, both from ``row_blocks``; every
+    float block has at most ``_CHUNK_ENTRIES`` entries, and the check
+    stops at the first block with a nonzero entry.
     """
     rest = np.setdiff1d(np.arange(basis.shape[0]), free, assume_unique=True)
     dt = _float_dtype(rest.size + 1, p)
-    # rows split evenly into the fewest blocks of at most _CHUNK_ENTRIES
-    blocks = -(-a.shape[0] // max(1, _CHUNK_ENTRIES // max(rest.size, 1)))
-    step = max(1, -(-a.shape[0] // max(blocks, 1)))
-    width = max(1, _CHUNK_ENTRIES // max(rest.size, step))
-    for r0 in range(0, a.shape[0], step):
-        rows = a[r0:r0 + step]
+    for blk in row_blocks(a.shape[0], rest.size):
+        rows = a[blk]
         lhs = rows[:, rest].astype(dt)
-        for c0 in range(0, free.size, width):
-            prod = lhs @ basis[rest, c0:c0 + width].astype(dt)
-            prod += rows[:, free[c0:c0 + width]]
+        # the columns of basis[R] and of the product in blocks too
+        for c in row_blocks(free.size, max(rest.size, len(rows))):
+            prod = lhs @ basis[rest, c].astype(dt)
+            prod += rows[:, free[c]]
             if _mod(prod, p).any():
                 return False
     return True
@@ -633,11 +654,8 @@ def rref_b2(w, ncols):
             by_bit[t] = mask
         _xor_table(combo, by_bit)
         sel = combo[strip]
-        hit = np.flatnonzero(sel)
-        if hit.size > rows // 2:
-            w[:, w0:] ^= tab[sel]
-        else:
-            w[hit, w0:] ^= tab[sel[hit]]
+        t = _touched(np.flatnonzero(sel), rows)
+        w[t, w0:] ^= tab[sel[t]]
         end = rank + len(src)
         movers = [r for r in range(rank, end) if r not in src]
         if movers:
@@ -660,25 +678,27 @@ def matmul_b2(aw, bw, a_cols):
     The runs go a block at a time: the block's tables are built together,
     one doubling XOR per bit over a (runs, 256, nw) array, and each chunk
     of output rows gathers its entries as one (runs, rows, nw) array and
-    XORs them together by one reduction.  Both arrays stay near
-    ``_CHUNK_ENTRIES`` bytes whatever the shape, so a wide product, whose
-    single run would fill that much, still works in cache-sized pieces.
+    XORs them together by one reduction.  Both sets of blocks come from
+    ``row_blocks``, so each array stays within ``_CHUNK_ENTRIES`` bytes
+    whenever one run's table fits, and a wide product still works in
+    cache-sized pieces.
     """
     rows, nw = aw.shape[0], bw.shape[1]
     out = np.zeros((rows, nw), dtype=np.uint64)
     if rows == 0 or a_cols == 0 or nw == 0:
         return out
     strips = _row_bytes(aw, a_cols).T
-    runs, words = len(strips), _CHUNK_ENTRIES // 8
-    step = min(runs, max(1, words // (256 * max(nw, 1))))
-    chunk = max(1, words // (step * max(nw, 1)))
+    words = _CHUNK_ENTRIES // 8
+    run_blocks = list(row_blocks(len(strips), 256 * nw, words))
+    step = run_blocks[0].stop  # no block has more runs
+    row_chunks = list(row_blocks(rows, step * nw, words))
     table = np.zeros((step, 256, nw), dtype=np.uint64)
     flat = table.reshape(-1, nw)
     # entry b of the block's run j is row 256 j + b of the flat tables
     offset = np.arange(0, 256 * step, 256)[:, None]
-    for r0 in range(0, runs, step):
-        n = min(step, runs - r0)
-        src = bw[8 * r0:8 * (r0 + n)]
+    for run in run_blocks:
+        n = run.stop - run.start
+        src = bw[8 * run.start:8 * run.stop]
         if len(src) < 8 * n:
             # a short last run gets zero rows, which its bytes never
             # select: their tail bits are zero
@@ -687,7 +707,7 @@ def matmul_b2(aw, bw, a_cols):
         for t in range(8):
             np.bitwise_xor(table[:n, :1 << t], src[:, t],
                            out=table[:n, 1 << t:2 << t])
-        for i0 in range(0, rows, chunk):
-            idx = strips[r0:r0 + n, i0:i0 + chunk] + offset[:n]
-            out[i0:i0 + chunk] ^= np.bitwise_xor.reduce(flat.take(idx, axis=0), axis=0)
+        for chunk in row_chunks:
+            idx = strips[run, chunk] + offset[:n]
+            out[chunk] ^= np.bitwise_xor.reduce(flat.take(idx, axis=0), axis=0)
     return out

@@ -49,8 +49,8 @@ from .spacegroup import SpaceGroupParams, b3r, quotient_group
 RESOLUTION_ORDER_BUDGET = 729
 RESOLUTION_MATRIX_BUDGET = 20000
 CACHE_VERSION = 5
-# Entries per block when the group table is certified and when boundary
-# rows are gathered from it.
+# Entries per block (kernels.row_blocks) when the group table is certified
+# and when boundary rows are gathered from it.
 _TABLE_BLOCK = 1 << 16
 
 
@@ -68,10 +68,7 @@ class GroupAlgebraContext:
     __slots__ = ("p", "m", "gens", "gather")
 
     def __init__(self, group, table=None, budget=RESOLUTION_ORDER_BUDGET):
-        if budget is not None and group.order > budget:
-            raise BudgetError(
-                f"group order {group.order} exceeds resolution budget {budget}",
-                order=group.order, budget=budget)
+        _check_order(group, budget)
         p = group.p
         if not any(p ** k == group.order for k in range(group.order.bit_length())):
             raise ValueError(f"order {group.order} is not a power of p={p}")
@@ -83,6 +80,15 @@ class GroupAlgebraContext:
         self.gens = tuple(table.index[table.generators[k]] for k in ks)
         self.gather = _group_tables(group, table, ks)
         _certify_gather(self.gather, table, ks)
+
+
+def _check_order(group, budget):
+    """Raise BudgetError if the order of ``group`` exceeds the resolution
+    ``budget`` (None for no budget)."""
+    if budget is not None and group.order > budget:
+        raise BudgetError(
+            f"group order {group.order} exceeds resolution budget {budget}",
+            order=group.order, budget=budget)
 
 
 def _group_tables(group, table, ks):
@@ -129,8 +135,9 @@ def _certify_gather(gather, table, ks):
     puts it first), and inv(c) = gather[e, c], the checks are
     (Inv) row e is a permutation: one sort of m entries;
     (A) gather[r*s] = right_s[gather[r]] for every r and s in S, i.e.
-        x(rs) = (xr)s: |S| m^2 entries, read in blocks of about
-        ``_TABLE_BLOCK`` entries, so the temporaries stay that small;
+        x(rs) = (xr)s: |S| m^2 entries, read in blocks of rows of at most
+        ``_TABLE_BLOCK`` entries (:func:`kernels.row_blocks`), so the
+        temporaries stay that small;
     (I) the diagonal is e, i.e. inv(r)*r = e: O(m);
     (X) gather[a*g_k, a] = g_k for every a and every table generator g_k,
         i.e. a^-1 (a g_k) = g_k: one comparison of m entries per generator.
@@ -157,24 +164,23 @@ def _certify_gather(gather, table, ks):
     which is equivariance, certified once per group instead of once per
     boundary.  :func:`_assemble_boundary` puts vecs[b*m + gather[r, c], t]
     at (b*m + r, t*m + c), and left translation by g moves row b*m + r to
-    b*m + gather[r, g] and column t*m + c to t*m + gather[c, g] (the
-    permutations of :func:`_translations`), so the translated entry is
-    the entry itself: every boundary assembled from any generator columns
-    is an F_p[G]-map, and its kernel a submodule.
+    b*m + gather[r, g] and column t*m + c to t*m + gather[c, g], so the
+    translated entry is the entry itself: every boundary assembled from
+    any generator columns is an F_p[G]-map, and its kernel a submodule.
     """
     m = len(gather)
     e = 0
     if not np.array_equal(np.sort(gather[e]), np.arange(m)):
         raise AssertionError("row e of gather (the inverses) is not a permutation")
-    # each comparison gathers two blocks, so each takes half the entries
-    half = max(1, min(m, _TABLE_BLOCK // (2 * m)))
-    lhs = np.empty((half, m), dtype=gather.dtype)
+    # each comparison gathers two blocks of rows, so a row holds 2m entries
+    blocks = list(kernels.row_blocks(m, 2 * m, _TABLE_BLOCK))
+    lhs = np.empty((blocks[0].stop, m), dtype=gather.dtype)  # no block is longer
     rhs = np.empty_like(lhs)
     for col in table.right[ks]:
-        for r0 in range(0, m, half):
-            n = min(half, m - r0)
-            np.take(gather, col[r0:r0 + n], axis=0, out=lhs[:n], mode="clip")
-            np.take(col, gather[r0:r0 + n], out=rhs[:n], mode="clip")
+        for blk in blocks:
+            n = blk.stop - blk.start
+            np.take(gather, col[blk], axis=0, out=lhs[:n], mode="clip")
+            np.take(col, gather[blk], out=rhs[:n], mode="clip")
             if not np.array_equal(lhs[:n], rhs[:n]):
                 raise AssertionError("x*(r*s) != (x*r)*s for a generator s in S")
     if (np.diagonal(gather) != e).any():
@@ -385,15 +391,15 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         top = n == max_degree - 1
         if top:
             _check_top_kernel(cur, kd, free, n)
-        perms = _translations(ctx, ctx.gens, beta_n)
-        # row j of block g: (g-1)e_j in K-coordinates, filled a block at a
-        # time: one C-contiguous matrix, no full-size copy
-        rad = np.empty((len(perms), k, k), dtype=np.uint8)
-        step = max(1, kernels._CHUNK_ENTRIES // kd.shape[0])
-        for g, perm in enumerate(perms):
-            src = perm[free]
-            for c0 in range(0, k, step):
-                rad[g, :, c0:c0 + step] = kd[src[c0:c0 + step]].T
+        # row j of block g: (g-1)e_j in K-coordinates, i.e. g K_j at the
+        # rows F less e_j, where (g v)[b*m + r] = v[b*m + gather[r, g]];
+        # filled a block of columns at a time: one C-contiguous matrix, no
+        # full-size copy
+        rad = np.empty((len(ctx.gens), k, k), dtype=np.uint8)
+        for g, gen in enumerate(ctx.gens):
+            src = (free // m) * m + ctx.gather[free % m, gen]
+            for blk in kernels.row_blocks(k, k):
+                rad[g, :, blk] = kd[src[blk]].T
         diag = np.arange(k)
         rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
         sel = kernels.heads_u8(rad.reshape(-1, k), p)
@@ -411,23 +417,16 @@ def _check_top_kernel(cur, kd, free, n):
     on its rows ``free`` and ``cur`` = d_n[F] vanishes on it.
 
     The identity is read as kd[free[j], j] = 1 for every j and exactly
-    k nonzero entries in the rows ``free``, counted in blocks of about
-    ``kernels._CHUNK_ENTRIES`` entries.  Then
+    k nonzero entries in the rows ``free``, counted a block of rows at a
+    time (:func:`kernels.row_blocks`).  Then
     d_n[F] K = d_n[F][:, rest] K[rest] + d_n[F][:, free], which
     :meth:`FpMatrix.annihilates` takes without the identity rows."""
     k = len(free)
-    step = max(1, kernels._CHUNK_ENTRIES // max(k, 1))
-    ones = sum(np.count_nonzero(kd[free[c0:c0 + step]]) for c0 in range(0, k, step))
+    ones = sum(np.count_nonzero(kd[rows]) for rows in kernels.row_blocks(free, k))
     if ones != k or (kd[free, np.arange(k)] != 1).any():
         raise AssertionError("top kernel basis is not the identity on its free rows")
     if not cur.annihilates(kd, free):
         raise AssertionError(f"top kernel is not inside ker d_{n}")
-
-
-def _translations(ctx, gens, beta):
-    """Left translation by each g in ``gens`` on beta blocks of |G| rows:
-    perm[b*m + r] = b*m + index of g^-1 * r."""
-    return [(np.arange(beta)[:, None] * ctx.m + ctx.gather[:, g]).ravel() for g in gens]
 
 
 def _certified_columns(ctx, prev, vecs):
@@ -452,20 +451,18 @@ def _assemble_boundary(ctx, vecs, rows=None):
     vecs[:, t], so entry (b*m + r, t*m + c) is vecs[b*m + gather[r, c], t].
     The rows are gathered a chunk at a time into their final layout, so
     that layout is the one full-size array (the matrix's own data at odd
-    p, packed for p = 2), and the index and gathered chunks stay near
-    ``_TABLE_BLOCK`` entries.  Entries of ``vecs`` are residues, as
-    columns of a kernel basis or of a range-checked ``.fpmx`` file, so
-    the odd-p layout is wrapped as it is, with no range check and no
-    copy."""
+    p, packed for p = 2), and the index and gathered chunks stay within
+    ``_TABLE_BLOCK`` entries (:func:`kernels.row_blocks`).  Entries of
+    ``vecs`` are residues, as columns of a kernel basis or of a
+    range-checked ``.fpmx`` file, so the odd-p layout is wrapped as it
+    is, with no range check and no copy."""
     m = ctx.m
     cols = vecs.shape[1]
     rows = np.arange(vecs.shape[0]) if rows is None else np.asarray(rows)
     block, r = np.divmod(rows, m)
     vt = np.ascontiguousarray(vecs.T)
     out = np.empty((len(rows), cols, m), dtype=np.uint8)
-    step = max(1, _TABLE_BLOCK // m)
-    for i in range(0, len(rows), step):
-        j = slice(i, i + step)
+    for j in kernels.row_blocks(len(rows), m, _TABLE_BLOCK):
         # idx[i, c] = b*m + gather[r, c] for row i = b*m + r
         idx = ctx.gather[r[j]] + block[j, None] * m
         out[j] = vt.take(idx, axis=1).transpose(1, 0, 2)
@@ -658,7 +655,10 @@ def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
     explicit order-3^r models (r = 3 .. 3 + i_max) instead; they have
     p = 3, x = 1, and ``params`` is not read (callers pass None).  The
     degree is never truncated silently: budget overruns raise, tagged with
-    the failing level."""
+    the failing level.  Every level's group is built and its order checked
+    against ``budget_order``, in level order, before any level is
+    resolved, so a family with an over-budget level resolves and caches
+    nothing."""
     if family not in (None, "b3r"):
         raise ValueError(f"unknown family {family!r}")
     if i_max < 0:
@@ -666,17 +666,20 @@ def verify_theorem(params, i_max, max_degree, *, family=None, cache_dir=None,
             f"r_max = {3 + i_max} < 3" if family == "b3r" else f"i_max = {i_max} < 0"))
     if family == "b3r":
         params = SpaceGroupParams(3, 1)
-    levels = []
-    for i in range(i_max + 1):
-        try:
-            group = b3r(3 + i) if family == "b3r" else quotient_group(params, i)
+    groups, levels = [], []
+    try:
+        for i in range(i_max + 1):
+            groups.append(b3r(3 + i) if family == "b3r" else quotient_group(params, i))
+            _check_order(groups[-1], budget_order)
+        for i, group in enumerate(groups):
             betti = betti_numbers(group, max_degree, cache_dir=cache_dir,
                                   budget_order=budget_order,
                                   budget_matrix=budget_matrix)
-        except BudgetError as exc:
-            raise BudgetError(f"level {i}: {exc}",
-                              **{**exc.context, "level": i}) from exc
-        levels.append({"i": i, "order": group.order, "betti": betti})
+            levels.append({"i": i, "order": group.order, "betti": betti})
+    except BudgetError as exc:
+        # i is the level that raised, in either loop
+        raise BudgetError(f"level {i}: {exc}",
+                          **{**exc.context, "level": i}) from exc
     all_equal = all(lv["betti"] == levels[0]["betti"] for lv in levels)
     return {
         "identity": "theorem",

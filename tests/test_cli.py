@@ -130,6 +130,15 @@ def test_budget_exit_code(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_theorem_refuses_an_over_budget_level_before_it_resolves(capsys, tmp_path):
+    code, out, err = run(capsys, ["theorem", "--p", "3", "--x", "1", "--i-max", "4",
+                                  "--max-degree", "3", "--cache-dir", str(tmp_path)])
+    assert (code, out) == (3, "")
+    assert err == "error: level 4: group order 2187 exceeds resolution budget 729\n"
+    code, out, _ = run(capsys, ["cache", "list", "--cache-dir", str(tmp_path)])
+    assert (code, json.loads(out)["entries"]) == (0, [])
+
+
 def test_cache_list_and_clear(capsys, tmp_path):
     run(capsys, ["betti", "--p", "2", "--x", "1", "--i", "0", "--max-degree",
                  "3", "--cache-dir", str(tmp_path)])

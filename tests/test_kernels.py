@@ -676,3 +676,47 @@ def test_rref_b2_degenerate_shapes():
         red, piv = m.rref()
         assert piv == () and red == m
     assert_rref_b2_matches_oracle(np.ones((1, 1), dtype=np.uint8))
+
+
+def _blocks_of(rows, width, entries=None):
+    """The blocks of ``row_blocks`` as index arrays over range(rows) (for a
+    count) or as pieces of the array ``rows``."""
+    blocks = list(kernels.row_blocks(rows, width, entries))
+    if isinstance(rows, int):
+        assert all(isinstance(b, slice) for b in blocks)
+        return [np.arange(rows)[b] for b in blocks]
+    assert all(isinstance(b, np.ndarray) for b in blocks)
+    return blocks
+
+
+@pytest.mark.parametrize("entries", [None, 1, 7, 64, 1000])
+def test_row_blocks_cover_each_row_once_in_the_fewest_even_blocks(entries):
+    budget = kernels._CHUNK_ENTRIES if entries is None else entries
+    for n in (0, 1, 2, 5, 63, 64, 65, 1000, 5000):
+        for width in (0, 1, 3, 8, 64, 100, 5000):
+            cap = max(1, budget // max(width, 1))
+            index = np.arange(n)[::-1] * 3
+            for rows, want in ((n, np.arange(n)), (index, index)):
+                blocks = _blocks_of(rows, width, entries)
+                got = np.concatenate(blocks) if blocks else np.zeros(0, int)
+                assert np.array_equal(got, want)
+                assert len(blocks) == -(-n // cap)
+                sizes = [len(b) for b in blocks]
+                assert all(0 < s <= cap for s in sizes)
+                # evenly split: every block but the last has the same size
+                assert len(set(sizes[:-1])) <= 1 and sizes[-1:] <= sizes[:1]
+
+
+def test_row_blocks_read_the_block_size_at_the_call(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 10)
+    assert [len(b) for b in _blocks_of(11, 5)] == [2] * 5 + [1]
+    assert [len(b) for b in _blocks_of(11, 5, 30)] == [6, 5]
+    assert [len(b) for b in _blocks_of(np.arange(4), 0)] == [4]
+
+
+def test_update_rule_touches_every_row_only_when_most_are_hit():
+    for rows, hits, every in ((10, 5, False), (10, 6, True), (11, 5, False),
+                              (11, 6, True), (1, 1, True), (1, 0, False)):
+        hit = np.arange(hits)
+        touched = kernels._touched(hit, rows)
+        assert (touched == slice(None)) if every else (touched is hit)

@@ -21,7 +21,7 @@ from _oracles import (
     naive_mul_table,
     reference_gather_certificate,
 )
-from coclass import resolution
+from coclass import kernels, resolution
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
 from coclass.groups import ElementTable, enumerate_group
@@ -1409,9 +1409,10 @@ def test_resumed_top_with_a_smaller_image_is_not_exact(tmp_path):
     # with d_2 d_3 = 0 and entries in the augmentation ideal, but its image
     # is smaller than ker d_2, which the rank comparison at degree 3 sees
     def shrink(top, ctx):
-        beta = top.shape[0] // ctx.m
-        perm = resolution._translations(
-            ctx, _table_generator_indices(b3r(3))[:1], beta)[0]
+        # left translation by g: perm[b*m + r] = b*m + index of g^-1 * r
+        g = _table_generator_indices(b3r(3))[0]
+        rows = np.arange(top.shape[0])
+        perm = (rows // ctx.m) * ctx.m + ctx.gather[rows % ctx.m, g]
         top[:, 5] = (top[perm, 5].astype(np.int16) - top[:, 5]) % ctx.p
 
     with pytest.raises(AssertionError, match="not exact at degree 2"):
@@ -1566,6 +1567,47 @@ def test_cross_model_betti_agreement():
         a = betti_numbers(quotient_group(SpaceGroupParams(3, 1), i), 4)
         b = betti_numbers(b3r(3 + i), 4)
         assert a == b
+
+
+def _entry_files(cache_dir):
+    """Every file of every entry under ``cache_dir``, by relative path."""
+    return {str(path.relative_to(cache_dir)): path.read_bytes()
+            for path in sorted(cache_dir.glob("*/*"))}
+
+
+@pytest.mark.parametrize("group, degrees", [
+    (b3r(4), [5]),
+    (quotient_group(SpaceGroupParams(2, 2), 2), [6]),
+    (quotient_group(SpaceGroupParams(2, 2), 2), [4, 6]),
+], ids=["b3r4", "p2x2-cold", "p2x2-resumed"])
+def test_small_blocks_write_the_same_entries(group, degrees, tmp_path, monkeypatch):
+    # 64 entries per block: every blocked pass (the elimination's update,
+    # the kernel basis, the radical fill, the head solve, the top-kernel
+    # count and product, the table certificate and the boundary assembly)
+    # runs over many blocks, and the entry written is byte for byte the one
+    # that the default blocks write cold
+    betti_numbers(group, degrees[-1], cache_dir=str(tmp_path / "default"))
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(resolution, "_TABLE_BLOCK", 64)
+    for degree in degrees:
+        betti_numbers(group, degree, cache_dir=str(tmp_path / "small"))
+    default = _entry_files(tmp_path / "default")
+    assert len(default) == degrees[-1] + 1
+    assert _entry_files(tmp_path / "small") == default
+
+
+def test_verify_theorem_refuses_an_over_budget_level_before_resolving(tmp_path, monkeypatch):
+    # levels 0-3 are within the budget, level 4 (order 2187) is not: the
+    # family is refused before any level is resolved or cached
+    calls = []
+    monkeypatch.setattr(resolution, "minimal_resolution",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(BudgetError) as info:
+        verify_theorem(SpaceGroupParams(3, 1), 4, 3, cache_dir=str(tmp_path))
+    assert str(info.value) == "level 4: group order 2187 exceeds resolution budget 729"
+    assert info.value.context == {"order": 2187, "budget": 729, "level": 4}
+    assert calls == []
+    assert list_cache(str(tmp_path)) == [] and list(tmp_path.iterdir()) == []
 
 
 def test_verify_theorem_budget_annotates_level():
