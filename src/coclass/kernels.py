@@ -13,6 +13,10 @@ the positions where vectors of ker x first become nonzero, come from
 last-nonzero position, one product per dependency level, checked in
 every round.  A round reads its rows' nonzero pattern once, a block at
 a time, for both the nonzero rows and their last nonzero positions.
+``radical_heads`` runs the first round on the radical of a kernel K in
+factored form, a partial permutation plus K's rows at the translated
+pivot rows, read off K and the translated free rows, so the |S| k x k
+radical is never built; the rounds after it are ``heads_u8``'s.
 Kernel bases are read off a row echelon form by
 :meth:`coclass.fpmat.FpMatrix.kernel`, whose free rows are the
 elimination's non-pivot columns, with no rescan of the basis.  The
@@ -21,8 +25,9 @@ in strips of 8, one byte of each packed row, and XOR in rows from a
 256-entry Four-Russians table.
 
 Conventions shared by all kernels:
-  * odd-p matrices, and the input of ``heads_u8`` at any p, are
-    C-contiguous uint8 arrays of residues in [0, p);
+  * odd-p matrices, and the inputs of ``heads_u8`` and
+    ``radical_heads`` at any p, are C-contiguous uint8 arrays of
+    residues in [0, p);
   * GF(2) matrices are uint64 word arrays, column j living in bit j % 64
     of word j // 64, with unused tail bits always zero (table entries
     are XORs of such rows); ``_row_bytes`` and ``_row_words`` are the
@@ -30,9 +35,9 @@ Conventions shared by all kernels:
     in bit j % 8 of byte j // 8), the form that ``matmul_b2`` reads
     strips from and the .fpmx files of :mod:`coclass.fpmat` store;
   * rref_* operate in place and return the pivot column indices;
-  * results are reduced row echelon forms or, for ``heads_u8``, a set of
-    positions fixed by the row space; both are unique, so they do not
-    depend on pivot-row choice, block size or BLAS threading.
+  * results are reduced row echelon forms or, for the head kernels, a
+    set of positions fixed by the row space; both are unique, so they
+    do not depend on pivot-row choice, block size or BLAS threading.
 
 One block policy bounds every pass that reads a full-size array in
 pieces: ``row_blocks`` splits the rows evenly into the fewest blocks of
@@ -42,21 +47,26 @@ package, here and in :mod:`coclass.fpmat` and :mod:`coclass.resolution`,
 takes its blocks from it.  So no float product makes a second full-size
 float array: ``rref_u8`` holds one float copy of its input,
 ``matmul_u8`` one of its right operand only, and ``annihilates_u8`` (the
-top-degree kernel check of a resolution) none.  Whether an update writes
-every row or only the rows it hits is one rule too (``_touched``).
+top-degree kernel check of a resolution) and ``radical_heads`` none.
+Whether an update writes every row or only the rows it hits is one rule
+too (``_touched``).
 
-BLAS threads: ``rref_u8``, ``heads_u8``, ``matmul_u8`` and
-``annihilates_u8`` make many small float products, and between them an
-idle OpenBLAS worker thread spins, which nearly doubles the cpu time of
-a call for little gain in wall time.  So a call whose largest operand has fewer than
-``_THREADED_ENTRIES`` entries runs on one BLAS thread and restores the
-caller's thread count on exit, also when it raises; a larger call keeps
-the count it was entered with, because two threads still pay off there.
-The count is only ever lowered, so ``OPENBLAS_NUM_THREADS`` still caps
-it.  The library's own setter is found through ``ctypes`` among the
-process's mapped libraries at the first call that needs it; with no
-OpenBLAS found (MKL, Accelerate, a system without ``/proc/self/maps``)
-the policy does nothing.  The count is global to the process, and the
+BLAS threads: ``rref_u8``, ``heads_u8``, ``radical_heads``,
+``matmul_u8`` and ``annihilates_u8`` make many small float products, and
+between them an idle OpenBLAS worker thread spins, which nearly doubles
+the cpu time of a call for little gain in wall time.  So a call whose
+largest operand has fewer than ``_THREADED_ENTRIES`` entries runs on one
+BLAS thread and restores the caller's thread count on exit, also when it
+raises; a larger call keeps the count it was entered with, because two
+threads still pay off there.  ``radical_heads`` runs on one thread at
+any size: its products are over |I_p| columns, and its triangular solve
+is one small product per level, so a second thread costs more cpu than
+it saves wall (BENCH_factored_heads.json).  The count is only ever
+lowered, so ``OPENBLAS_NUM_THREADS`` still caps it.  The library's own
+setter is found through ``ctypes`` among the process's mapped libraries
+at the first call that needs it; with no OpenBLAS found (MKL,
+Accelerate, a system without ``/proc/self/maps``) the policy does
+nothing.  The count is global to the process, and the
 package calls its kernels from one thread only.
 """
 
@@ -77,9 +87,10 @@ _PANEL = 64
 # Rows per chunk when _panel_basis reads the not-yet-pivot rows of a panel.
 _CHUNK = 64
 # Entries per block of row_blocks, the one block policy: per float block of
-# a product (rref_u8's update, matmul_u8, annihilates_u8) and per block of
-# rows that heads_u8, _end_solve, fpmat and resolution read; bytes per
-# table block and per gather of matmul_b2.
+# a product (rref_u8's update, matmul_u8, annihilates_u8, the radical's
+# product) and per block of rows that heads_u8, _end_solve, the radical's
+# ends and rows, fpmat and resolution read; bytes per table block and per
+# gather of matmul_b2.
 _CHUNK_ENTRIES = 1 << 19
 # Entries of the largest operand from which a kernel call keeps its BLAS
 # threads; smaller calls run on one.  On inputs captured from the order-729
@@ -122,15 +133,17 @@ def _blas_threads():
     return ()
 
 
-def _small_on_one_thread(kernel):
-    """Run ``kernel`` on one BLAS thread when its largest array argument
-    has fewer than ``_THREADED_ENTRIES`` entries, restoring the thread
-    count it found on exit; otherwise leave the count alone."""
+def _on_one_thread(kernel, small_only=False):
+    """Run ``kernel`` on one BLAS thread, restoring the thread count it
+    found on exit; with ``small_only``, only when its largest array
+    argument has fewer than ``_THREADED_ENTRIES`` entries, and otherwise
+    leave the count alone."""
 
     @functools.wraps(kernel)
     def run(*args):
-        size = max(a.size for a in args if isinstance(a, np.ndarray))
-        threads = _blas_threads() if size < _THREADED_ENTRIES else ()
+        small = not small_only or max(
+            a.size for a in args if isinstance(a, np.ndarray)) < _THREADED_ENTRIES
+        threads = _blas_threads() if small else ()
         before = threads[0]() if threads else 1
         if before <= 1:
             return kernel(*args)
@@ -141,6 +154,11 @@ def _small_on_one_thread(kernel):
             threads[1](before)
 
     return run
+
+
+def _small_on_one_thread(kernel):
+    """``_on_one_thread`` for calls below ``_THREADED_ENTRIES`` only."""
+    return _on_one_thread(kernel, small_only=True)
 
 
 def _float_dtype(n, p):
@@ -401,26 +419,176 @@ def heads_u8(x, p):
     """
     pos = np.arange(x.shape[1])
     dt = _float_dtype(x.shape[1], p)
-    # -1/a mod p, indexed by the residue a
-    neg_inv = np.zeros(p, dtype=dt)
-    neg_inv[1:] = [p - pow(a, p - 2, p) for a in range(1, p)]
+    neg_inv = _neg_inv(p, dt)
     while pos.size and len(x):
         k = pos.size
         live, end = _row_ends(x)
         if live.size == 0:
             break
         ends, first = np.unique(end, return_index=True)
-        cand = np.setdiff1d(np.arange(k), ends, assume_unique=True)
+        cand = _others(k, ends)
         b = _end_solve(x, live[first], ends, cand, p, neg_inv)
         xb = np.empty((live.size, cand.size), dtype=np.uint8)
         for blk in row_blocks(live.size, k):
             xb[blk] = _mod(x[live[blk]].astype(dt) @ b, p)
-        if xb[first].any():
-            raise AssertionError("triangular solve does not vanish on its rows")
+        _check_solve(xb, first)
         # the rows of L are zero in M, so the next round drops them
         x = xb
         pos = pos[cand]
     return pos
+
+
+def _neg_inv(p, dt):
+    """-1/a mod p in dtype ``dt``, indexed by the residue a (0 at 0)."""
+    neg_inv = np.zeros(p, dtype=dt)
+    neg_inv[1:] = [p - pow(a, p - 2, p) for a in range(1, p)]
+    return neg_inv
+
+
+def _others(k, ends):
+    """The positions of range(k) outside ``ends``, ascending."""
+    mask = np.ones(k, dtype=bool)
+    mask[ends] = False
+    return np.flatnonzero(mask)
+
+
+def _check_solve(xb, first):
+    """Raise AssertionError unless the rows ``first`` of a round's product
+    M = (rows) B, the rows of L, are zero: L B = 0 mod p."""
+    if xb[first].any():
+        raise AssertionError("triangular solve does not vanish on its rows")
+
+
+@_on_one_thread
+def radical_heads(kd, free, srcs, p):
+    """``heads_u8(R, p)`` for the radical R of a kernel, without R.
+
+    ``kd`` is a uint8 basis K of a kernel, k columns, the identity on its
+    ascending free rows ``free`` (F), so a vector of K has its
+    K-coordinates at F.  ``srcs[g]`` are the rows F translated by a
+    generator g: translation sends row src_g[i] of a vector to row F[i].
+    R stacks, for each g, the k x k block R_g whose row j is (g-1)e_j in
+    K-coordinates, R_g[j, i] = K[src_g[i], j] - [i = j].
+
+    Most translated free rows are free rows: where src_g[i] = F[l], K
+    reads e_l there, and R_g[:, i] is e_l.  So R_g = Pi_g - I + D_g, with
+    Pi_g the partial permutation of those columns (``inv[l] = i``) and
+    D_g nonzero only on the other columns I_p (``ip``), where
+    D_g[:, I_p] = K[src_g[I_p]]^T.  This routine runs the first round of
+    :func:`heads_u8` on that form and never builds R (|S| k x k bytes):
+
+    * each row's end is read off Pi_g, the diagonal (-1, plus 1 where
+      inv[j] = j, plus K[src_j, j] where j is in I_p) and D_g
+      (``_radical_ends``);
+    * L, one row per end, is built dense (``_radical_rows``), at most
+      k x k bytes, and ``_end_solve`` solves it as in :func:`heads_u8`;
+    * R B = B[inv] + D_g^T B[I_p] - B for each g (``_radical_product``),
+      a product over |I_p| columns, not k, in float blocks of
+      ``row_blocks``; its rows of L must vanish, the same L B = 0
+      certificate as every round of :func:`heads_u8`, which then runs
+      the other rounds on the rest M.
+
+    The form needs K to be the identity on F; at the top degree of a
+    resolution :func:`coclass.resolution._check_top_kernel` certifies
+    that, and below it the next degree's rank comparison certifies the
+    boundary whatever its heads.  Every raw coefficient of R_g lies in
+    [-1, p-1], so R B has the bound k (p-1)^2 of a dense round and runs
+    in the dtype of ``_float_dtype(k, p)``.
+    """
+    k = free.size
+    if k == 0 or not len(srcs):
+        return np.arange(k)  # R has no column or no row
+    blocks = [(src,) + _translate(free, src) for src in srcs]
+    end = _radical_ends(kd, blocks, p)
+    live = np.flatnonzero(end >= 0)
+    if live.size == 0:
+        return np.arange(k)
+    ends, first = np.unique(end[live], return_index=True)
+    cand = _others(k, ends)
+    # L lives for the solve only, so the product's blocks come after it
+    b = _end_solve(_radical_rows(kd, blocks, live[first], p), np.arange(ends.size),
+                   ends, cand, p, _neg_inv(p, _float_dtype(k, p)))
+    xb = _radical_product(kd, blocks, live, b, p)
+    _check_solve(xb, first)
+    return cand[heads_u8(xb, p)]
+
+
+def _translate(free, src):
+    """``(inv, ip)`` of one block R_g: ip, ascending, the positions i whose
+    translated row src[i] is not free (I_p), and inv[l] the position i
+    with src[i] = free[l], or k where there is none."""
+    k = free.size
+    at = np.minimum(np.searchsorted(free, src), k - 1)
+    moved = free[at] == src
+    inv = np.full(k, k)
+    inv[at[moved]] = np.flatnonzero(moved)
+    return inv, np.flatnonzero(~moved)
+
+
+def _radical_ends(kd, blocks, p):
+    """The last nonzero position of each row of R, -1 for a zero row; row
+    g k + j is row j of R_g = Pi_g - I + D_g, and ``blocks`` holds
+    ``(src, inv, ip)`` per g.  The columns I_p of D_g are read a block of
+    ``row_blocks`` at a time, as rows K[src_g[I_p]], whose entry (i, j)
+    is R_g[j, i]; the entry at i = j belongs to the diagonal."""
+    k = kd.shape[1]
+    pos = np.arange(k)
+    out = []
+    for src, inv, ip in blocks:
+        diag = np.where(inv == pos, 0, p - 1)
+        diag[ip] = (kd[src[ip], ip].astype(np.intp) + p - 1) % p
+        end = np.where(diag != 0, pos, -1)
+        np.maximum(end, np.where((inv < k) & (inv != pos), inv, -1), out=end)
+        for rows in row_blocks(ip, k):
+            nz = kd[src[rows]] != 0
+            nz[np.arange(rows.size), rows] = False
+            last = rows[rows.size - 1 - nz[::-1].argmax(axis=0)]
+            np.maximum(end, np.where(nz.any(axis=0), last, -1), out=end)
+        out.append(end)
+    return np.concatenate(out)
+
+
+def _radical_rows(kd, blocks, rows, p):
+    """The rows ``rows`` of R (row g k + j is row j of R_g), in that order,
+    dense uint8, written in place; the columns I_p of each R_g are
+    gathered from K a block of ``row_blocks`` at a time."""
+    k = kd.shape[1]
+    gs, js = np.divmod(rows, k)
+    out = np.zeros((rows.size, k), dtype=np.uint8)
+    for g, (src, inv, ip) in enumerate(blocks):
+        at = np.flatnonzero(gs == g)
+        j = js[at]
+        for blk in row_blocks(ip, k):
+            out[np.ix_(at, blk)] = kd[src[blk]].take(j, axis=1).T
+        moved = inv[j] < k
+        out[at[moved], inv[j[moved]]] = 1
+        out[at, j] = (out[at, j].astype(np.intp) + p - 1) % p
+    return out
+
+
+def _radical_product(kd, blocks, rows, b, p):
+    """(R b)[rows] mod p as uint8, for ascending ``rows`` of R (row g k + j
+    is row j of R_g), by R_g b = b[inv] + D_g^T b[I_p] - b: per block of
+    ``row_blocks`` over the rows of R_g (each reading |I_p| entries of K
+    and writing |C|), a GEMM over the |I_p| columns of D_g against b[I_p]
+    (a gather of at most the rows of b), plus the rows of b that Pi_g
+    moves, minus b.  Each partial sum adds at most one term per column i
+    with a coefficient in [-1, p-1], so the float stays exact where a
+    dense round's does."""
+    k = kd.shape[1]
+    out = np.empty((rows.size, b.shape[1]), dtype=np.uint8)
+    for g, (src, inv, ip) in enumerate(blocks):
+        lhs, bp = src[ip], b[ip]
+        for blk in row_blocks(k, max(ip.size, b.shape[1])):
+            lo, hi = np.searchsorted(rows, (g * k + blk.start, g * k + blk.stop))
+            if lo == hi:
+                continue
+            prod = kd[lhs, blk].astype(b.dtype).T @ bp
+            moved = np.flatnonzero(inv[blk] < k)
+            prod[moved] += b[inv[blk][moved]]
+            prod -= b[blk]
+            out[lo:hi] = _mod(prod[rows[lo:hi] - g * k - blk.start], p)
+    return out
 
 
 def _row_ends(x):

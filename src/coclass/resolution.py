@@ -289,11 +289,18 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
     K-coordinates, so that rad K is its row space.  Read from the dual
     side, j is a head exactly when some functional vanishing on rad K, a
     vector of ker R, has its first nonzero entry at j.
-    :func:`kernels.heads_u8` finds these leading positions, at every p,
-    without a row reduction: the rows of R that end at distinct
+    :func:`kernels.radical_heads` finds these leading positions, at every
+    p, without a row reduction: the rows of R that end at distinct
     coordinates form a triangular system, whose solution B over the other
     coordinates C carries the question to the smaller matrix (the
-    remaining rows) B.
+    remaining rows) B, and the rounds after the first run in
+    :func:`kernels.heads_u8`.  R (|S| k x k) is never built.  Its block
+    for g is read off K and src_g = (F // m) m + gather[F % m, g], the
+    rows that translation by g sends to F: where src_g[i] is the free row
+    F[l], column i of the block is e_l (K is the identity on F), so the
+    block is a partial permutation less the identity plus K's rows at the
+    translated pivot rows, which is all the first round reads.  Dense
+    rows are built for the triangular system only, one per end.
 
     Each fact is checked once, in the cheapest form that proves it:
 
@@ -323,10 +330,15 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
       block of |G| rows, and so has every translate of one, i.e. every
       entry of the boundary, which is what makes
       beta_n = dim H^n(G; F_p);
-    * heads: each round of :func:`kernels.heads_u8` checks L B = 0 mod p
-      for its triangular rows L, which with B[C] = I (true by
-      construction) proves that round's reduction, so the head set is the
-      exact one, at every degree and for every p;
+    * heads: each round checks L B = 0 mod p for its triangular rows L,
+      the first one (:func:`kernels.radical_heads`) on its product of
+      the factored R with B, the later ones in :func:`kernels.heads_u8`;
+      with B[C] = I (true by construction) that proves the round's
+      reduction, so the head set is the exact one for the R that K gives,
+      at every degree and for every p.  Reading R off K in factored form
+      uses that K is the identity on F, which the top check certifies at
+      the top degree; below it the rank comparison at the next degree
+      certifies the boundary whatever the heads;
     * a resumed top d_N is re-certified before it is extended: d_{N-1},
       assembled in full (d_0 is the augmentation), must vanish on the
       generator columns of d_N, which must have zero augmentation, and
@@ -391,18 +403,12 @@ def minimal_resolution(group, max_degree, *, start=None, table=None,
         top = n == max_degree - 1
         if top:
             _check_top_kernel(cur, kd, free, n)
-        # row j of block g: (g-1)e_j in K-coordinates, i.e. g K_j at the
-        # rows F less e_j, where (g v)[b*m + r] = v[b*m + gather[r, g]];
-        # filled a block of columns at a time: one C-contiguous matrix, no
-        # full-size copy
-        rad = np.empty((len(ctx.gens), k, k), dtype=np.uint8)
-        for g, gen in enumerate(ctx.gens):
-            src = (free // m) * m + ctx.gather[free % m, gen]
-            for blk in kernels.row_blocks(k, k):
-                rad[g, :, blk] = kd[src[blk]].T
-        diag = np.arange(k)
-        rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
-        sel = kernels.heads_u8(rad.reshape(-1, k), p)
+        # row j of block g of the radical: (g-1)e_j in K-coordinates, i.e.
+        # g K_j at the rows F less e_j, where (g v)[F[i]] = v[src_g[i]] for
+        # F[i] = b*m + r and src_g[i] = b*m + gather[r, g]
+        base = (free // m) * m
+        srcs = [base + ctx.gather[free % m, gen] for gen in ctx.gens]
+        sel = kernels.radical_heads(kd, free, srcs, p)
         betti.append(len(sel))
         vecs = kd[:, sel]
         boundaries.append(_certified_columns(ctx, cur, vecs))

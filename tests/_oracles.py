@@ -13,7 +13,9 @@ cochains) and ``naive_minimal_resolution`` run on the package's group
 tables and ``FpMatrix``: they cross-check the resolution step, not the
 elimination kernels.  ``reference_gather_certificate`` is the group-table
 certificate with every check it can make, against which the package's
-shorter one is compared.  The filtration reference reduces p*(C-I)^i with the
+shorter one is compared.  ``reference_radical`` is the dense |S| k x k
+radical that the resolution step once built, against which the factored
+head step (:func:`coclass.kernels.radical_heads`) is checked.  The filtration reference reduces p*(C-I)^i with the
 package's Hermite form in one step, where the package builds the same
 lattice level by level.
 """
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from coclass import kernels
 from coclass.errors import BudgetError
 from coclass.fpmat import FpMatrix
 from coclass.groups import enumerate_group
@@ -123,6 +126,22 @@ def reference_gather_certificate(gather, table, ks):
         if not np.array_equal(gather[col[:, None], col], gather):
             raise AssertionError("gather does not commute with translation by "
                                  f"table generator k = {k}")
+
+
+def reference_radical(kd, free, srcs, p):
+    """The stacked radical R of the kernel basis ``kd`` (the identity on its
+    free rows ``free``), dense: block g, row j is (g-1)e_j in
+    K-coordinates, R[g k + j, i] = kd[srcs[g][i], j] - [i = j] mod p, as a
+    C-contiguous (|S| k, k) uint8 matrix, filled a block of columns at a
+    time."""
+    k = len(free)
+    rad = np.empty((len(srcs), k, k), dtype=np.uint8)
+    for g, src in enumerate(srcs):
+        for blk in kernels.row_blocks(k, k):
+            rad[g, :, blk] = kd[src[blk]].T
+    diag = np.arange(k)
+    rad[:, diag, diag] = (rad[:, diag, diag].astype(np.int16) - 1) % p
+    return rad.reshape(-1, k)
 
 
 def dense_bar_cohomology_dim(group, n):

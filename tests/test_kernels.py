@@ -11,7 +11,7 @@ import pytest
 from coclass import kernels
 from coclass.fpmat import FpMatrix, _pack_bits
 
-from _oracles import naive_kernel, naive_rref
+from _oracles import naive_kernel, naive_rref, reference_radical
 
 PRIMES = (3, 5, 7, 251)
 PANEL_EDGE_WIDTHS = (63, 64, 65, 128, 129)
@@ -462,6 +462,145 @@ def test_heads_u8_refuses_a_wrong_solve(monkeypatch):
         kernels.heads_u8(a, 5)
 
 
+RADICAL_PRIMES = (2, 3, 5, 7, 251)
+
+
+def radical_case(rng, p, k, n_ip, *, gens=2, fixed=0, diag_ones=0, zero_rows=0,
+                 density=0.3):
+    """(kd, free, srcs): a kernel basis of k columns, the identity on its
+    free rows F and sparse random on the others, and for each of ``gens``
+    generators an injective src_g with ``n_ip`` positions translated to
+    rows outside F (I_p) and the rest to rows of F.  In every block,
+    ``fixed`` positions j outside I_p translate to F[j] (sigma_g(j) = j,
+    whose 1 cancels the -1 on the diagonal), ``diag_ones`` positions j in
+    I_p read K[src_j, j] = 1 (the diagonal reads 0), and in block 0 the
+    first ``zero_rows`` fixed rows get D_g zero too, so R_0 has zero
+    rows."""
+    n = k + max(n_ip, 3) + 5
+    free = np.sort(rng.choice(n, k, replace=False))
+    rest = np.setdiff1d(np.arange(n), free)
+    kd = ((rng.random((n, k)) < density) * rng.integers(1, p, (n, k))).astype(np.uint8)
+    kd[free] = np.eye(k, dtype=np.uint8)
+    srcs = []
+    for g in range(gens):
+        ip = np.sort(rng.choice(k, n_ip, replace=False))
+        out = np.setdiff1d(np.arange(k), ip)
+        sig = np.full(k, -1)
+        sig[out] = rng.choice(k, out.size, replace=False)
+        for j in rng.choice(out, min(fixed, out.size), replace=False).tolist():
+            sig[sig == j], sig[j] = sig[j], j  # a swap keeps sig injective
+        src = np.empty(k, dtype=np.intp)
+        src[out] = free[sig[out]]
+        src[ip] = rng.choice(rest, n_ip, replace=False)
+        for j in rng.choice(ip, min(diag_ones, n_ip), replace=False).tolist():
+            kd[src[j], j] = 1
+        srcs.append(src)
+        if g == 0:
+            zeros = np.flatnonzero(sig == np.arange(k))[:zero_rows], src[ip]
+    if gens:
+        kd[zeros[1][:, None], zeros[0]] = 0
+    return kd, free, srcs
+
+
+def assert_radical_matches_reference(rng, kd, free, srcs, p):
+    """The factored ends, L rows, product and heads of ``radical_heads``
+    against the dense reference radical."""
+    k = len(free)
+    ref = reference_radical(kd, free, srcs, p)
+    blocks = [(src,) + kernels._translate(free, src) for src in srcs]
+    live, end = kernels._row_ends(ref)
+    got = kernels._radical_ends(kd, blocks, p)
+    assert np.flatnonzero(got >= 0).tolist() == live.tolist()
+    assert got[live].tolist() == end.tolist()
+    rows = rng.permutation(len(ref))[:k]
+    assert np.array_equal(kernels._radical_rows(kd, blocks, rows, p), ref[rows])
+    b = rng.integers(0, p, (k, 7)).astype(kernels._float_dtype(k, p))
+    rows = np.flatnonzero(rng.random(len(ref)) < 0.7)
+    want = ref[rows].astype(np.int64) @ b.astype(np.int64) % p
+    assert np.array_equal(kernels._radical_product(kd, blocks, rows, b, p), want)
+    heads = kernels.radical_heads(kd, free, srcs, p)
+    assert heads.dtype == np.int64
+    assert heads.tolist() == oracle_heads(ref, p) == kernels.heads_u8(ref, p).tolist()
+    return ref
+
+
+@pytest.mark.parametrize("p", RADICAL_PRIMES)
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_radical_heads_match_the_dense_radical(p, chunk, monkeypatch):
+    # with 64-entry blocks every pass over I_p, L and the product takes
+    # many blocks, down to one row
+    if chunk:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(p)
+    k = 40
+    ref = assert_radical_matches_reference(
+        rng, *radical_case(rng, p, k, 12, fixed=4, diag_ones=4, zero_rows=2), p)
+    diag = ref[np.arange(2 * k), np.tile(np.arange(k), 2)]
+    assert (ref[:k] == 0).all(axis=1).sum() >= 2 and (diag == 0).sum() >= 8
+    # every translated free row free (I_p empty), with and without fixed
+    # rows, and none free (I_p every column)
+    assert_radical_matches_reference(rng, *radical_case(rng, p, k, 0), p)
+    assert_radical_matches_reference(rng, *radical_case(rng, p, k, 0, fixed=5), p)
+    assert_radical_matches_reference(
+        rng, *radical_case(rng, p, k, k, diag_ones=6, density=0.1), p)
+    # one generator and three, and dense blocks with few heads
+    assert_radical_matches_reference(rng, *radical_case(rng, p, 25, 7, gens=1), p)
+    assert_radical_matches_reference(rng, *radical_case(rng, p, 30, 9, gens=3), p)
+    assert_radical_matches_reference(rng, *radical_case(rng, p, 30, 20, density=1.0), p)
+
+
+@pytest.mark.parametrize("p", RADICAL_PRIMES)
+def test_radical_heads_of_no_columns_and_of_zero_blocks(p):
+    # k = 0, and a block of zero rows: every translate fixed with no I_p
+    # makes R = 0, so every position is a head
+    for gens in (0, 2):
+        assert kernels.radical_heads(np.zeros((5, 0), dtype=np.uint8), np.zeros(0, np.intp),
+                                     [np.zeros(0, np.intp)] * gens, p).tolist() == []
+    free = np.arange(1, 9)
+    kd = np.zeros((12, 8), dtype=np.uint8)
+    kd[free] = np.eye(8, dtype=np.uint8)
+    assert kernels.radical_heads(kd, free, [free, free], p).tolist() == list(range(8))
+    assert kernels.radical_heads(kd, free, [], p).tolist() == list(range(8))
+
+
+@pytest.mark.parametrize("k, dtype", [(268, np.float32), (269, np.float64)])
+def test_radical_product_exact_at_the_float32_edge_p251(k, dtype):
+    # every coefficient of R_g at its extreme: p - 1 on I_p (all but one
+    # column) and B all p - 1, so each partial sum reaches k (p-1)^2, the
+    # bound of _float_dtype(k, p); the product must match the exact one
+    p = 251
+    rng = np.random.default_rng(k)
+    kd, free, srcs = radical_case(rng, p, k, k - 1, gens=1, density=1.0)
+    kd[np.setdiff1d(np.arange(len(kd)), free)] = p - 1
+    blocks = [(src,) + kernels._translate(free, src) for src in srcs]
+    assert kernels._float_dtype(k, p) == dtype
+    b = np.full((k, 5), p - 1, dtype=dtype)
+    out = kernels._radical_product(kd, blocks, np.arange(k), b, p)
+    want = reference_radical(kd, free, srcs, p).astype(np.int64) @ b.astype(np.int64) % p
+    assert np.array_equal(out, want)
+
+
+def test_radical_heads_refuse_a_wrong_first_solve(monkeypatch):
+    # the factored first round checks L B = 0 on its own product: a B
+    # that misses ker L by one entry is refused there, before any dense
+    # round runs
+    real = kernels._end_solve
+    calls = []
+
+    def off_by_one(x, keep, ends, cand, p, neg_inv):
+        b = real(x, keep, ends, cand, p, neg_inv)
+        if not calls:
+            b[ends[-1], 0] = (b[ends[-1], 0] + 1) % p
+        calls.append(ends.size)
+        return b
+
+    monkeypatch.setattr(kernels, "_end_solve", off_by_one)
+    kd, free, srcs = radical_case(np.random.default_rng(9), 5, 40, 12)
+    with pytest.raises(AssertionError, match="triangular solve"):
+        kernels.radical_heads(kd, free, srcs, 5)
+    assert len(calls) == 1
+
+
 @pytest.fixture
 def two_blas_threads():
     """The (get, set) pair of numpy's OpenBLAS, with the count set to 2 for
@@ -556,11 +695,28 @@ def test_small_calls_run_on_one_thread_large_ones_keep_theirs(two_blas_threads, 
     assert seen == {1} and get() == 1
 
 
+def test_radical_heads_run_on_one_thread_at_any_size(two_blas_threads, monkeypatch):
+    # the factored head step runs on one BLAS thread even where its K has
+    # more than _THREADED_ENTRIES entries, restores the caller's count,
+    # and gives the same heads on any count
+    get, put = two_blas_threads
+    seen = _spy_thread_counts(monkeypatch, two_blas_threads)
+    monkeypatch.setattr(kernels, "_THREADED_ENTRIES", 0)
+    kd, free, srcs = radical_case(np.random.default_rng(43), 5, 60, 20)
+    heads = kernels.radical_heads(kd, free, srcs, 5)
+    assert seen == {1} and get() == 2
+    put(1)
+    assert kernels.radical_heads(kd, free, srcs, 5).tolist() == heads.tolist()
+    assert get() == 1
+
+
 def test_thread_count_restored_when_a_kernel_raises(two_blas_threads, monkeypatch):
     get, _ = two_blas_threads
     test_rref_u8_refuses_a_wrong_panel_inverse(monkeypatch)
     assert get() == 2
     test_heads_u8_refuses_a_wrong_solve(monkeypatch)
+    assert get() == 2
+    test_radical_heads_refuse_a_wrong_first_solve(monkeypatch)
     assert get() == 2
 
 

@@ -20,6 +20,7 @@ from _oracles import (
     naive_minimal_resolution,
     naive_mul_table,
     reference_gather_certificate,
+    reference_radical,
 )
 from coclass import kernels, resolution
 from coclass.errors import BudgetError
@@ -652,6 +653,63 @@ def test_p2_heads_are_checked_by_the_triangular_solve(monkeypatch):
     with pytest.raises(AssertionError,
                        match="^triangular solve does not vanish on its rows$"):
         minimal_resolution(quotient_group(SpaceGroupParams(2, 2), 1), 3)
+
+
+def test_odd_p_heads_are_checked_by_the_triangular_solve(monkeypatch):
+    # the same off-by-one solve, in the first round of degree 1 only, is
+    # refused inside an odd-p resolution by the check on the factored
+    # first round of the head step
+    real = resolution.kernels._end_solve
+    calls = []
+
+    def off_by_one(x, keep, ends, cand, p, neg_inv):
+        b = real(x, keep, ends, cand, p, neg_inv)
+        if not calls:
+            b[ends[-1], 0] = (b[ends[-1], 0] + 1) % p
+        calls.append(ends.size)
+        return b
+
+    monkeypatch.setattr(resolution.kernels, "_end_solve", off_by_one)
+    with pytest.raises(AssertionError,
+                       match="^triangular solve does not vanish on its rows$"):
+        minimal_resolution(b3r(3), 3)
+    assert len(calls) == 1
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("group, degree", [
+    (quotient_group(SpaceGroupParams(2, 2), 2), 6), (b3r(4), 5)],
+    ids=lambda v: _group_id(v) if hasattr(v, "descriptor") else str(v))
+def test_factored_heads_match_the_dense_radical(group, degree, monkeypatch):
+    # at every degree the head step reads the radical off K and the
+    # translated free rows; its heads are those of the dense |S| k x k
+    # radical that the same K gives, and at the top it holds less memory
+    # than the dense step over and above that radical
+    real = kernels.radical_heads
+    calls = []
+
+    def spy(kd, free, srcs, p):
+        heads = real(kd, free, srcs, p)
+        dense = reference_radical(kd, free, srcs, p)
+        assert heads.tolist() == kernels.heads_u8(dense, p).tolist()
+        calls.append((kd, free, srcs, p))
+        return heads
+
+    monkeypatch.setattr(resolution.kernels, "radical_heads", spy)
+    minimal_resolution(group, degree)
+    assert len(calls) == degree
+    kd, free, srcs, p = calls[-1]
+    factored = _peak(lambda: real(kd, free, srcs, p))
+    dense = _peak(lambda: kernels.heads_u8(reference_radical(kd, free, srcs, p), p))
+    assert factored + len(srcs) * free.size ** 2 < dense
 
 
 def test_corrupted_orbit_is_rejected_by_the_composite(monkeypatch):
